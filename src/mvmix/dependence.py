@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, qmc
+from scipy.special import ndtr, owens_t
+from scipy.stats import kendalltau, norm, qmc
 
 from .multivariate import MultiAssetModel, truncate
 from .univariate import inverse_cdf
@@ -28,154 +29,88 @@ __all__ = [
     "empirical_copula",
 ]
 
-# Gauss-Legendre half-rules used by the bivariate normal algorithm.
-_GL_NODES = {
-    6: np.array([-0.9324695142031521, -0.6612093864662645, -0.2386191860831969]),
-    12: np.array(
-        [
-            -0.9815606342467192,
-            -0.9041172563704749,
-            -0.7699026741943047,
-            -0.5873179542866175,
-            -0.3678314989981802,
-            -0.1252334085114689,
-        ]
-    ),
-    20: np.array(
-        [
-            -0.9931285991850949,
-            -0.9639719272779138,
-            -0.9122344282513259,
-            -0.8391169718222188,
-            -0.7463319064601508,
-            -0.6360536807265150,
-            -0.5108670019508271,
-            -0.3737060887154195,
-            -0.2277858511416451,
-            -0.0765265211334973,
-        ]
-    ),
-}
-_GL_WEIGHTS = {
-    6: np.array([0.1713244923791704, 0.3607615730481386, 0.4679139345726910]),
-    12: np.array(
-        [
-            0.0471753363865118,
-            0.1069393259953184,
-            0.1600783285433462,
-            0.2031674267230659,
-            0.2334925365383548,
-            0.2491470458134028,
-        ]
-    ),
-    20: np.array(
-        [
-            0.0176140071391521,
-            0.0406014298003869,
-            0.0626720483341091,
-            0.0832767415767048,
-            0.1019301198172404,
-            0.1181945319615184,
-            0.1316886384491766,
-            0.1420961093183820,
-            0.1491729864726037,
-            0.1527533871307258,
-        ]
-    ),
-}
 
-
-def _bvnu(dh: float, dk: float, r: float) -> float:
-    """P(X > dh, Y > dk) for a standardized bivariate normal, |r| < 1.
-
-    Gauss-Legendre quadrature of the tetrachoric series (Drezner-Wesolowsky
-    as refined by Genz); absolute accuracy is ~1e-15.
-    """
-    if np.isposinf(dh) or np.isposinf(dk):
-        return 0.0
-    if np.isneginf(dh):
-        return 1.0 if np.isneginf(dk) else float(norm.cdf(-dk))
-    if np.isneginf(dk):
-        return float(norm.cdf(-dh))
-    if abs(r) < 0.3:
-        rule = 6
-    elif abs(r) < 0.75:
-        rule = 12
-    else:
-        rule = 20
-    x, w = _GL_NODES[rule], _GL_WEIGHTS[rule]
-    h, k = dh, dk
-    hk = h * k
-    bvn = 0.0
-    if abs(r) < 0.925:
-        hs = 0.5 * (h * h + k * k)
-        asr = np.arcsin(r)
-        for sign in (-1.0, 1.0):
-            sn = np.sin(0.5 * asr * (sign * x + 1.0))
-            bvn += float(np.sum(w * np.exp((sn * hk - hs) / (1.0 - sn * sn))))
-        bvn = bvn * asr / (4.0 * np.pi) + float(norm.cdf(-h) * norm.cdf(-k))
-        return bvn
-    if r < 0.0:
-        k = -k
-        hk = -hk
-    if abs(r) < 1.0:
-        ass = (1.0 - r) * (1.0 + r)
-        a = np.sqrt(ass)
-        bs = (h - k) ** 2
-        c = (4.0 - hk) / 8.0
-        d = (12.0 - hk) / 16.0
-        asr = -0.5 * (bs / ass + hk)
-        if asr > -100.0:
-            bvn = a * np.exp(asr) * (1.0 - c * (bs - ass) * (1.0 - d * bs / 5.0) / 3.0 + c * d * ass * ass / 5.0)
-        if -hk < 100.0:
-            b = np.sqrt(bs)
-            bvn -= np.exp(-0.5 * hk) * np.sqrt(2.0 * np.pi) * float(norm.cdf(-b / a)) * b * (
-                1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0
-            )
-        a *= 0.5
-        for sign in (-1.0, 1.0):
-            xs = (a * (sign * x + 1.0)) ** 2
-            rs = np.sqrt(1.0 - xs)
-            asr_v = -0.5 * (bs / xs + hk)
-            keep = asr_v > -100.0
-            if np.any(keep):
-                bvn += float(
-                    np.sum(
-                        a
-                        * w[keep]
-                        * np.exp(asr_v[keep])
-                        * (
-                            np.exp(-hk * (1.0 - rs[keep]) / (2.0 * (1.0 + rs[keep]))) / rs[keep]
-                            - (1.0 + c * xs[keep] * (1.0 + d * xs[keep]))
-                        )
-                    )
-                )
-        bvn = -bvn / (2.0 * np.pi)
-    if r > 0.0:
-        return bvn + float(norm.cdf(-max(h, k)))
-    bvn = -bvn
-    if k > h:
-        bvn += float(norm.cdf(k) - norm.cdf(h))
-    return bvn
-
-
-def bivariate_normal_cdf(a: float, b: float, rho: float) -> float:
+def bivariate_normal_cdf(a, b, rho) -> float | np.ndarray:
     """P(X <= a, Y <= b) for a standardized bivariate normal with correlation rho.
 
-    Absolute error well below 1e-10; rho = +-1 are handled as the degenerate
-    comonotone / antimonotone limits.
+    Owen's (1956) T-function identity, exact to rounding (~1e-16 absolute).
+    Broadcasts over array arguments; all-scalar arguments give a float.
+    rho = +-1 are the degenerate comonotone / antimonotone limits.
     """
-    a, b, rho = float(a), float(b), float(rho)
-    if np.isnan(a) or np.isnan(b) or np.isnan(rho):
+    h, k, r = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, rho)))
+    if np.isnan(h).any() or np.isnan(k).any() or np.isnan(r).any():
         raise ValueError("inputs must not be NaN")
-    if not -1.0 <= rho <= 1.0:
+    if np.any(np.abs(r) > 1.0):
         raise ValueError("correlation must lie in [-1, 1]")
-    if rho == 1.0:
-        return float(norm.cdf(min(a, b)))
-    if rho == -1.0:
-        return float(max(norm.cdf(a) + norm.cdf(b) - 1.0, 0.0))
-    value = _bvnu(-a, -b, rho)
-    return float(min(max(value, 0.0), 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt((1.0 - r) * (1.0 + r))
+        both_zero = (h == 0.0) & (k == 0.0)
+
+        def owen(x, y):
+            # T(x, (y - r x) / (x s)); at x = 0 the second argument is
+            # sign(y) inf, or sqrt((1 - r) / (1 + r)) in the limit x = y -> 0.
+            c = np.where(x == 0.0, np.copysign(np.inf, y), (y - r * x) / (x * s))
+            return owens_t(x, np.where(both_zero, (1.0 - r) / s, c))
+
+        beta = np.where((h * k < 0.0) | ((h * k == 0.0) & (h + k < 0.0)), 0.5, 0.0)
+        value = 0.5 * (ndtr(h) + ndtr(k)) - owen(h, k) - owen(k, h) - beta
+    value = np.where(r == 1.0, ndtr(np.minimum(h, k)), value)
+    value = np.where(r == -1.0, np.maximum(ndtr(h) + ndtr(k) - 1.0, 0.0), value)
+    # Infinite limits: -inf in either argument gives 0, +inf marginalizes it out.
+    value = np.where(np.isposinf(h), ndtr(k), np.where(np.isposinf(k), ndtr(h), value))
+    value = np.where(np.isneginf(h) | np.isneginf(k), 0.0, value)
+    value = np.clip(value, 0.0, 1.0)
+    return float(value) if value.ndim == 0 else value
+
+
+def _plackett_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre on [0, 1] after t = 1 - (1 - s)^2, which clusters nodes at t = 1.
+
+    The Plackett integrand steepens towards t = 1 when the correlation
+    matrix is nearly singular; the substitution moves the square-root branch
+    point of its conditional variance away from the interval.
+    """
+    x, w = np.polynomial.legendre.leggauss(points)
+    s = 0.5 * (x + 1.0)
+    return 1.0 - (1.0 - s) ** 2, w * (1.0 - s)
+
+
+# Fixed rules for the n = 3 Plackett integral: the 40-point value is
+# returned, its difference from the 20-point value is the error estimate.
+_PLACKETT_RULES = (_plackett_rule(20), _plackett_rule(40))
+
+
+def _trivariate_normal_cdf(z: np.ndarray, m: np.ndarray) -> tuple[float, float]:
+    """P(Z <= z) for n = 3 by Plackett's identity (Genz 2004), with an error estimate.
+
+    Along R(t) = (r12 t, r13 t, r23), t in [0, 1], the CDF starts at
+    Phi(z1) Phi2(z2, z3; r23) and grows by dPhi3/dt = r12 phi2(z1, z2; r12 t)
+    Phi(conditional z3) + r13 phi2(z1, z3; r13 t) Phi(conditional z2).  The
+    coordinates are ordered so that the largest correlation is the fixed r23,
+    which keeps the integrand smooth.
+    """
+    pairs = (abs(m[1, 2]), abs(m[0, 2]), abs(m[0, 1]))
+    first = int(np.argmax(pairs))
+    order = [first] + [i for i in range(3) if i != first]
+    h1, h2, h3 = z[order]
+    r12, r13, r23 = m[order[0], order[1]], m[order[0], order[2]], m[order[1], order[2]]
+    start = float(ndtr(h1)) * bivariate_normal_cdf(h2, h3, r23)
+
+    def plackett(t: np.ndarray) -> np.ndarray:
+        a, b = r12 * t, r13 * t
+        det = 1.0 - a * a - b * b - r23 * r23 + 2.0 * a * b * r23
+
+        def term(rho, r_other, x, y, w, ry):
+            # rho * phi2(x, y; rho t) * P(W <= w | X = x, Y = y) with corr(X, W) = r_other
+            one_minus = 1.0 - ry * ry
+            dens = np.exp(-0.5 * (x * x - 2.0 * ry * x * y + y * y) / one_minus) / np.sqrt(one_minus)
+            mean = (r_other * (x - ry * y) + r23 * (y - ry * x)) / one_minus
+            return rho * dens * ndtr((w - mean) / np.sqrt(det / one_minus))
+
+        return (term(r12, b, h1, h2, h3, a) + term(r13, a, h1, h3, h2, b)) / (2.0 * np.pi)
+
+    coarse, fine = (start + float(w @ plackett(t)) for t, w in _PLACKETT_RULES)
+    return fine, max(abs(fine - coarse), 1e-14)
 
 
 _QMC_SEED = 202306  # fixed: multivariate CDF values are deterministic
@@ -187,17 +122,23 @@ def multivariate_normal_cdf(
 ) -> float | tuple[float, float]:
     """P(Z <= z) for a standardized n-variate normal, n <= 6.
 
-    n <= 2 uses exact routines.  Higher dimensions integrate the
+    n <= 2 uses the exact routines and n = 3 a deterministic Gauss-Legendre
+    rule for Plackett's one-dimensional integral.  n = 4..6 integrate the
     separation-of-variables transform with a randomized Sobol rule, doubling
     the point count until the error estimate (3 sigma over randomizations)
-    drops below `tol`.  With `full_output` the error estimate is returned too.
-    Coordinates at +inf marginalize out; any coordinate at -inf gives 0.
+    drops below `tol`; `tol` is used only there.  With `full_output` the
+    error estimate is returned too.  Coordinates at +inf marginalize out;
+    any coordinate at -inf gives 0.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     m = np.atleast_2d(np.asarray(getattr(corr, "values", corr), dtype=float))
     n = z.shape[0]
     if m.shape != (n, n):
         raise ValueError("correlation matrix shape must match z")
+    if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
+        raise ValueError("correlation matrix must be symmetric")
+    if not np.allclose(np.diag(m), 1.0, rtol=0.0, atol=1e-12):
+        raise ValueError("correlation matrix must have unit diagonal")
     if n > 6:
         raise ValueError("dimensions above 6 are not supported")
     if np.any(np.isnan(z)):
@@ -211,7 +152,7 @@ def multivariate_normal_cdf(
             return (1.0, 0.0) if full_output else 1.0
         return multivariate_normal_cdf(z[idx], m[np.ix_(idx, idx)], tol, full_output)
     if n == 1:
-        value = float(norm.cdf(z[0]))
+        value = float(ndtr(z[0]))
         return (value, 0.0) if full_output else value
     if n == 2:
         value = bivariate_normal_cdf(z[0], z[1], m[0, 1])
@@ -225,6 +166,10 @@ def multivariate_normal_cdf(
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise ValueError("correlation matrix must be positive definite for n >= 3") from None
+    if n == 3:
+        value, err = _trivariate_normal_cdf(z, m)
+        value = float(min(max(value, 0.0), 1.0))
+        return (value, err) if full_output else value
 
     tiny = 1e-15
 
@@ -325,36 +270,22 @@ def kendall_tau_from_params(p: TauParams) -> float:
     """
     a = np.asarray(p.alphas)
     tau = (2.0 / np.pi) * float(a @ a) * np.arcsin(p.rho) + float(a @ a) - 1.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            dx = np.sqrt(p.sigma_x[i] ** 2 + p.sigma_x[j] ** 2)
-            dy = np.sqrt(p.sigma_y[i] ** 2 + p.sigma_y[j] ** 2)
-            m_x = (p.mu_x[i] - p.mu_x[j]) / dx
-            m_y = (p.mu_y[i] - p.mu_y[j]) / dy
-            r = p.rho * (p.sigma_x[i] * p.sigma_y[i] + p.sigma_x[j] * p.sigma_y[j]) / (dx * dy)
-            r = min(max(r, -1.0), 1.0)
-            tau += 4.0 * a[i] * a[j] * (
-                bivariate_normal_cdf(m_x, m_y, r) + bivariate_normal_cdf(-m_x, -m_y, r)
-            )
+    i, j = np.triu_indices(4, 1)
+    mu_x, mu_y = np.asarray(p.mu_x), np.asarray(p.mu_y)
+    sx, sy = np.asarray(p.sigma_x), np.asarray(p.sigma_y)
+    dx = np.sqrt(sx[i] ** 2 + sx[j] ** 2)
+    dy = np.sqrt(sy[i] ** 2 + sy[j] ** 2)
+    m_x = (mu_x[i] - mu_x[j]) / dx
+    m_y = (mu_y[i] - mu_y[j]) / dy
+    r = np.clip(p.rho * (sx[i] * sy[i] + sx[j] * sy[j]) / (dx * dy), -1.0, 1.0)
+    both = bivariate_normal_cdf(np.r_[m_x, -m_x], np.r_[m_y, -m_y], np.r_[r, r])
+    tau += 4.0 * float((a[i] * a[j]) @ (both[:6] + both[6:]))
     return float(tau)
 
 
 def kendall_tau_mvmd(model: MultiAssetModel, maturity: float) -> float:
     """Closed-form Kendall tau of the 2-asset mixture at the given horizon."""
     return kendall_tau_from_params(tau_params(model, maturity))
-
-
-def _sorted_merge_count(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """Sorted copy of a plus the number of strict inversions (divide and conquer)."""
-    m = a.shape[0]
-    if m <= 1:
-        return a, 0
-    left, cl = _sorted_merge_count(a[: m // 2])
-    right, cr = _sorted_merge_count(a[m // 2 :])
-    # left elements strictly greater than each right element are inversions
-    pos = np.searchsorted(left, right, side="right")
-    cross = int(np.sum(left.shape[0] - pos))
-    return np.sort(np.concatenate([left, right]), kind="mergesort"), cl + cr + cross
 
 
 def _tie_pairs(values: np.ndarray) -> int:
@@ -365,9 +296,11 @@ def _tie_pairs(values: np.ndarray) -> int:
 def kendall_tau_empirical(x, y) -> float:
     """Concordance-based rank correlation in O(M log M).
 
-    Sort by (x, y), count discordant pairs as merge inversions of the y
-    sequence; tied pairs (in x, y or both) contribute zero and stay in the
-    denominator M(M-1)/2, which is immaterial for continuous samples.
+    Tied pairs (in x, y or both) contribute zero and stay in the denominator
+    M(M-1)/2, which is immaterial for continuous samples.  The integer
+    concordant-minus-discordant count comes from scipy's tau-b (Knight's
+    algorithm), whose denominator sqrt((M0 - ties_x)(M0 - ties_y)) is undone
+    exactly by rounding.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -376,14 +309,16 @@ def kendall_tau_empirical(x, y) -> float:
     m = x.shape[0]
     if m < 2:
         raise ValueError("need at least two pairs")
-    order = np.lexsort((y, x))
-    ys = y[order]
-    _, discordant = _sorted_merge_count(ys)
+    for name, values in (("x", x), ("y", y)):
+        if np.isnan(values).any():
+            raise ValueError(f"{name} must not contain NaN")
     n0 = m * (m - 1) // 2
     n_x = _tie_pairs(x)
     n_y = _tie_pairs(y)
-    n_xy = _tie_pairs(x + 1j * y)
-    conc_minus_disc = n0 - n_x - n_y + n_xy - 2 * discordant
+    if n_x == n0 or n_y == n0:  # every pair tied: tau-b is undefined, the count is 0
+        return 0.0
+    tau_b = kendalltau(x, y).statistic
+    conc_minus_disc = round(tau_b * np.sqrt(n0 - n_x) * np.sqrt(n0 - n_y))
     return conc_minus_disc / n0
 
 
@@ -418,27 +353,25 @@ def copula_value(model: MultiAssetModel, t: float, u, kappa: float = 0.0) -> flo
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape[0] != model.n:
         raise ValueError("one uniform coordinate per asset required")
+    if np.isnan(u).any():
+        raise ValueError("u must not contain NaN")
     if np.any((u < 0.0) | (u > 1.0)):
         raise ValueError("coordinates must lie in [0, 1]")
     if np.any(u == 0.0):
         return 0.0
     if np.all(u == 1.0):
         return 1.0
-    x = np.array(
-        [
-            inverse_cdf(asset, t, ui) if ui < 1.0 else np.inf
-            for asset, ui in zip(model.assets, u)
-        ]
+    x = [inverse_cdf(asset, t, ui) if ui < 1.0 else np.inf for asset, ui in zip(model.assets, u)]
+    tuples = truncate(model, kappa)
+    z = np.array(
+        [[_h_transform(model.assets[i], k, t, x[i]) for i, k in enumerate(tp.indices)] for tp, _ in tuples]
     )
-    value = 0.0
-    for tp, w in truncate(model, kappa):
-        z = np.array(
-            [
-                _h_transform(model.assets[i], k, t, x[i]) if np.isfinite(x[i]) else np.inf
-                for i, k in enumerate(tp.indices)
-            ]
-        )
-        value += w * multivariate_normal_cdf(z, _tuple_corr(model, tp.indices, t))
+    corrs = [_tuple_corr(model, tp.indices, t) for tp, _ in tuples]
+    if model.n == 2:
+        values = bivariate_normal_cdf(z[:, 0], z[:, 1], [c[0, 1] for c in corrs])
+    else:
+        values = [multivariate_normal_cdf(zk, c) for zk, c in zip(z, corrs)]
+    value = tuples.weight_array @ np.asarray(values)
     return float(min(max(value, 0.0), 1.0))
 
 

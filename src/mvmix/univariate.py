@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from .rng import path_blocks, run_blocks, substream
@@ -172,8 +174,8 @@ def inverse_cdf(asset: AssetMixture, t: float, u: float) -> float:
     """Quantile of the mixture law at time t.
 
     The mixture cdf is strictly increasing on (0, inf), so the inverse is
-    unique.  Bracketed bisection down to 1e-12 in cdf space, then a few
-    Newton steps using the mixture pdf as the derivative.
+    unique.  Brent's method in log-price space, bracketed by the extreme
+    component quantiles.
     """
     _require_positive_time(t)
     u = float(u)
@@ -181,35 +183,19 @@ def inverse_cdf(asset: AssetMixture, t: float, u: float) -> float:
         raise ValueError("probability must lie strictly inside (0, 1)")
     m = asset.log_means(t)
     v = asset.total_stds(t)
-    # The mixture quantile is bracketed by the extreme component quantiles.
-    comp_q = np.exp(m + v * norm.ppf(u))
-    lo = float(np.min(comp_q))
-    hi = float(np.max(comp_q))
-    if lo == hi:
-        return lo
-    flo = mixture_cdf(asset, t, lo) - u
-    fhi = mixture_cdf(asset, t, hi) - u
-    for _ in range(200):
-        if fhi - flo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = mixture_cdf(asset, t, mid) - u
-        if fmid < 0.0:
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    x = 0.5 * (lo + hi)
-    for _ in range(3):
-        f = mixture_cdf(asset, t, x) - u
-        d = mixture_pdf(asset, t, x)
-        if d <= 0:
-            break
-        step = f / d
-        x_new = x - step
-        if not lo <= x_new <= hi:
-            break
-        x = x_new
-    return float(x)
+    w = asset.weights
+    comp_q = m + v * ndtri(u)
+    lo, hi = float(np.min(comp_q)), float(np.max(comp_q))
+
+    def excess(y: float) -> float:
+        return float(w @ ndtr((y - m) / v)) - u
+
+    # Endpoints that already reach u within rounding are the quantile.
+    if lo == hi or excess(lo) >= 0.0:
+        return float(np.exp(lo))
+    if excess(hi) <= 0.0:
+        return float(np.exp(hi))
+    return float(np.exp(brentq(excess, lo, hi, xtol=1e-15)))
 
 
 def _nu_from_logx(asset: AssetMixture, t: float, logx: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from mvmix import (
     bivariate_normal_cdf,
     copula_value,
     empirical_copula,
+    inverse_cdf,
     kendall_tau_empirical,
     kendall_tau_mvmd,
     multivariate_normal_cdf,
@@ -81,6 +82,42 @@ def test_bvn_rejects_nan():
         bivariate_normal_cdf(0.0, 0.0, 1.5)
 
 
+def test_bvn_array_call_matches_scalar_loop():
+    rng = np.random.default_rng(14)
+    a, b = rng.normal(0, 2, (2, 500))
+    rho = rng.uniform(-1, 1, 500)
+    a[:50], b[40:90], rho[90:100] = 0.0, 0.0, 1.0
+    rho[100:110] = -1.0
+    values = bivariate_normal_cdf(a, b, rho)
+    assert values.shape == (500,)
+    assert all(v == bivariate_normal_cdf(x, y, r) for v, x, y, r in zip(values, a, b, rho))
+    assert isinstance(bivariate_normal_cdf(0.1, 0.2, 0.3), float)
+
+
+def test_bvn_zero_arguments():
+    for rho in (-0.9, -0.3, 0.0, 0.4, 0.95):
+        s = np.sqrt(1 - rho**2)
+        for k in (-2.0, -0.4, 0.7, 3.0):
+            # P(X <= 0, Y <= k) = integral over y <= k of phi(y) Phi(-rho y / s)
+            ref, _ = quad(lambda y: norm.pdf(y) * norm.cdf(-rho * y / s), -12, k, epsabs=1e-14)
+            assert bivariate_normal_cdf(0.0, k, rho) == pytest.approx(ref, abs=1e-13)
+            assert bivariate_normal_cdf(k, 0.0, rho) == pytest.approx(ref, abs=1e-13)
+        assert bivariate_normal_cdf(0.0, 0.0, rho) == pytest.approx(
+            0.25 + np.arcsin(rho) / (2 * np.pi), abs=1e-15
+        )
+
+
+def test_bvn_infinite_arguments():
+    for rho in (-1.0, -0.5, 0.0, 0.8, 1.0):
+        for x in (-1.3, 0.0, 0.6):
+            assert bivariate_normal_cdf(np.inf, x, rho) == pytest.approx(norm.cdf(x), abs=1e-15)
+            assert bivariate_normal_cdf(x, np.inf, rho) == pytest.approx(norm.cdf(x), abs=1e-15)
+            assert bivariate_normal_cdf(-np.inf, x, rho) == 0.0
+            assert bivariate_normal_cdf(x, -np.inf, rho) == 0.0
+        assert bivariate_normal_cdf(np.inf, np.inf, rho) == 1.0
+        assert bivariate_normal_cdf(np.inf, -np.inf, rho) == 0.0
+
+
 def test_mvn_identity_factorizes():
     z = np.array([0.3, -0.5, 1.2, 0.1])
     assert multivariate_normal_cdf(z, np.eye(4)) == pytest.approx(
@@ -103,6 +140,43 @@ def test_mvn_trivariate_against_quadrature_oracle():
     val, err = multivariate_normal_cdf(z, m, full_output=True)
     assert err <= 1e-6
     assert val == pytest.approx(ref, abs=2e-6)
+
+
+def _equicorrelated(r):
+    m = np.full((3, 3), r)
+    np.fill_diagonal(m, 1.0)
+    return m
+
+
+@pytest.mark.parametrize(
+    "z, m",
+    [
+        ((0.0, 0.4, -0.6), np.array([[1, 0.5, 0.3], [0.5, 1, 0.2], [0.3, 0.2, 1]])),
+        ((0.1, 0.2, 0.3), np.array([[1, 0.5, 0.3], [0.5, 1, 0.2], [0.3, 0.2, 1]])),
+        ((0.0, 0.0, 0.0), _equicorrelated(0.6)),
+        ((0.0, 0.0, 0.0), _equicorrelated(0.95)),
+        ((0.3, -0.5, 1.2), _equicorrelated(0.95)),
+        ((-3.0, -2.5, -2.0), _equicorrelated(0.5)),
+        ((-3.0, -2.5, -2.0), _equicorrelated(0.95)),
+        ((0.2, -0.1, 0.5), _equicorrelated(-0.4)),
+        ((1.0, -1.0, 0.5), np.array([[1, 0.9, -0.3], [0.9, 1, -0.2], [-0.3, -0.2, 1]])),
+    ],
+)
+def test_mvn_trivariate_panel_against_quadrature_oracle(z, m):
+    z = np.asarray(z)
+    ref = trivariate_oracle(z, m)
+    val, err = multivariate_normal_cdf(z, m, full_output=True)
+    assert abs(val - ref) <= 1e-13
+    assert abs(val - ref) <= err
+
+
+def test_mvn_rejects_invalid_correlation_argument():
+    with pytest.raises(ValueError, match="unit diagonal"):
+        multivariate_normal_cdf([0.1, 0.2], [[2.0, 0.3], [0.3, 2.0]])
+    with pytest.raises(ValueError, match="unit diagonal"):
+        multivariate_normal_cdf([0.1, 0.2, 0.3], 2.0 * np.eye(3))
+    with pytest.raises(ValueError, match="symmetric"):
+        multivariate_normal_cdf([0.1, 0.2], [[1.0, 0.3], [0.5, 1.0]])
 
 
 def test_mvn_trivariate_against_mc_oracle():
@@ -179,6 +253,34 @@ def test_tau_symmetry_and_range(vanilla_model):
     assert -1.0 <= tau <= 1.0
 
 
+def test_tau_and_copula_match_per_pair_loops(vanilla_model):
+    # reference: the closed-form sum and the copula sum one scalar CDF at a time
+    p = tau_params(vanilla_model, 1.0)
+    a = np.asarray(p.alphas)
+    tau = (2.0 / np.pi) * float(a @ a) * np.arcsin(p.rho) + float(a @ a) - 1.0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            dx = np.hypot(p.sigma_x[i], p.sigma_x[j])
+            dy = np.hypot(p.sigma_y[i], p.sigma_y[j])
+            m_x = (p.mu_x[i] - p.mu_x[j]) / dx
+            m_y = (p.mu_y[i] - p.mu_y[j]) / dy
+            r = p.rho * (p.sigma_x[i] * p.sigma_y[i] + p.sigma_x[j] * p.sigma_y[j]) / (dx * dy)
+            tau += 4.0 * a[i] * a[j] * (
+                bivariate_normal_cdf(m_x, m_y, r) + bivariate_normal_cdf(-m_x, -m_y, r)
+            )
+    assert kendall_tau_mvmd(vanilla_model, 1.0) == pytest.approx(tau, abs=1e-15)
+
+    u = np.array([0.3, 0.8])
+    x = [inverse_cdf(asset, 1.0, ui) for asset, ui in zip(vanilla_model.assets, u)]
+    ref = 0.0
+    for tp in vanilla_model.tuples():
+        comps = [vanilla_model.assets[i].components[k] for i, k in enumerate(tp.indices)]
+        v = [c.vol.total_std(1.0) for c in comps]
+        z = [(np.log(xi) - 0.05 + 0.5 * vi**2) / vi for xi, vi in zip(x, v)]
+        ref += tp.weight * multivariate_normal_cdf(z, [[1, 0.6], [0.6, 1]])
+    assert copula_value(vanilla_model, 1.0, u) == pytest.approx(ref, abs=1e-15)
+
+
 def test_tau_closed_form_matches_empirical(vanilla_model):
     tau_cf = kendall_tau_mvmd(vanilla_model, 1.0)
     sample = sample_mvmd_terminal(vanilla_model, 1.0, 100_000, seed=71)
@@ -207,6 +309,18 @@ def test_empirical_tau_matches_brute_force():
     assert kendall_tau_empirical(x, y) == brute
 
 
+def test_empirical_tau_all_tied_is_zero():
+    assert kendall_tau_empirical(np.ones(5), np.arange(5.0)) == 0.0
+    assert kendall_tau_empirical(np.arange(5.0), np.full(5, 2.0)) == 0.0
+
+
+def test_empirical_tau_rejects_nan():
+    with pytest.raises(ValueError, match="x must not contain NaN"):
+        kendall_tau_empirical([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="y must not contain NaN"):
+        kendall_tau_empirical([1.0, 2.0, 3.0], [1.0, 2.0, np.nan])
+
+
 def test_empirical_tau_needs_two_pairs():
     with pytest.raises(ValueError):
         kendall_tau_empirical([1.0], [1.0])
@@ -218,6 +332,11 @@ def test_copula_uniform_margins(vanilla_model):
         assert copula_value(vanilla_model, 1.0, [1.0, u]) == pytest.approx(u, abs=1e-8)
     assert copula_value(vanilla_model, 1.0, [0.0, 0.7]) == 0.0
     assert copula_value(vanilla_model, 1.0, [1.0, 1.0]) == 1.0
+
+
+def test_copula_rejects_nan(vanilla_model):
+    with pytest.raises(ValueError, match="u must not contain NaN"):
+        copula_value(vanilla_model, 1.0, [np.nan, 0.5])
 
 
 def test_copula_single_component_is_gaussian():

@@ -99,9 +99,35 @@ def test_inverse_cdf_lognormal_median():
     assert inverse_cdf(single, 1.0, 0.5) == pytest.approx(expect, rel=1e-12)
 
 
+def test_inverse_cdf_zero_weight_component():
+    # the bracket spans both component quantiles, but the root sits on the
+    # weighted component's own quantile, one endpoint of the bracket
+    padded = AssetMixture.from_arrays(1.0, 0.05, [1.0, 0.0], [0.3, 0.2])
+    for u in (0.01, 0.3, 0.5, 0.9):
+        expect = np.exp(0.05 - 0.5 * 0.09 + 0.3 * norm.ppf(u))
+        assert inverse_cdf(padded, 1.0, u) == pytest.approx(expect, rel=1e-12)
+
+
 def test_inverse_cdf_against_bisection_oracle(vanilla_asset2):
     # frozen from bisection on the quadrature-based cdf of asset 2
     assert inverse_cdf(vanilla_asset2, 1.0, 0.975) == pytest.approx(1.760024145216903, abs=1e-8)
+
+
+def test_inverse_cdf_roundtrip_in_the_tails(vanilla_asset1):
+    x = inverse_cdf(vanilla_asset1, 1.0, 1e-12)
+    assert mixture_cdf(vanilla_asset1, 1.0, x) == pytest.approx(1e-12, rel=1e-12, abs=0)
+    x = inverse_cdf(vanilla_asset1, 1.0, 1.0 - 1e-12)
+    assert mixture_cdf(vanilla_asset1, 1.0, x) == pytest.approx(1.0 - 1e-12, abs=1e-15)
+
+
+def test_inverse_cdf_roundtrip_time_varying_vol():
+    asset = AssetMixture.from_arrays(
+        1.0, 0.02, [0.5, 0.5], [VolCurve((0.0, 0.5), (0.2, 0.4)), VolCurve((0.0, 0.25), (0.1, 0.3))]
+    )
+    for t in (0.3, 1.0):
+        for u in (1e-6, 0.05, 0.5, 0.95):
+            x = inverse_cdf(asset, t, u)
+            assert mixture_cdf(asset, t, x) == pytest.approx(u, rel=1e-12, abs=0)
 
 
 def test_inverse_cdf_domain(vanilla_asset1):
