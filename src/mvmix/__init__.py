@@ -7,7 +7,7 @@ single-step component prices, while each asset keeps its own univariate
 mixture dynamics exactly.
 """
 
-from .volcurve import VolCurve, integrated_variance
+from .volcurve import VolCurve
 from .univariate import (
     AssetMixture,
     MixtureComponent,
@@ -42,7 +42,6 @@ from .pricing import (
     geometric_tuple_price,
     greeks_mvmd,
     margrabe,
-    price_arithmetic_mvmd,
     price_geometric_mvmd,
     price_mvmd_mc,
 )
@@ -68,7 +67,6 @@ from .config import ConfigError, ExperimentConfig, dump_config, load_config
 
 __all__ = [
     "VolCurve",
-    "integrated_variance",
     "AssetMixture",
     "MixtureComponent",
     "analytic_moment",
@@ -98,7 +96,6 @@ __all__ = [
     "geometric_tuple_price",
     "greeks_mvmd",
     "margrabe",
-    "price_arithmetic_mvmd",
     "price_geometric_mvmd",
     "price_mvmd_mc",
     "SimulationConfig",

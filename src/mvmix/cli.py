@@ -11,6 +11,7 @@ count for the samplers.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -44,6 +45,15 @@ def _load(args) -> list:
     if getattr(args, "kappa", None) is not None:
         configs = [replace(c, kappa=args.kappa) for c in configs]
     return configs
+
+
+def _check_finite(rows: list[dict]) -> None:
+    """Refuse to emit a non-finite price, error bar, tau or copula value."""
+    for i, row in enumerate(rows):
+        for key in ("price", "std_error", "tau", "copula"):
+            value = row.get(key)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise FloatingPointError(f"non-finite {key} ({value}) in output row {i}")
 
 
 def _emit(rows: list[dict], fmt: str, path: str | None, columns=None) -> None:
@@ -102,6 +112,7 @@ def main(argv=None) -> int:
             for config in configs:
                 for row in run_copula(config, args.grid):
                     rows.append({"product": config.name, **row})
+        _check_finite(rows)
         fmt = args.out or configs[0].output_format
         path = args.out_path or configs[0].output_path
         _emit(rows, fmt, path)

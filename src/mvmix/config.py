@@ -46,6 +46,16 @@ def _parse_vol(entry, where: str) -> VolCurve:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _integer(block: dict, key: str, default: int, where: str) -> int:
+    """An integral number (bools and fractions rejected), as an int."""
+    value = block.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
+    return value
+
+
 def _vol_to_json(vol: VolCurve):
     if vol.is_constant:
         return vol.values[0]
@@ -134,9 +144,9 @@ class ExperimentConfig:
         for s in raw_schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"{where}.engine.schemes: unknown scheme {s!r}")
-        paths = int(eblock.get("paths", 100_000))
-        steps = int(eblock.get("steps", 360))
-        seed = int(eblock.get("seed", 0))
+        paths = _integer(eblock, "paths", 100_000, f"{where}.engine")
+        steps = _integer(eblock, "steps", 360, f"{where}.engine")
+        seed = _integer(eblock, "seed", 0, f"{where}.engine")
         kappa = float(eblock.get("kappa", 0.0))
         if paths < 1:
             raise ConfigError(f"{where}.engine.paths: must be >= 1")
@@ -172,7 +182,8 @@ class ExperimentConfig:
             output_path=opath,
         )
         try:
-            cfg.spec(strikes[0])  # validates the product block against BasketSpec
+            for strike in strikes:  # validates the product block against BasketSpec
+                cfg.spec(strike)
         except ValueError as exc:
             raise ConfigError(f"{where}.product: {exc}") from exc
         return cfg

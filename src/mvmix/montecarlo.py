@@ -1,34 +1,40 @@
 """Sampling engines for the multi-asset mixture models.
 
-Three ways to reach the maturity-T joint law:
+Two ways to reach the maturity-T joint law:
 
-* ``simulate_scmd``  — path-wise log-Euler on each asset's own univariate
+* ``simulate_scmd`` — path-wise log-Euler on each asset's own univariate
   mixture dynamics, with instantaneously correlated Brownian shocks.
-* ``sample_mvmd_terminal`` — single step: pick a component tuple with its
-  product weight, then draw from that tuple's multivariate lognormal.  No
-  time discretization is needed because the terminal law is known.
-* ``sample_muvm_terminal`` — single step under the uncertain-volatility
-  reading: each asset draws its own component independently, then the
-  correlated constant-vol terminal value.  Its one-time law coincides with
-  the mixture dynamics' law, which the tests exercise.
+* one single-step terminal sampler: pick a component tuple per path, then
+  draw that tuple's multivariate lognormal.  No time discretization is
+  needed because the terminal law is known.  It has two ways to pick the
+  tuple: ``sample_mvmd_terminal`` picks it with its (cutoff-renormalized)
+  product weight; ``sample_muvm_terminal``, the uncertain-volatility
+  reading, lets each asset pick its own component independently.  The two
+  have the same one-time law, which the tests exercise.
 
-All samplers consume randomness through fixed-size path blocks keyed by
-(seed, block), so results are byte-identical for any worker count.
+``SCHEMES`` maps each scheme tag of the experiment configs to the way that
+scheme prices a basket.  All samplers consume randomness through
+fixed-size path blocks keyed by (seed, block), so results are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .multivariate import MultiAssetModel, integrated_covariance, psd_factor, truncate
+from . import pricing
+from .multivariate import MultiAssetModel, TupleSet, psd_factor, truncate
 from .pricing import PriceEstimate
 from .rng import path_blocks, run_blocks, substream
-from .univariate import _nu_from_logx
+from .univariate import _log_euler
 
 __all__ = [
+    "SCHEMES",
     "SimulationConfig",
     "TerminalSample",
     "simulate_scmd",
@@ -37,25 +43,20 @@ __all__ = [
     "estimate",
 ]
 
-SCHEMES = ("scmd-euler", "mvmd-terminal", "muvm-terminal")
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """How to run a sampler: single-step schemes ignore `steps`."""
+    """Size, horizon and seed of a path-wise simulation."""
 
     paths: int
     steps: int
     maturity: float
     seed: int
-    scheme: str = "scmd-euler"
 
     def __post_init__(self):
         if self.paths < 1:
             raise ValueError("need at least one path")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.scheme == "scmd-euler" and self.steps < 1:
+        if self.steps < 1:
             raise ValueError("path-wise scheme needs steps >= 1")
         if not self.maturity > 0:
             raise ValueError("maturity must be positive")
@@ -84,36 +85,45 @@ def simulate_scmd(
     per-step covariance is nu_i nu_j rho_ij.
     """
     n = model.n
-    steps = config.steps
-    dt = config.maturity / steps
-    sqdt = np.sqrt(dt)
     corr_factor = model.corr.factor().T  # z @ corr_factor gives correlated shocks
     log_spots = np.log(model.spots)
-    drifts = model.drifts
     out = np.empty((config.paths, n))
 
     def run_block(b: int, start: int, stop: int) -> None:
         gen = substream(config.seed, b)
         logs = np.tile(log_spots, (stop - start, 1))
-        nu = np.empty_like(logs)
-        for step in range(steps):
-            t = step * dt
-            eps = gen.standard_normal((stop - start, n)) @ corr_factor
-            for i in range(n):
-                nu[:, i] = _nu_from_logx(model.assets[i], t, logs[:, i])
-            logs += (drifts - 0.5 * nu**2) * dt + nu * sqdt * eps
-        out[start:stop] = np.exp(logs)
+        out[start:stop] = _log_euler(
+            model.assets, logs, model.drifts, config.maturity, config.steps,
+            lambda step: gen.standard_normal((stop - start, n)) @ corr_factor,
+        )
 
     run_blocks(run_block, path_blocks(config.paths), workers)
     return TerminalSample(out, "scmd-euler", config.seed)
 
 
-def _tuple_samplers(model: MultiAssetModel, maturity: float, kappa: float):
-    """Per-tuple (log-mean vector, covariance factor) for terminal draws."""
-    tuple_set = truncate(model, kappa)
+def _terminal_sample(
+    tuple_set: TupleSet, pick, maturity: float, paths: int, seed: int, workers: int | None
+) -> np.ndarray:
+    """Single-step terminal draw: pick a tuple per path, then its lognormal.
+
+    `pick(gen, m)` draws the block's selection uniforms and returns m indices
+    into `tuple_set`; the normal draws come after it on the same substream.
+    """
     means = [tp.log_means(maturity) for tp, _ in tuple_set]
-    factors = [psd_factor(tp.integrated_covariance(maturity)) for tp, _ in tuple_set]
-    return tuple_set, means, factors
+    factors = [psd_factor(tp.integrated_covariance(maturity)).T for tp, _ in tuple_set]
+    out = np.empty((paths, len(means[0])))
+
+    def run_block(b: int, start: int, stop: int) -> None:
+        gen = substream(seed, b)
+        sel = pick(gen, stop - start)
+        z = gen.standard_normal((stop - start, out.shape[1]))
+        block = out[start:stop]
+        for k in np.flatnonzero(np.bincount(sel, minlength=len(tuple_set))):
+            rows = sel == k
+            block[rows] = np.exp(means[k] + z[rows] @ factors[k])
+
+    run_blocks(run_block, path_blocks(paths), workers)
+    return out
 
 
 def sample_mvmd_terminal(
@@ -129,27 +139,15 @@ def sample_mvmd_terminal(
     Per path: pick a component tuple with its (cutoff-renormalized) product
     weight, then draw the tuple's correlated lognormal terminal value.
     """
-    tuple_set, means, factors = _tuple_samplers(model, maturity, kappa)
+    tuple_set = truncate(model, kappa)
     cum = np.cumsum(tuple_set.weight_array)
     cum[-1] = 1.0
-    n = model.n
-    out = np.empty((paths, n))
 
-    def run_block(b: int, start: int, stop: int) -> None:
-        gen = substream(seed, b)
-        u = gen.random(stop - start)
-        z = gen.standard_normal((stop - start, n))
-        sel = np.searchsorted(cum, u, side="right")
-        block = np.empty((stop - start, n))
-        for k in range(len(tuple_set)):
-            mask = sel == k
-            if not np.any(mask):
-                continue
-            block[mask] = np.exp(means[k] + z[mask] @ factors[k].T)
-        out[start:stop] = block
+    def pick(gen: np.random.Generator, m: int) -> np.ndarray:
+        return np.searchsorted(cum, gen.random(m), side="right")
 
-    run_blocks(run_block, path_blocks(paths), workers)
-    return TerminalSample(out, "mvmd-terminal", seed)
+    sample = _terminal_sample(tuple_set, pick, maturity, paths, seed, workers)
+    return TerminalSample(sample, "mvmd-terminal", seed)
 
 
 def sample_muvm_terminal(
@@ -167,41 +165,21 @@ def sample_muvm_terminal(
     only needs the maturity law, the scenario is applied over the whole
     horizon and no early-time regularization enters.
     """
-    n = model.n
-    cums = []
-    for asset in model.assets:
-        c = np.cumsum(asset.weights)
+    cums = [np.cumsum(asset.weights) for asset in model.assets]
+    for c in cums:
         c[-1] = 1.0
-        cums.append(c)
-    factor_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    # truncate(model, 0) lists the tuples in itertools.product order, last
+    # asset fastest, so the per-asset picks are the digits of a mixed-radix index.
+    counts = model.component_counts()
+    radix = np.array([math.prod(counts[i + 1 :]) for i in range(model.n)])
 
-    def tuple_draw(indices: tuple[int, ...]):
-        if indices not in factor_cache:
-            tp = model.tuple_at(indices)
-            factor_cache[indices] = (
-                tp.log_means(maturity),
-                psd_factor(integrated_covariance(model, indices, maturity)),
-            )
-        return factor_cache[indices]
+    def pick(gen: np.random.Generator, m: int) -> np.ndarray:
+        u = gen.random((m, model.n))
+        picks = [np.searchsorted(c, u[:, i], side="right") for i, c in enumerate(cums)]
+        return np.column_stack(picks) @ radix
 
-    out = np.empty((paths, n))
-
-    def run_block(b: int, start: int, stop: int) -> None:
-        gen = substream(seed, b)
-        u = gen.random((stop - start, n))
-        z = gen.standard_normal((stop - start, n))
-        picks = np.column_stack(
-            [np.searchsorted(cums[i], u[:, i], side="right") for i in range(n)]
-        )
-        block = np.empty((stop - start, n))
-        for indices in {tuple(row) for row in picks}:
-            mask = np.all(picks == indices, axis=1)
-            mean, factor = tuple_draw(indices)
-            block[mask] = np.exp(mean + z[mask] @ factor.T)
-        out[start:stop] = block
-
-    run_blocks(run_block, path_blocks(paths), workers)
-    return TerminalSample(out, "muvm-terminal", seed)
+    sample = _terminal_sample(truncate(model, 0.0), pick, maturity, paths, seed, workers)
+    return TerminalSample(sample, "muvm-terminal", seed)
 
 
 def estimate(
@@ -222,3 +200,29 @@ def estimate(
     disc = np.exp(-rate * maturity)
     se = 0.0 if m == 1 else float(disc * pay.std(ddof=1) / np.sqrt(m))
     return PriceEstimate(float(disc * pay.mean()), se, m, method)
+
+
+def _sampled(draw):
+    """Route of a sampling scheme: every spec prices off one sample, drawn on first use."""
+
+    def route(exp, workers):
+        sample = cache(lambda: draw(exp, workers))
+        return lambda spec: estimate(sample(), spec.payoff, spec.rate, spec.maturity)
+
+    return route
+
+
+# Scheme tag -> route(experiment, workers), which returns the function that
+# prices a BasketSpec of that experiment (a config.ExperimentConfig).  The
+# mixture prices semi-analytically, per-tuple single-step Monte Carlo.
+SCHEMES = {
+    "scmd-euler": _sampled(
+        lambda e, w: simulate_scmd(e.model, SimulationConfig(e.paths, e.steps, e.maturity, e.seed), w)
+    ),
+    "mvmd-terminal": lambda e, w: (
+        lambda spec: pricing.price_mvmd_mc(e.model, spec, e.kappa, e.paths, e.seed, w)
+    ),
+    "muvm-terminal": _sampled(
+        lambda e, w: sample_muvm_terminal(e.model, e.maturity, e.paths, e.seed, w)
+    ),
+}

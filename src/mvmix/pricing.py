@@ -25,7 +25,6 @@ __all__ = [
     "margrabe",
     "geometric_pair_k0",
     "component_arithmetic_price",
-    "price_arithmetic_mvmd",
     "price_mvmd_mc",
     "geometric_tuple_price",
     "price_geometric_mvmd",
@@ -52,6 +51,11 @@ class BasketSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        for name in ("strike", "maturity", "rate"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("basket weights must be finite")
         if self.kind not in ("arithmetic", "geometric"):
             raise ValueError("kind must be 'arithmetic' or 'geometric'")
         if not any(w != 0.0 for w in self.weights):
@@ -302,20 +306,6 @@ def price_mvmd_mc(
     )
     w = tuple_set.weight_array
     return PriceEstimate(float(w @ prices), comb_se, paths, "mvmd-semianalytic")
-
-
-def price_arithmetic_mvmd(
-    model: MultiAssetModel,
-    spec: BasketSpec,
-    kappa: float = 0.0,
-    paths: int = 1_000_000,
-    seed: int = 0,
-    workers: int | None = None,
-) -> PriceEstimate:
-    """Mixture price of the arithmetic basket/spread option."""
-    if spec.kind != "arithmetic":
-        raise ValueError("spec must be arithmetic")
-    return price_mvmd_mc(model, spec, kappa, paths, seed, workers)
 
 
 def _bumped_model(model: MultiAssetModel, bumps: np.ndarray) -> MultiAssetModel:

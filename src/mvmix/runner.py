@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import benchmarks, dependence, montecarlo, pricing
+from . import benchmarks, dependence, montecarlo, pricing  # noqa: F401 (perfbench reads runner.pricing)
 from .config import ExperimentConfig
 
 __all__ = ["run_price", "run_tau", "run_copula", "reproduce_tables", "rows_to_csv", "rows_to_json"]
@@ -35,49 +35,24 @@ TABLE_COLUMNS = (
 )
 
 
-def _short_scheme(scheme: str) -> str:
-    return scheme.split("-")[0]
-
-
-def _sample_for(config: ExperimentConfig, scheme: str, workers=None) -> montecarlo.TerminalSample:
-    if scheme == "scmd-euler":
-        sim = montecarlo.SimulationConfig(
-            config.paths, config.steps, config.maturity, config.seed, scheme
-        )
-        return montecarlo.simulate_scmd(config.model, sim, workers)
-    if scheme == "muvm-terminal":
-        return montecarlo.sample_muvm_terminal(
-            config.model, config.maturity, config.paths, config.seed, workers
-        )
-    raise ValueError(f"unknown sampling scheme {scheme!r}")
-
-
 def run_price(config: ExperimentConfig, workers: int | None = None) -> list[dict]:
     """Price every (strike, scheme) pair of one experiment.
 
-    The mixture scheme prices semi-analytically (per-tuple single-step Monte
-    Carlo); sampling schemes simulate once per scheme and price all strikes
-    off the shared terminal sample, so the first strike's wall time carries
-    the simulation cost.
+    Each scheme prices along its route in ``montecarlo.SCHEMES``.  Sampling
+    schemes simulate once per scheme and price all strikes off the shared
+    terminal sample, so the first strike's wall time carries the
+    simulation cost.
     """
     rows = []
     for scheme in config.schemes:
-        sample = None
+        price = montecarlo.SCHEMES[scheme](config, workers)
         for strike in config.strikes:
             start = time.perf_counter()
-            spec = config.spec(strike)
-            if scheme == "mvmd-terminal":
-                est = pricing.price_mvmd_mc(
-                    config.model, spec, config.kappa, config.paths, config.seed, workers
-                )
-            else:
-                if sample is None:
-                    sample = _sample_for(config, scheme, workers)
-                est = montecarlo.estimate(sample, spec.payoff, config.rate, config.maturity)
+            est = price(config.spec(strike))
             rows.append(
                 {
                     "product": config.name,
-                    "scheme": _short_scheme(scheme),
+                    "scheme": scheme.split("-")[0],
                     "strike": strike,
                     "rho": config.rho,
                     "price": est.price,
@@ -92,6 +67,8 @@ def run_price(config: ExperimentConfig, workers: int | None = None) -> list[dict
 
 def run_tau(config: ExperimentConfig, workers: int | None = None) -> list[dict]:
     """Kendall tau rows: closed form plus empirical estimates per scheme."""
+    if config.model.n < 2:
+        raise ValueError("Kendall tau needs at least two assets")
     t = config.maturity
     rows = []
     try:
@@ -101,27 +78,14 @@ def run_tau(config: ExperimentConfig, workers: int | None = None) -> list[dict]:
         )
     except ValueError as exc:
         rows.append({"method": "mvmd-closed-form", "tau": "", "paths": 0, "note": f"unsupported: {exc}"})
-    mv = montecarlo.sample_mvmd_terminal(
-        config.model, t, config.paths, config.seed, config.kappa, workers
-    )
-    rows.append(
-        {
-            "method": "mvmd-empirical",
-            "tau": dependence.kendall_tau_empirical(mv.values[:, 0], mv.values[:, 1]),
-            "paths": config.paths,
-            "note": "",
-        }
-    )
-    sim = montecarlo.SimulationConfig(config.paths, config.steps, t, config.seed, "scmd-euler")
-    sc = montecarlo.simulate_scmd(config.model, sim, workers)
-    rows.append(
-        {
-            "method": "scmd-empirical",
-            "tau": dependence.kendall_tau_empirical(sc.values[:, 0], sc.values[:, 1]),
-            "paths": config.paths,
-            "note": "",
-        }
-    )
+    sim = montecarlo.SimulationConfig(config.paths, config.steps, t, config.seed)
+    for sample in (
+        montecarlo.sample_mvmd_terminal(config.model, t, config.paths, config.seed, config.kappa, workers),
+        montecarlo.simulate_scmd(config.model, sim, workers),
+    ):
+        tau = dependence.kendall_tau_empirical(sample.values[:, 0], sample.values[:, 1])
+        method = sample.scheme.split("-")[0] + "-empirical"
+        rows.append({"method": method, "tau": tau, "paths": config.paths, "note": ""})
     return rows
 
 

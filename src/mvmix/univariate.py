@@ -50,8 +50,8 @@ class MixtureComponent:
     def __post_init__(self):
         object.__setattr__(self, "weight", float(self.weight))
         object.__setattr__(self, "vol", _as_curve(self.vol))
-        if self.weight < 0:
-            raise ValueError("component weight must be nonnegative")
+        if not (np.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError("component weight must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,10 @@ class AssetMixture:
         object.__setattr__(self, "spot", float(self.spot))
         object.__setattr__(self, "drift", float(self.drift))
         object.__setattr__(self, "components", comps)
-        if not (self.spot > 0):
-            raise ValueError("spot must be positive")
+        if not (np.isfinite(self.spot) and self.spot > 0):
+            raise ValueError("spot must be finite and positive")
+        if not np.isfinite(self.drift):
+            raise ValueError("drift must be finite")
         if len(comps) < 1:
             raise ValueError("need at least one mixture component")
         total = sum(c.weight for c in comps)
@@ -218,6 +220,23 @@ def _nu_from_logx(asset: AssetMixture, t: float, logx: np.ndarray) -> np.ndarray
     return np.sqrt(nu2)
 
 
+def _log_euler(assets, logs: np.ndarray, drifts, maturity: float, steps: int, shocks) -> np.ndarray:
+    """Terminal prices of a (paths, n) block of log spots under log-Euler.
+
+    Asset i diffuses with its own nu; `shocks(step)` gives that step's
+    (paths, n) normal increments.  `logs` is advanced in place.
+    """
+    dt = maturity / steps
+    sqdt = np.sqrt(dt)
+    nu = np.empty_like(logs)
+    for step in range(steps):
+        eps = shocks(step)
+        for i, asset in enumerate(assets):
+            nu[:, i] = _nu_from_logx(asset, step * dt, logs[:, i])
+        logs += (drifts - 0.5 * nu**2) * dt + nu * sqdt * eps
+    return np.exp(logs)
+
+
 def local_vol(asset: AssetMixture, t: float, x) -> np.ndarray | float:
     """State-dependent diffusion coefficient nu(t, x).
 
@@ -256,21 +275,16 @@ def simulate_md_euler(
         raise ValueError("maturity must be positive")
     if steps < 1 or paths < 1:
         raise ValueError("need at least one step and one path")
-    dt = maturity / steps
-    sqdt = np.sqrt(dt)
     out = np.empty(paths)
-    blocks = path_blocks(paths)
 
     def run_block(b: int, start: int, stop: int) -> None:
         gen = substream(seed, b)
         z = gen.standard_normal((stop - start, steps))
-        logs = np.full(stop - start, np.log(asset.spot))
-        for step in range(steps):
-            nu = _nu_from_logx(asset, step * dt, logs)
-            logs += (asset.drift - 0.5 * nu**2) * dt + nu * sqdt * z[:, step]
-        out[start:stop] = np.exp(logs)
+        logs = np.full((stop - start, 1), np.log(asset.spot))
+        shocks = lambda step: z[:, step, None]  # the step's column, as a (paths, 1) view
+        out[start:stop] = _log_euler((asset,), logs, asset.drift, maturity, steps, shocks)[:, 0]
 
-    run_blocks(run_block, blocks, workers)
+    run_blocks(run_block, path_blocks(paths), workers)
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["VolCurve", "integrated_variance"]
+__all__ = ["VolCurve"]
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,8 @@ class VolCurve:
             raise ValueError("need one volatility value per breakpoint")
         if times[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
+        if not all(np.isfinite(times)):
+            raise ValueError("breakpoints must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if not all(np.isfinite(v) and v > 0.0 for v in values):
@@ -84,8 +86,3 @@ class VolCurve:
     def total_std(self, t: float) -> float:
         """sqrt of the integrated variance over [0, t]."""
         return float(np.sqrt(self.integral_sq(t)))
-
-
-def integrated_variance(vol: VolCurve, t: float) -> float:
-    """Integral of sigma^2 over [0, t], exact for the step function."""
-    return vol.integral_sq(t)

@@ -75,6 +75,35 @@ def test_invalid_values_name_the_key():
         ExperimentConfig.from_dict(doc_with(("product", "kind"), "rainbow"))
 
 
+@pytest.mark.parametrize(
+    "path,value,where,key",
+    [
+        (("product", "rate"), float("nan"), "config[0].product", "rate"),
+        (("product", "maturity"), float("inf"), "config[0].product", "maturity"),
+        (("product", "strikes"), [1.0, float("nan")], "config[0].product", "strike"),
+        (("model", "assets", 0, "drift"), float("nan"), "config[0].model.assets[0]", "drift"),
+    ],
+)
+def test_non_finite_values_name_the_key(path, value, where, key):
+    with pytest.raises(ConfigError) as info:
+        load_config(doc_with(path, value))
+    assert str(info.value).startswith(where + ":") and key in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("paths", True), ("paths", 2.7), ("steps", False), ("steps", "12"), ("seed", 1.9), ("seed", float("nan"))],
+)
+def test_engine_integers_reject_bools_and_fractions(key, value):
+    with pytest.raises(ConfigError, match=rf"^config\[0\]\.engine\.{key}: expected an integer"):
+        load_config(doc_with(("engine", key), value))
+
+
+def test_engine_integers_accept_integral_floats():
+    (cfg,) = load_config(doc_with(("engine", "paths"), 2000.0))
+    assert cfg.paths == 2000 and type(cfg.paths) is int
+
+
 def test_piecewise_vol_round_trip():
     doc = doc_with(
         ("model", "assets", 0, "vols"), [{"times": [0.0, 0.5], "values": [0.2, 0.4]}, 0.2]
@@ -236,6 +265,40 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(BASE_DOC))
     assert main(["price", "--config", str(path)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,runner,row",
+    [
+        ("price", "run_price", {"product": "toy", "price": float("nan"), "std_error": 0.0}),
+        ("price", "run_price", {"product": "toy", "price": 0.1, "std_error": float("inf")}),
+        ("tau", "run_tau", {"method": "mvmd-empirical", "tau": float("nan")}),
+        ("copula", "run_copula", {"u1": 0.5, "u2": 0.5, "copula": float("nan")}),
+    ],
+)
+def test_cli_non_finite_output_exits_numerical(tmp_path, capsys, monkeypatch, command, runner, row):
+    import mvmix.cli as cli
+
+    monkeypatch.setattr(cli, runner, lambda config, *args, **kwargs: [dict(row)])
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(BASE_DOC))
+    argv = [command, "--config", str(path)] + (["--grid", "2"] if command == "copula" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: non-finite")
+    assert captured.out == ""
+
+
+def test_cli_tau_needs_two_assets(tmp_path, capsys):
+    doc = copy.deepcopy(BASE_DOC)
+    doc["model"]["assets"] = doc["model"]["assets"][:1]
+    doc["model"]["correlation"] = [[1.0]]
+    doc["product"]["weights"] = [1.0]
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    assert main(["tau", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "two assets" in err
 
 
 def test_reproduce_tables_golden_checksums(tmp_path):

@@ -23,9 +23,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(0, 10, 1.0, 1)
     with pytest.raises(ValueError):
-        SimulationConfig(10, 0, 1.0, 1, "scmd-euler")
-    with pytest.raises(ValueError):
-        SimulationConfig(10, 10, 1.0, 1, "exact")
+        SimulationConfig(10, 0, 1.0, 1)
     with pytest.raises(ValueError):
         SimulationConfig(10, 10, -1.0, 1)
 

@@ -10,7 +10,6 @@ from mvmix import (
     geometric_tuple_price,
     greeks_mvmd,
     margrabe,
-    price_arithmetic_mvmd,
     price_geometric_mvmd,
     price_mvmd_mc,
     truncate,
@@ -164,7 +163,7 @@ def test_component_price_regression_fixture(vanilla_model):
 
 def test_convex_combination_identity(vanilla_model):
     spec = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0, 1, 0.05)
-    combined = price_arithmetic_mvmd(vanilla_model, spec, paths=200_000, seed=5)
+    combined = price_mvmd_mc(vanilla_model, spec, paths=200_000, seed=5)
     tuple_set = truncate(vanilla_model, 0.0)
     comp = np.array(
         [
@@ -208,6 +207,15 @@ def test_basket_spec_validation():
         BasketSpec((1.0,), "arithmetic", 1.0, 1.0, 2, 0.05)
     with pytest.raises(ValueError):
         BasketSpec((1.0,), "european", 1.0, 1.0, 1, 0.05)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["weights", "strike", "maturity", "rate"])
+def test_basket_spec_rejects_non_finite_values(field, bad):
+    args = {"weights": (0.5, 0.5), "kind": "arithmetic", "strike": 1.0, "maturity": 1.0, "rate": 0.05}
+    args[field] = (0.5, bad) if field == "weights" else bad
+    with pytest.raises(ValueError, match="finite"):
+        BasketSpec(**args)
 
 
 def test_greeks_linear_payoff_delta_is_weight():

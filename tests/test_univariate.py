@@ -226,6 +226,14 @@ def test_asset_validation():
         MixtureComponent(-0.1, VolCurve.constant(0.2))  # negative weight
 
 
+@pytest.mark.parametrize(
+    "spot,drift,weight", [(1.0, np.nan, 1.0), (np.inf, 0.0, 1.0), (1.0, 0.0, np.nan)]
+)
+def test_asset_rejects_non_finite_values(spot, drift, weight):
+    with pytest.raises(ValueError, match="finite"):
+        AssetMixture.from_arrays(spot, drift, [weight], [0.2])
+
+
 def test_piecewise_vol_dynamics_reproduce_mixture_law():
     # time-dependent step vols flow through the densities and the simulator
     curve_a = VolCurve((0.0, 0.5), (0.35, 0.15))

@@ -1,29 +1,29 @@
 import numpy as np
 import pytest
 
-from mvmix import VolCurve, integrated_variance
+from mvmix import VolCurve
 
 
 def test_constant_integrated_variance():
-    assert integrated_variance(VolCurve.constant(0.3), 1.0) == pytest.approx(0.09, abs=1e-15)
+    assert VolCurve.constant(0.3).integral_sq(1.0) == pytest.approx(0.09, abs=1e-15)
 
 
 def test_zero_time_integral_is_zero():
-    assert integrated_variance(VolCurve.constant(0.4), 0.0) == 0.0
+    assert VolCurve.constant(0.4).integral_sq(0.0) == 0.0
 
 
 def test_piecewise_integral_sums_interval_areas():
     # 0.2 on [0, 0.5), 0.4 afterwards: 0.04*0.5 + 0.16*0.5 = 0.10
     curve = VolCurve((0.0, 0.5), (0.2, 0.4))
-    assert integrated_variance(curve, 1.0) == pytest.approx(0.10, abs=1e-15)
-    assert integrated_variance(curve, 0.5) == pytest.approx(0.02, abs=1e-15)
-    assert integrated_variance(curve, 0.25) == pytest.approx(0.01, abs=1e-15)
+    assert curve.integral_sq(1.0) == pytest.approx(0.10, abs=1e-15)
+    assert curve.integral_sq(0.5) == pytest.approx(0.02, abs=1e-15)
+    assert curve.integral_sq(0.25) == pytest.approx(0.01, abs=1e-15)
 
 
 def test_integral_monotone_in_time():
     curve = VolCurve((0.0, 0.3, 1.1), (0.5, 0.1, 0.2))
     grid = np.linspace(0.0, 3.0, 50)
-    vals = [integrated_variance(curve, t) for t in grid]
+    vals = [curve.integral_sq(t) for t in grid]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -46,7 +46,7 @@ def test_value_is_right_continuous():
 
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
-        integrated_variance(VolCurve.constant(0.2), -1.0)
+        VolCurve.constant(0.2).integral_sq(-1.0)
     with pytest.raises(ValueError):
         VolCurve.constant(0.2).value(-0.1)
 
@@ -56,6 +56,7 @@ def test_negative_time_rejected():
     [
         ((0.5,), (0.2,)),  # first breakpoint not 0
         ((0.0, 0.0), (0.2, 0.3)),  # not strictly increasing
+        ((0.0, np.nan), (0.2, 0.3)),  # non-finite breakpoint
         ((0.0,), (0.0,)),  # zero vol
         ((0.0,), (-0.1,)),  # negative vol
         ((0.0, 1.0), (0.2,)),  # length mismatch
