@@ -37,12 +37,14 @@ def _require_keys(block: dict, where: str, required: tuple[str, ...], optional: 
 
 
 def _parse_vol(entry, where: str) -> VolCurve:
-    if isinstance(entry, (int, float)):
-        return VolCurve.constant(float(entry))
+    if not isinstance(entry, dict):
+        return VolCurve.constant(_number(entry, where))
     _require_keys(entry, where, ("times", "values"))
+    times = _number(entry["times"], f"{where}.times", many=True)
+    values = _number(entry["values"], f"{where}.values", many=True)
     try:
-        return VolCurve(tuple(entry["times"]), tuple(entry["values"]))
-    except (TypeError, ValueError) as exc:
+        return VolCurve(times, values)
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -54,6 +56,17 @@ def _integer(block: dict, key: str, default: int, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
     return value
+
+
+def _number(value, where: str, many: bool = False):
+    """A JSON number as a float, or with `many` a list of them as a tuple; bools and strings refused."""
+    if many:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list of numbers, got {value!r}")
+        return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return float(value)
 
 
 def _vol_to_json(vol: VolCurve):
@@ -106,18 +119,23 @@ class ExperimentConfig:
         for i, ablock in enumerate(mblock["assets"]):
             awhere = f"{where}.model.assets[{i}]"
             _require_keys(ablock, awhere, ("spot", "drift", "weights", "vols"))
-            if len(ablock["weights"]) != len(ablock["vols"]):
+            spot = _number(ablock["spot"], f"{awhere}.spot")
+            drift = _number(ablock["drift"], f"{awhere}.drift")
+            weights = _number(ablock["weights"], f"{awhere}.weights", many=True)
+            if not isinstance(ablock["vols"], list) or len(weights) != len(ablock["vols"]):
                 raise ConfigError(f"{awhere}.vols: need one vol per weight")
             vols = [_parse_vol(v, f"{awhere}.vols[{j}]") for j, v in enumerate(ablock["vols"])]
             try:
-                assets.append(
-                    AssetMixture.from_arrays(ablock["spot"], ablock["drift"], ablock["weights"], vols)
-                )
-            except (TypeError, ValueError) as exc:
+                assets.append(AssetMixture.from_arrays(spot, drift, weights, vols))
+            except ValueError as exc:
                 raise ConfigError(f"{awhere}: {exc}") from exc
+        cwhere = f"{where}.model.correlation"
+        if not isinstance(mblock["correlation"], list):
+            raise ConfigError(f"{cwhere}: expected a list of rows")
+        rows = [_number(row, f"{cwhere}[{i}]", many=True) for i, row in enumerate(mblock["correlation"])]
         try:
-            model = MultiAssetModel(tuple(assets), CorrelationMatrix(mblock["correlation"]))
-        except (TypeError, ValueError) as exc:
+            model = MultiAssetModel(tuple(assets), CorrelationMatrix(rows))
+        except ValueError as exc:
             raise ConfigError(f"{where}.model.correlation: {exc}") from exc
 
         pblock = doc["product"]
@@ -126,10 +144,11 @@ class ExperimentConfig:
         )
         if pblock["direction"] not in ("call", "put"):
             raise ConfigError(f"{where}.product.direction: expected 'call' or 'put'")
-        strikes = tuple(float(k) for k in pblock["strikes"])
+        strikes = _number(pblock["strikes"], f"{where}.product.strikes", many=True)
         if not strikes:
             raise ConfigError(f"{where}.product.strikes: expected a nonempty list")
-        if len(pblock["weights"]) != model.n:
+        basket_weights = _number(pblock["weights"], f"{where}.product.weights", many=True)
+        if len(basket_weights) != model.n:
             raise ConfigError(f"{where}.product.weights: need one weight per asset")
 
         eblock = doc["engine"]
@@ -141,13 +160,15 @@ class ExperimentConfig:
         raw_schemes = eblock.get("schemes", eblock.get("scheme", ["mvmd-terminal"]))
         if isinstance(raw_schemes, str):
             raw_schemes = [raw_schemes]
+        if not isinstance(raw_schemes, list):
+            raise ConfigError(f"{where}.engine.schemes: expected a list of scheme names")
         for s in raw_schemes:
-            if s not in SCHEMES:
+            if not isinstance(s, str) or s not in SCHEMES:
                 raise ConfigError(f"{where}.engine.schemes: unknown scheme {s!r}")
         paths = _integer(eblock, "paths", 100_000, f"{where}.engine")
         steps = _integer(eblock, "steps", 360, f"{where}.engine")
         seed = _integer(eblock, "seed", 0, f"{where}.engine")
-        kappa = float(eblock.get("kappa", 0.0))
+        kappa = _number(eblock.get("kappa", 0.0), f"{where}.engine.kappa")
         if paths < 1:
             raise ConfigError(f"{where}.engine.paths: must be >= 1")
         if steps < 1:
@@ -168,11 +189,11 @@ class ExperimentConfig:
             name=name,
             model=model,
             kind=pblock["kind"],
-            basket_weights=tuple(float(w) for w in pblock["weights"]),
+            basket_weights=basket_weights,
             strikes=strikes,
-            maturity=float(pblock["maturity"]),
+            maturity=_number(pblock["maturity"], f"{where}.product.maturity"),
             direction=pblock["direction"],
-            rate=float(pblock["rate"]),
+            rate=_number(pblock["rate"], f"{where}.product.rate"),
             schemes=tuple(raw_schemes),
             paths=paths,
             steps=steps,

@@ -322,26 +322,6 @@ def kendall_tau_empirical(x, y) -> float:
     return conc_minus_disc / n0
 
 
-def _h_transform(asset, k: int, t: float, x: float) -> float:
-    """Standardized log coordinate of component k at price x."""
-    v = asset.components[k].vol.total_std(t)
-    return (np.log(x / asset.spot) - asset.drift * t + 0.5 * v * v) / v
-
-
-def _tuple_corr(model: MultiAssetModel, indices, t: float) -> np.ndarray:
-    """Correlation matrix M of one tuple's log-space Gaussian."""
-    n = model.n
-    vols = [model.assets[i].components[k].vol for i, k in enumerate(indices)]
-    stds = [v.total_std(t) for v in vols]
-    m = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = m[j, i] = (
-                model.corr[i, j] * vols[i].integral_with(vols[j], t) / (stds[i] * stds[j])
-            )
-    return m
-
-
 def copula_value(model: MultiAssetModel, t: float, u, kappa: float = 0.0) -> float:
     """Terminal copula of the mixture at the uniform coordinates u.
 
@@ -361,12 +341,15 @@ def copula_value(model: MultiAssetModel, t: float, u, kappa: float = 0.0) -> flo
         return 0.0
     if np.all(u == 1.0):
         return 1.0
-    x = [inverse_cdf(asset, t, ui) if ui < 1.0 else np.inf for asset, ui in zip(model.assets, u)]
+    logx = np.log([inverse_cdf(asset, t, ui) if ui < 1.0 else np.inf for asset, ui in zip(model.assets, u)])
     tuples = truncate(model, kappa)
-    z = np.array(
-        [[_h_transform(model.assets[i], k, t, x[i]) for i, k in enumerate(tp.indices)] for tp, _ in tuples]
-    )
-    corrs = [_tuple_corr(model, tp.indices, t) for tp, _ in tuples]
+    z, corrs = [], []
+    for tp, _ in tuples:
+        xi = tp.integrated_covariance(t)
+        sd = np.sqrt(np.diag(xi))
+        z.append((logx - tp.log_means(t)) / sd)
+        corrs.append(xi / np.outer(sd, sd))
+    z = np.array(z)
     if model.n == 2:
         values = bivariate_normal_cdf(z[:, 0], z[:, 1], [c[0, 1] for c in corrs])
     else:
@@ -378,9 +361,14 @@ def copula_value(model: MultiAssetModel, t: float, u, kappa: float = 0.0) -> flo
 def empirical_copula(samples: np.ndarray, u: np.ndarray) -> float:
     """Rank-based empirical copula of a (paths, n) sample at coordinates u."""
     samples = np.asarray(samples, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if samples.ndim != 2 or u.shape != (samples.shape[1],):
+        raise ValueError("need a (paths, n) sample and one uniform coordinate per column")
+    if not np.all((u >= 0.0) & (u <= 1.0)):  # NaN fails too
+        raise ValueError("coordinates must lie in [0, 1]")
     m = samples.shape[0]
     ranks = np.empty_like(samples)
     for j in range(samples.shape[1]):
         order = np.argsort(samples[:, j], kind="mergesort")
         ranks[order, j] = np.arange(1, m + 1)
-    return float(np.mean(np.all(ranks / m <= np.asarray(u)[None, :], axis=1)))
+    return float(np.mean(np.all(ranks / m <= u[None, :], axis=1)))

@@ -174,7 +174,12 @@ class MultiAssetModel:
 
 @dataclass(frozen=True, eq=False)
 class ComponentTuple:
-    """One multivariate mixture component: indices (k_1, ..., k_n)."""
+    """One multivariate mixture component: indices (k_1, ..., k_n).
+
+    Its law at t is jointly lognormal with log-means `log_means(t)` and log
+    covariance `integrated_covariance(t)`; pricers, densities and the copula
+    all read the law from these two methods.
+    """
 
     model: MultiAssetModel
     indices: tuple[int, ...]
@@ -256,10 +261,9 @@ def component_mvln_logpdf(model: MultiAssetModel, indices, t: float, x) -> np.nd
         raise ValueError("price vector dimension must match the model")
     if np.any(pts <= 0):
         raise ValueError("prices must be positive")
-    xi = integrated_covariance(model, indices, t)
-    c, low = _chol_or_singular(xi, indices, t)
-    logdet = 2.0 * np.sum(np.log(np.diag(c)))
     tup = model.tuple_at(indices)
+    c, low = _chol_or_singular(tup.integrated_covariance(t), tup.indices, t)
+    logdet = 2.0 * np.sum(np.log(np.diag(c)))
     logx = np.log(pts)
     centered = logx - tup.log_means(t)[None, :]
     sol = cho_solve((c, low), centered.T)

@@ -173,17 +173,6 @@ def _lognormal_option(log_mean: float, log_sd: float, strike: float, rate: float
     return float(omega * disc * (mean * norm.cdf(omega * d1) - strike * norm.cdf(omega * d2)))
 
 
-def _composite_log_params(model: MultiAssetModel, indices, spec: BasketSpec) -> tuple[float, float]:
-    """Log-mean and log-sd of the weighted geometric average for one tuple."""
-    w = np.asarray(spec.weights)
-    p = 1.0 / w.sum()
-    tp = model.tuple_at(indices)
-    xi = tp.integrated_covariance(spec.maturity)
-    log_mean = float(p * (w @ tp.log_means(spec.maturity)))
-    var = float(p**2 * (w @ xi @ w))
-    return log_mean, np.sqrt(max(var, 0.0))
-
-
 def geometric_tuple_price(model: MultiAssetModel, indices, spec: BasketSpec) -> float:
     """Exact European price on the weighted geometric average for one tuple.
 
@@ -193,7 +182,11 @@ def geometric_tuple_price(model: MultiAssetModel, indices, spec: BasketSpec) -> 
     """
     if spec.kind != "geometric":
         raise ValueError("spec must be geometric")
-    log_mean, log_sd = _composite_log_params(model, indices, spec)
+    w = np.asarray(spec.weights)
+    p = 1.0 / w.sum()
+    tp = model.tuple_at(indices)
+    log_mean = float(p * (w @ tp.log_means(spec.maturity)))
+    log_sd = np.sqrt(max(float(p**2 * (w @ tp.integrated_covariance(spec.maturity) @ w)), 0.0))
     return _lognormal_option(log_mean, log_sd, spec.strike, spec.rate, spec.maturity, spec.omega)
 
 
@@ -213,18 +206,14 @@ def _tuple_mc_prices(
     paths: int,
     seed: int,
     workers: int | None,
-    antithetic: bool = False,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, float]:
     """Single-step Monte Carlo prices per tuple, common random numbers.
 
     Every tuple consumes the same standard normal draws, mapped through its
     own factorization of the integrated covariance at maturity.  Returns the
-    per-tuple prices and standard errors plus the standard error of the
-    weight-combined estimator (the per-path weighted payoff), which is the
-    honest error bar of the convex combination under shared draws.
-
-    With `antithetic`, each path averages the payoff over +z and -z and the
-    error bars are computed on the pair averages.
+    per-tuple prices and the standard error of the weight-combined estimator
+    (the per-path weighted payoff), which is the honest error bar of the
+    convex combination under shared draws.
     """
     n = model.n
     means = [tp.log_means(spec.maturity) for tp, _ in tuple_set]
@@ -233,7 +222,6 @@ def _tuple_mc_prices(
     ntup = len(tuple_set)
     nblocks = len(path_blocks(paths))
     sums = np.zeros((nblocks, ntup))
-    sqsums = np.zeros_like(sums)
     comb_sq = np.zeros(nblocks)
 
     def run_block(b: int, start: int, stop: int) -> None:
@@ -242,10 +230,7 @@ def _tuple_mc_prices(
         combined = np.zeros(stop - start)
         for k in range(ntup):
             pay = spec.payoff(np.exp(means[k] + z @ factors[k]))
-            if antithetic:
-                pay = 0.5 * (pay + spec.payoff(np.exp(means[k] - z @ factors[k])))
             sums[b, k] = pay.sum()
-            sqsums[b, k] = (pay**2).sum()
             combined += w[k] * pay
         comb_sq[b] = (combined**2).sum()
 
@@ -253,13 +238,11 @@ def _tuple_mc_prices(
     disc = np.exp(-spec.rate * spec.maturity)
     mean = sums.sum(axis=0) / paths
     if paths == 1:
-        return disc * mean, np.zeros_like(mean), 0.0
+        return disc * mean, 0.0
     bessel = paths / (paths - 1)
-    var = (sqsums.sum(axis=0) / paths - mean**2) * bessel
     comb_mean = float(w @ mean)
     comb_var = (comb_sq.sum() / paths - comb_mean**2) * bessel
-    comb_se = float(disc * np.sqrt(max(comb_var, 0.0) / paths))
-    return disc * mean, disc * np.sqrt(np.clip(var, 0.0, None) / paths), comb_se
+    return disc * mean, float(disc * np.sqrt(max(comb_var, 0.0) / paths))
 
 
 def component_arithmetic_price(
@@ -274,8 +257,8 @@ def component_arithmetic_price(
     if spec.kind != "arithmetic":
         raise ValueError("spec must be arithmetic")
     single = TupleSet((model.tuple_at(indices),), (1.0,), 0.0)
-    price, se, _ = _tuple_mc_prices(model, single, spec, paths, seed, workers)
-    return PriceEstimate(float(price[0]), float(se[0]), paths, "mvmd-component")
+    price, se = _tuple_mc_prices(model, single, spec, paths, seed, workers)
+    return PriceEstimate(float(price[0]), se, paths, "mvmd-component")
 
 
 def price_mvmd_mc(
@@ -285,7 +268,6 @@ def price_mvmd_mc(
     paths: int = 1_000_000,
     seed: int = 0,
     workers: int | None = None,
-    antithetic: bool = False,
 ) -> PriceEstimate:
     """Semi-analytic mixture price: convex combination of tuple MC prices.
 
@@ -296,16 +278,10 @@ def price_mvmd_mc(
     per-path weighted payoff), which accounts for the shared draws; the
     quadrature rule sqrt(sum w^2 se^2) over the per-tuple errors is exact
     only for independent streams and misstates the error here.
-
-    Antithetic pairing is off by default so error bars stay comparable with
-    plain-sampling references.
     """
     tuple_set = truncate(model, kappa)
-    prices, _, comb_se = _tuple_mc_prices(
-        model, tuple_set, spec, paths, seed, workers, antithetic
-    )
-    w = tuple_set.weight_array
-    return PriceEstimate(float(w @ prices), comb_se, paths, "mvmd-semianalytic")
+    prices, comb_se = _tuple_mc_prices(model, tuple_set, spec, paths, seed, workers)
+    return PriceEstimate(float(tuple_set.weight_array @ prices), comb_se, paths, "mvmd-semianalytic")
 
 
 def _bumped_model(model: MultiAssetModel, bumps: np.ndarray) -> MultiAssetModel:

@@ -41,10 +41,16 @@ def path_blocks(paths: int) -> list[tuple[int, int, int]]:
 
 def worker_count(workers: int | None = None) -> int:
     """Resolve the worker count: explicit argument, else env var, else 1."""
+    source = "worker count"
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
+        source = WORKERS_ENV_VAR
+        raw = os.environ.get(WORKERS_ENV_VAR, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
     if workers < 1:
-        raise ValueError("worker count must be >= 1")
+        raise ValueError(f"{source} must be >= 1, got {workers}")
     return workers
 
 

@@ -8,6 +8,7 @@ mixture machinery (integrated variances and covariances) exact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,7 @@ class VolCurve:
         """Volatility level at time t (t may sit on a breakpoint; right-continuous)."""
         if t < 0:
             raise ValueError("time must be nonnegative")
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self.values[idx]
+        return self.values[bisect_right(self.times, t) - 1]
 
     def integral_sq(self, t: float) -> float:
         """Exact integral of sigma(s)^2 over [0, t]."""

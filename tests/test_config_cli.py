@@ -99,6 +99,38 @@ def test_engine_integers_reject_bools_and_fractions(key, value):
         load_config(doc_with(("engine", key), value))
 
 
+@pytest.mark.parametrize(
+    "path,value,key",
+    [
+        (("model", "assets", 0, "weights"), ["0.5", True], r"model\.assets\[0\]\.weights\[0\]: expected a number"),
+        (("model", "assets", 0, "weights"), [0.5, True], r"model\.assets\[0\]\.weights\[1\]: expected a number"),
+        (("model", "assets", 0, "weights"), 5, r"model\.assets\[0\]\.weights: expected a list of numbers"),
+        (("model", "assets", 0, "spot"), "1.0", r"model\.assets\[0\]\.spot: expected a number"),
+        (("model", "assets", 0, "vols"), [True, 0.2], r"model\.assets\[0\]\.vols\[0\]: expected a number"),
+        (("model", "correlation"), [[1.0, "0.6"], [0.6, 1.0]], r"model\.correlation\[0\]\[1\]: expected a number"),
+        (("product", "rate"), "0.05", r"product\.rate: expected a number"),
+        (("product", "maturity"), True, r"product\.maturity: expected a number"),
+        (("product", "strikes"), ["1.0"], r"product\.strikes\[0\]: expected a number"),
+        (("engine", "kappa"), False, r"engine\.kappa: expected a number"),
+    ],
+    ids=["weights-str", "weights-bool", "weights-scalar", "spot-str", "vols-bool", "corr-str", "rate-str",
+         "maturity-bool", "strikes-str", "kappa-bool"],
+)
+def test_config_numbers_reject_bools_strings_and_non_lists(path, value, key):
+    with pytest.raises(ConfigError, match=rf"^config\[0\]\.{key}"):
+        load_config(doc_with(path, value))
+
+
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_cli_bad_worker_variable_names_it(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("MVMIX_WORKERS", value)
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(BASE_DOC))
+    assert main(["price", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: MVMIX_WORKERS") and captured.out == ""
+
+
 def test_engine_integers_accept_integral_floats():
     (cfg,) = load_config(doc_with(("engine", "paths"), 2000.0))
     assert cfg.paths == 2000 and type(cfg.paths) is int
@@ -196,6 +228,9 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
     assert main(["price", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "strikes" in err
+    bad.write_text(json.dumps(doc_with(("model", "assets", 0, "weights"), 5)))
+    assert main(["price", "--config", str(bad)]) == 1
+    assert "model.assets[0].weights: expected a list of numbers" in capsys.readouterr().err
 
 
 def test_cli_cutoff_removing_all_components(tmp_path, capsys):

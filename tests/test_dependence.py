@@ -339,6 +339,13 @@ def test_copula_rejects_nan(vanilla_model):
         copula_value(vanilla_model, 1.0, [np.nan, 0.5])
 
 
+@pytest.mark.parametrize("u", [[0.5], [0.5, 0.5, 0.5], [np.nan, 0.5], [1.2, 0.5], [0.5, -0.1]])
+def test_empirical_copula_rejects_bad_coordinates(u):
+    sample = np.random.default_rng(3).random((50, 2))
+    with pytest.raises(ValueError):
+        empirical_copula(sample, u)
+
+
 def test_copula_single_component_is_gaussian():
     model = make_model((1.0, 1.0), (0.05, 0.05), ((1.0,), (1.0,)), ((0.3,), (0.25,)), 0.6)
     assert copula_value(model, 1.0, [0.5, 0.5]) == pytest.approx(

@@ -283,12 +283,3 @@ def test_greeks_bump_validation(vanilla_model):
         greeks_mvmd(vanilla_model, spec, bump=0.0, paths=1000, seed=1)
     with pytest.raises(ValueError):
         greeks_mvmd(vanilla_model, spec, bump=-0.1, paths=1000, seed=1)
-
-
-def test_antithetic_pricing_agrees_and_tightens(vanilla_model):
-    spec = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0, 1, 0.05)
-    plain = price_mvmd_mc(vanilla_model, spec, paths=100_000, seed=12)
-    anti = price_mvmd_mc(vanilla_model, spec, paths=100_000, seed=12, antithetic=True)
-    assert anti.std_error < plain.std_error
-    se = np.sqrt(plain.std_error**2 + anti.std_error**2)
-    assert abs(anti.price - plain.price) < 4 * se

@@ -1,4 +1,4 @@
-"""Pinned random streams of every sampler.
+"""Pinned random streams of every sampler and Monte Carlo pricer.
 
 Each sampler runs at a small size on a benchmark model and on a three-asset
 model with a zero-weight component and a time-varying vol.  Its output is
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mvmix import (
+    BasketSpec,
     SimulationConfig,
     VolCurve,
     sample_muvm_terminal,
@@ -21,7 +22,8 @@ from mvmix import (
     simulate_md_euler,
     simulate_scmd,
 )
-from mvmix.benchmarks import benchmark_model
+from mvmix.benchmarks import benchmark_model, benchmark_spec
+from mvmix.pricing import component_arithmetic_price, price_mvmd_mc
 
 from conftest import make_model
 
@@ -41,6 +43,17 @@ def _models():
     return {"spread": spread, "three": three}
 
 
+# Arithmetic basket and one component tuple priced on each model.
+SPECS = {
+    "spread": (benchmark_spec("spread", 1.0), (1, 0)),
+    "three": (BasketSpec((0.5, 0.3, 0.2), "arithmetic", 1.0, 1.0, rate=0.05), (0, 2, 1)),
+}
+
+
+def _estimate(est) -> np.ndarray:
+    return np.array([est.price, est.std_error])
+
+
 def _samplers():
     out = {}
     for name, model in _models().items():
@@ -49,17 +62,27 @@ def _samplers():
         out[f"muvm-{name}"] = lambda m=model: sample_muvm_terminal(m, 1.0, PATHS, 13).values
         out[f"scmd-{name}"] = lambda m=model: simulate_scmd(m, SimulationConfig(PATHS, STEPS, 1.0, 14)).values
         out[f"md-euler-{name}"] = lambda m=model: simulate_md_euler(m.assets[1], 1.0, STEPS, PATHS, 15)
+        spec, indices = SPECS[name]
+        out[f"price-mvmd-{name}"] = lambda m=model, s=spec: _estimate(price_mvmd_mc(m, s, paths=PATHS, seed=16))
+        out[f"price-component-{name}"] = lambda m=model, s=spec, k=indices: _estimate(
+            component_arithmetic_price(m, k, s, paths=PATHS, seed=17)
+        )
     return out
 
 
 SAMPLERS = _samplers()
 
-# Computed before the terminal samplers and the Euler loops were merged.
+# Computed before the terminal samplers and the Euler loops were merged; the
+# price-* entries before the pricers read each tuple's law from ComponentTuple.
 EXPECTED = {
     "md-euler-spread": "072d55afddb7435c136598b57709699794a06b537d59b76a49bd6d53d216b312",
     "md-euler-three": "a72537b510086451ef09b704916ec8c57dce94bb75639138f1edb5de6e1924af",
     "muvm-spread": "d3e0aeeec5a35220e5ef8bbc81a6d81d6243812d57aba417d6f2e391b537e9ae",
     "muvm-three": "a3fa75e1c0e74a0c5fec935ee946927f08379b3506420afa548c567b97c1aab6",
+    "price-component-spread": "a3379e3e8d4184b42e0d8b555e890816de1a3d6116b668b1c9648dbd2257f42b",
+    "price-component-three": "db6dee6f76915a1201e88f7a87c78fa97a92df8d88a98f3f668eb358f0ee486a",
+    "price-mvmd-spread": "1c52eb726d69f805da153b921d15c29d417634c90b05b420eaa3ff144800c811",
+    "price-mvmd-three": "bfe47bf80ace70ade98645f547e2ed0d479780f3e9ca794178c7e14e3f14dd13",
     "mvmd-kappa-spread": "f25247b29fde50471077fe5fb907d18a2718dd8aa895e3dbb74eddf9d4c90a0d",
     "mvmd-kappa-three": "7a2c7a5cef29dd1616c3765919b66ed749ed6d4ea99ae8f52639e8ea98d41a04",
     "mvmd-spread": "a8e3dcda4a0bfda17e0c9e28aa2ded4f87d38334d75702a7f34bedf61f7c29ac",
