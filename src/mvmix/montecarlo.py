@@ -31,7 +31,7 @@ from . import pricing
 from .multivariate import MultiAssetModel, TupleSet, psd_factor, truncate
 from .pricing import PriceEstimate
 from .rng import path_blocks, run_blocks, substream
-from .univariate import _log_euler
+from .univariate import _log_euler, _nu2_schedule
 
 __all__ = [
     "SCHEMES",
@@ -84,18 +84,16 @@ def simulate_scmd(
     Brownian shocks are correlated through a factorization of R, so the
     per-step covariance is nu_i nu_j rho_ij.
     """
-    n = model.n
-    corr_factor = model.corr.factor().T  # z @ corr_factor gives correlated shocks
-    log_spots = np.log(model.spots)
+    n, dt = model.n, config.maturity / config.steps
+    shock_factor = model.corr.factor() * np.sqrt(dt)  # shock_factor @ z.T: correlated, scaled shocks
+    schedule = _nu2_schedule(model.assets, np.arange(config.steps) * dt)
     out = np.empty((config.paths, n))
 
     def run_block(b: int, start: int, stop: int) -> None:
         gen = substream(config.seed, b)
-        logs = np.tile(log_spots, (stop - start, 1))
-        out[start:stop] = _log_euler(
-            model.assets, logs, model.drifts, config.maturity, config.steps,
-            lambda step: gen.standard_normal((stop - start, n)) @ corr_factor,
-        )
+        eps = np.empty((n, stop - start))
+        shocks = lambda step: np.matmul(shock_factor, gen.standard_normal((stop - start, n)).T, out=eps)
+        out[start:stop] = _log_euler(model.assets, schedule, dt, stop - start, shocks).T
 
     run_blocks(run_block, path_blocks(config.paths), workers)
     return TerminalSample(out, "scmd-euler", config.seed)

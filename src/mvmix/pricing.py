@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .multivariate import MultiAssetModel, TupleSet, psd_factor, truncate
 from .rng import path_blocks, run_blocks, substream
@@ -115,7 +115,7 @@ def black_scholes(
         return float(disc * max(omega * (forward - strike), 0.0))
     d1 = np.log(forward / strike) / total_vol + 0.5 * total_vol
     d2 = d1 - total_vol
-    return float(omega * disc * (forward * norm.cdf(omega * d1) - strike * norm.cdf(omega * d2)))
+    return float(omega * disc * (forward * ndtr(omega * d1) - strike * ndtr(omega * d2)))
 
 
 def margrabe(
@@ -135,7 +135,7 @@ def margrabe(
         return float(max(omega * (x2 - x1), 0.0))
     d1 = np.log(x2 / x1) / stv + 0.5 * stv
     d0 = d1 - stv
-    return float(omega * (x2 * norm.cdf(omega * d1) - x1 * norm.cdf(omega * d0)))
+    return float(omega * (x2 * ndtr(omega * d1) - x1 * ndtr(omega * d0)))
 
 
 def geometric_pair_k0(
@@ -170,7 +170,7 @@ def _lognormal_option(log_mean: float, log_sd: float, strike: float, rate: float
         return float(disc * max(omega * (np.exp(log_mean) - strike), 0.0))
     d2 = (log_mean - np.log(strike)) / log_sd
     d1 = d2 + log_sd
-    return float(omega * disc * (mean * norm.cdf(omega * d1) - strike * norm.cdf(omega * d2)))
+    return float(omega * disc * (mean * ndtr(omega * d1) - strike * ndtr(omega * d2)))
 
 
 def geometric_tuple_price(model: MultiAssetModel, indices, spec: BasketSpec) -> float:

@@ -5,6 +5,16 @@ marginal density of S(t) is, at every time, the fixed convex combination of
 the lognormal densities of N instrumental constant-vol processes.  This
 module provides those densities, the state-dependent volatility nu, the
 quantile function and a log-Euler path simulator.
+
+nu^2 = sum_k lambda_k sigma_k^2 p_k / sum_k lambda_k p_k is evaluated in
+quadratic form: each log(lambda_k p_k) is quadratic in log S with
+coefficients that depend only on t, so relative to a reference component
+r (the positive-weight one with the largest integrated variance)
+nu^2 = sigma_r^2 + sum_k (sigma_k^2 - sigma_r^2) e^{d_k} / (1 + sum_k e^{d_k})
+with every d_k concave or constant in log S.  The coefficients are built
+once per simulation; `local_vol` and the log-Euler loop shared by
+`simulate_md_euler` and `montecarlo.simulate_scmd` evaluate the same
+kernel, the loop for all assets of an (assets, paths) block at once.
 """
 
 from __future__ import annotations
@@ -14,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
-from scipy.stats import norm
 
 from .rng import path_blocks, run_blocks, substream
 from .volcurve import VolCurve
@@ -167,7 +176,7 @@ def mixture_cdf(asset: AssetMixture, t: float, x) -> np.ndarray | float:
         logx = np.log(x[pos])
         m = asset.log_means(t)[:, None]
         v = asset.total_stds(t)[:, None]
-        out[pos] = asset.weights @ norm.cdf((logx[None, :] - m) / v)
+        out[pos] = asset.weights @ ndtr((logx[None, :] - m) / v)
     out = np.where(np.isposinf(x), 1.0, out)
     return out if out.ndim else float(out)
 
@@ -200,41 +209,93 @@ def inverse_cdf(asset: AssetMixture, t: float, u: float) -> float:
     return float(np.exp(brentq(excess, lo, hi, xtol=1e-15)))
 
 
-def _nu_from_logx(asset: AssetMixture, t: float, logx: np.ndarray) -> np.ndarray:
-    """nu(t, .) on an array of log prices; t = 0 uses the short-time limit."""
-    sig = asset.spot_vols(t)
-    lam = asset.weights
-    if t == 0:
-        return np.full(logx.shape, np.sqrt(float(lam @ sig**2)))
-    # Common factors of the component densities cancel in the ratio; keep
-    # only the log-weight + exponent part, shifted by its maximum so deep
-    # tails resolve to the fattest-tailed component instead of 0/0.
-    m = asset.log_means(t)[:, None]
-    v = asset.total_stds(t)[:, None]
-    z = (logx[None, :] - m) / v
-    with np.errstate(divide="ignore"):  # zero weights belong at -inf
-        logw = np.log(lam)[:, None] - np.log(v) - 0.5 * z * z
-    logw -= logw.max(axis=0, keepdims=True)
-    w = np.exp(logw)
-    nu2 = (sig**2 @ w) / w.sum(axis=0)
-    return np.sqrt(nu2)
+def _nu2_schedule(assets, times) -> list[tuple]:
+    """Coefficients of nu^2 for every asset, one entry per time.
 
-
-def _log_euler(assets, logs: np.ndarray, drifts, maturity: float, steps: int, shocks) -> np.ndarray:
-    """Terminal prices of a (paths, n) block of log spots under log-Euler.
-
-    Asset i diffuses with its own nu; `shocks(step)` gives that step's
-    (paths, n) normal increments.  `logs` is advanced in place.
+    With y = log(S / S(0)), d_k = log(lambda_k p_k / lambda_r p_r) = g y^2 +
+    b y + a and D_k = sigma_k^2 - sigma_r^2 for each component k other than
+    the reference r.  Entry i is (sigma_r^2 of shape (n, 1), (g, b, a, D) of
+    shape (4, K - 1, n, 1)).  Padding (assets with fewer components) and
+    zero weights get a = -inf; at t = 0 the entry is the short-time limit
+    sigma_r^2 = sum_k lambda_k sigma_k^2 with every a = -inf.  Measuring y
+    from the spot keeps (log S(0))^2 / V^2 terms, which would cancel, out of
+    the coefficients.
     """
-    dt = maturity / steps
-    sqdt = np.sqrt(dt)
-    nu = np.empty_like(logs)
-    for step in range(steps):
-        eps = shocks(step)
-        for i, asset in enumerate(assets):
-            nu[:, i] = _nu_from_logx(asset, step * dt, logs[:, i])
-        logs += (drifts - 0.5 * nu**2) * dt + nu * sqdt * eps
-    return np.exp(logs)
+    times = np.asarray(times, dtype=float)
+    n, K = len(assets), max(a.n_components for a in assets)
+    lam = np.zeros((n, K))
+    sig = np.zeros((len(times), n, K))
+    var = np.ones_like(sig)  # padding keeps a finite variance and a zero weight
+    for i, asset in enumerate(assets):
+        for k, c in enumerate(asset.components):
+            lam[i, k] = c.weight
+            sig[:, i, k] = [c.vol.value(t) for t in times]
+            var[:, i, k] = [c.vol.integral_sq(t) for t in times]
+    drifts = np.array([a.drift for a in assets])[:, None]
+    mean = drifts * times[:, None, None] - 0.5 * var
+    sig2 = sig**2
+    r = np.argmax(np.where(lam > 0, var, -1.0), axis=-1)[..., None]
+    order = np.argsort(np.arange(K) != r, axis=-1, kind="stable")  # r first, then the others
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero weights; t = 0 is overwritten below
+        b = mean / var
+        coefs = np.stack((-0.5 / var, b, np.log(lam) - 0.5 * np.log(var) - 0.5 * mean * b, sig2))
+        coefs = np.take_along_axis(coefs, order[None], -1)
+        ref, rel = coefs[3, ..., :1], coefs[..., 1:] - coefs[..., :1]  # rel: (g, b, a, D)
+    start = times == 0
+    ref[start, :, 0] = (lam * sig2[start]).sum(-1)
+    rel[:, start] = 0.0
+    rel[2, start] = -np.inf
+    return list(zip(ref, np.ascontiguousarray(rel.transpose(1, 0, 3, 2)[..., None])))
+
+
+def _nu2(y: np.ndarray, coefs: tuple, bufs: np.ndarray) -> np.ndarray:
+    """nu^2 at the (n, paths) log returns y = log(S / S(0)), written into bufs[0].
+
+    `coefs` is one entry of `_nu2_schedule`; `bufs` is a (3, n, paths)
+    scratch array.  The reference component has the largest integrated
+    variance, and equal integrated variances mean equal log-means, so every
+    d_k is concave or constant in y: e^{d_k} cannot overflow in either tail,
+    no max-shift is needed, and the deep tails go to the fattest component.
+    """
+    ref, terms = coefs
+    out, den, e = bufs
+    out.fill(0.0)
+    den.fill(1.0)
+    for gk, bk, ak, dk in zip(*terms):
+        np.multiply(gk, y, out=e)
+        e += bk
+        e *= y
+        e += ak
+        np.exp(e, out=e)
+        den += e
+        e *= dk
+        out += e
+    out /= den
+    out += ref
+    return out
+
+
+def _log_euler(assets, schedule, dt: float, paths: int, shocks) -> np.ndarray:
+    """Log-Euler terminal prices of `paths` paths of the assets, shape (n, paths).
+
+    Step i evaluates nu^2 for every asset from `schedule[i]`; `shocks(i)`
+    gives that step's (n, paths) normal increments, already scaled by
+    sqrt(dt).
+    """
+    spots = np.array([a.spot for a in assets])[:, None]
+    drift_dt = np.array([a.drift for a in assets])[:, None] * dt
+    logs = np.zeros((len(assets), paths))  # log(S / S(0))
+    bufs = np.empty((3,) + logs.shape)
+    nu2, _, diffusion = bufs
+    for step, coefs in enumerate(schedule):
+        _nu2(logs, coefs, bufs)
+        np.sqrt(nu2, out=diffusion)
+        diffusion *= shocks(step)
+        nu2 *= -0.5 * dt
+        nu2 += drift_dt
+        nu2 += diffusion
+        logs += nu2
+    return spots * np.exp(logs)
 
 
 def local_vol(asset: AssetMixture, t: float, x) -> np.ndarray | float:
@@ -242,7 +303,11 @@ def local_vol(asset: AssetMixture, t: float, x) -> np.ndarray | float:
 
     nu^2 is the density-weighted average of the squared component vols:
     nu^2(t,x) = sum_k lambda_k sigma_k^2(t) p_k(x) / sum_k lambda_k p_k(x),
-    always between the smallest and largest sigma_k(t).
+    always between the smallest and largest sigma_k(t).  It is evaluated in
+    the quadratic form of the module docstring, relative to the
+    positive-weight component with the largest integrated variance, so
+    nothing overflows and the deep tails go to that fattest component.  The
+    Euler simulators evaluate the same kernel.
 
     At t = 0 the ratio is indeterminate (all components collapse to the same
     point mass); we return the aggregate short-time limit
@@ -252,8 +317,11 @@ def local_vol(asset: AssetMixture, t: float, x) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     if t > 0 and np.any(x <= 0):
         raise ValueError("price must be positive")
-    out = _nu_from_logx(asset, t, np.log(x if x.ndim else x[None]) if t > 0 else np.atleast_1d(x))
-    return out.reshape(x.shape) if x.ndim else float(out[0])
+    y = np.log(x / asset.spot) if t > 0 else np.zeros_like(x)
+    coefs = _nu2_schedule((asset,), [t])[0]
+    nu2 = _nu2(y.reshape(1, -1), coefs, np.empty((3, 1, y.size)))
+    out = np.sqrt(nu2).reshape(x.shape)
+    return out if out.ndim else float(out)
 
 
 def simulate_md_euler(
@@ -275,14 +343,16 @@ def simulate_md_euler(
         raise ValueError("maturity must be positive")
     if steps < 1 or paths < 1:
         raise ValueError("need at least one step and one path")
+    dt = maturity / steps
+    schedule = _nu2_schedule((asset,), np.arange(steps) * dt)
     out = np.empty(paths)
 
     def run_block(b: int, start: int, stop: int) -> None:
         gen = substream(seed, b)
         z = gen.standard_normal((stop - start, steps))
-        logs = np.full((stop - start, 1), np.log(asset.spot))
-        shocks = lambda step: z[:, step, None]  # the step's column, as a (paths, 1) view
-        out[start:stop] = _log_euler((asset,), logs, asset.drift, maturity, steps, shocks)[:, 0]
+        z *= np.sqrt(dt)
+        shocks = lambda step: z.T[step]  # the step's column of z, a row of z.T
+        out[start:stop] = _log_euler((asset,), schedule, dt, stop - start, shocks)[0]
 
     run_blocks(run_block, path_blocks(paths), workers)
     return out

@@ -46,10 +46,17 @@ def report(n, text):
     print(f"\n[criterion {n}] PASS: {text}")
 
 
-def test_criterion_1_table_reproduction(tmp_path):
+@pytest.fixture(scope="session")
+def tables_one_worker(tmp_path_factory):
+    """One timed reproduce_tables run at PATHS, shared by criteria 1 and 8."""
+    outdir = tmp_path_factory.mktemp("tables") / "one"
     start = time.time()
-    results = reproduce_tables(tmp_path, paths=PATHS)
-    elapsed = time.time() - start
+    results = reproduce_tables(outdir, paths=PATHS)
+    return outdir, results, time.time() - start
+
+
+def test_criterion_1_table_reproduction(tables_one_worker):
+    _, results, elapsed = tables_one_worker
     cells = 0
     worst = 0.0
     for name, rows in results.items():
@@ -208,7 +215,7 @@ def test_criterion_7_truncation_convergence():
               f"surviving-tuple estimate peaks at {count:.0f} for n=8")
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, tables_one_worker):
     model = benchmark_model("vanilla", 0.6)
     a = sample_mvmd_terminal(model, MATURITY, 10_000, seed=808)
     b = sample_mvmd_terminal(model, MATURITY, 10_000, seed=808, workers=3)
@@ -221,7 +228,7 @@ def test_criterion_8_determinism(tmp_path):
     f = simulate_scmd(model, cfg, workers=3)
     assert np.array_equal(e.values, f.values)
 
-    reproduce_tables(tmp_path / "one", paths=PATHS)
+    one = tables_one_worker[0]
     import os
     os.environ["MVMIX_WORKERS"] = "3"
     try:
@@ -230,6 +237,6 @@ def test_criterion_8_determinism(tmp_path):
         del os.environ["MVMIX_WORKERS"]
     for i in [1, 2, 3, 4, 5, 6]:
         name = "table1_parameters.csv" if i == 1 else f"table{i}.csv"
-        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+        assert (one / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
     report(8, "samplers and the table pipeline are byte-identical across "
               "runs and worker counts")

@@ -5,6 +5,7 @@ from scipy.stats import kstest, ks_2samp
 from mvmix import (
     BasketSpec,
     SimulationConfig,
+    VolCurve,
     estimate,
     mixture_cdf,
     sample_muvm_terminal,
@@ -43,6 +44,22 @@ def test_scmd_single_component_is_exact_gbm():
 def test_scmd_terminal_marginals_match_mixture(vanilla_model):
     sample = simulate_scmd(vanilla_model, SimulationConfig(100_000, 360, 1.0, 29))
     for i, asset in enumerate(vanilla_model.assets):
+        res = kstest(sample.values[:, i], lambda x: mixture_cdf(asset, 1.0, x))
+        assert res.pvalue > 0.01
+
+
+def test_scmd_mixed_component_counts_match_mixture():
+    # one single-component asset next to a three-component one with a
+    # time-varying vol: the (assets, paths) kernel pads the first
+    model = make_model(
+        (1.0, 0.8),
+        (0.05, 0.02),
+        ((1.0,), (0.5, 0.3, 0.2)),
+        ((0.25,), (0.15, VolCurve((0.0, 0.5), (0.5, 0.2)), 0.45)),
+        0.5,
+    )
+    sample = simulate_scmd(model, SimulationConfig(50_000, 120, 1.0, 42))
+    for i, asset in enumerate(model.assets):
         res = kstest(sample.values[:, i], lambda x: mixture_cdf(asset, 1.0, x))
         assert res.pvalue > 0.01
 

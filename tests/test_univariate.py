@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -167,6 +169,56 @@ def test_local_vol_extreme_tails_pick_fattest_component(vanilla_asset1):
 def test_local_vol_time_zero_limit(vanilla_asset1):
     expect = np.sqrt(0.6 * 0.09 + 0.4 * 0.04)
     assert local_vol(vanilla_asset1, 0.0, 1.0) == pytest.approx(expect, rel=1e-14)
+
+
+LOCAL_VOL_TIMES = (1.0 / 360.0, 0.5, 3.0)
+
+
+def local_vol_assets():
+    vanilla = AssetMixture.from_arrays(1.0, 0.05, [0.6, 0.4], [0.3, 0.2])
+    # the largest integrated variance moves from component 0 (t = 1/360) to
+    # 1 (t = 0.5) to 2 (t = 3); the spot sits far from 1
+    switching = AssetMixture.from_arrays(
+        40.0,
+        0.03,
+        [0.3, 0.5, 0.2],
+        [VolCurve((0.0, 0.25), (0.5, 0.1)), 0.4, VolCurve((0.0, 1.0), (0.2, 0.6))],
+    )
+    # the zero-weight component has the largest vol and must stay inert
+    zero_weight = AssetMixture.from_arrays(1.0, 0.05, [0.5, 0.0, 0.5], [0.2, 0.5, 0.3])
+    return {"vanilla": vanilla, "switching": switching, "zero-weight": zero_weight}
+
+
+def test_switching_asset_changes_its_largest_variance_component():
+    asset = local_vol_assets()["switching"]
+    assert [int(np.argmax(asset.total_stds(t))) for t in LOCAL_VOL_TIMES] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("name", sorted(local_vol_assets()))
+@pytest.mark.parametrize("t", LOCAL_VOL_TIMES)
+def test_local_vol_matches_density_ratio_oracle(name, t):
+    asset = local_vol_assets()[name]
+    x = np.logspace(-6, 6, 4001)
+    lam, sig = asset.weights, asset.spot_vols(t)
+    pdfs = np.array([component_pdf(asset, k, t, x) for k in range(asset.n_components)])
+    num, den = (lam * sig**2) @ pdfs, lam @ pdfs
+    # where every density underflows (or is subnormal) the ratio is not an oracle
+    defined = den > 1e-250
+    assert defined.sum() >= 10
+    oracle = np.sqrt(num[defined] / den[defined])
+    assert local_vol(asset, t, x[defined]) == pytest.approx(oracle, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name", sorted(local_vol_assets()))
+@pytest.mark.parametrize("t", LOCAL_VOL_TIMES)
+def test_local_vol_at_extreme_log_prices(name, t):
+    asset = local_vol_assets()[name]
+    sig = asset.spot_vols(t)[asset.weights > 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nu = local_vol(asset, t, np.exp([-700.0, 700.0]))
+    assert np.all(np.isfinite(nu))
+    assert np.all((sig.min() <= nu) & (nu <= sig.max()))
 
 
 def test_euler_gbm_matches_exact_lognormal_law():
