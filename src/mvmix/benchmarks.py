@@ -1,18 +1,15 @@
-"""Bundled benchmark configurations and their published reference prices.
+"""The paper's tables 2-6 as experiments, with their published reference prices.
 
 Three two-asset baskets, each asset a two-component lognormal mixture, priced
 as European calls at strikes 0.7 / 1.0 / 1.3 with rate 5% and one-year
-maturity.  The reference prices and standard errors (100,000 runs, daily
-Euler stepping for the path-wise scheme) are the values the reproduction
-pipeline annotates its output against.
+maturity.  ``table_configs`` builds a table's experiments for the CLI and
+``reproduce_tables``.  The reference prices and SEs (100,000 runs, daily
+Euler stepping for the path-wise scheme) annotate the reproduced output.
 """
 
 from __future__ import annotations
 
-from .config import ExperimentConfig
-from .multivariate import CorrelationMatrix, MultiAssetModel
-from .pricing import BasketSpec
-from .univariate import AssetMixture
+from .config import ConfigError, ExperimentConfig
 
 __all__ = [
     "PRODUCTS",
@@ -24,6 +21,7 @@ __all__ = [
     "benchmark_model",
     "benchmark_spec",
     "benchmark_config",
+    "table_configs",
 ]
 
 RATE = 0.05
@@ -122,21 +120,6 @@ REFERENCE: dict[tuple[int, str, str, float], tuple[float, float]] = {
 }
 
 
-def benchmark_model(product: str, rho: float) -> MultiAssetModel:
-    """The two-asset mixture model for one benchmark product at correlation rho."""
-    p = PRODUCTS[product]
-    assets = tuple(
-        AssetMixture.from_arrays(s, d, w, v)
-        for s, d, w, v in zip(p["spots"], p["drifts"], p["weights"], p["vols"])
-    )
-    return MultiAssetModel(assets, CorrelationMatrix([[1.0, rho], [rho, 1.0]]))
-
-
-def benchmark_spec(product: str, strike: float) -> BasketSpec:
-    p = PRODUCTS[product]
-    return BasketSpec(p["basket_weights"], p["kind"], strike, MATURITY, 1, RATE)
-
-
 def benchmark_config(
     product: str,
     rho: float,
@@ -144,7 +127,7 @@ def benchmark_config(
     paths: int = 100_000,
     schemes: tuple[str, ...] = ("mvmd-terminal", "scmd-euler"),
 ) -> ExperimentConfig:
-    """ExperimentConfig for one benchmark product (used for bundled fixtures)."""
+    """The experiment of one product at correlation rho; the one place ``PRODUCTS`` becomes objects."""
     p = PRODUCTS[product]
     doc = {
         "name": product,
@@ -172,3 +155,21 @@ def benchmark_config(
         },
     }
     return ExperimentConfig.from_dict(doc)
+
+
+def benchmark_model(product: str, rho: float):
+    """The two-asset mixture model (a ``MultiAssetModel``) of one product at correlation rho."""
+    return benchmark_config(product, rho, 0).model
+
+
+def benchmark_spec(product: str, strike: float):
+    """The ``BasketSpec`` of one product at one strike."""
+    return benchmark_config(product, 0.0, 0).spec(strike)
+
+
+def table_configs(table: int, paths: int = 100_000) -> list[ExperimentConfig]:
+    """The experiments of one paper table, one per product, at its documented seed."""
+    if paths < 1:
+        raise ConfigError(f"paths: must be >= 1, got {paths}")
+    info = TABLES[table]
+    return [benchmark_config(product, info["rho"], info["seed"], paths) for product in info["products"]]

@@ -1,9 +1,10 @@
 """Command line entry points.
 
-Subcommands: ``price`` and ``tau`` run experiments from a JSON config file
-(bundled fixture names like ``table2`` resolve too), ``copula`` evaluates
-the terminal copula on a grid, and ``reproduce-tables`` regenerates the
-benchmark CSVs.  Exit codes: 0 success, 1 invalid configuration, 2
+Subcommands: ``price``, ``tau`` and ``copula`` run the experiments of a JSON
+config file (``copula`` on a uniform grid), and ``reproduce-tables``
+regenerates the benchmark CSVs.  ``--config table2`` … ``table6`` (with or
+without ``.json``) loads that paper table from ``benchmarks.TABLES`` unless a
+file of that name exists.  Exit codes: 0 success, 1 invalid configuration, 2
 numerical failure.  The MVMIX_WORKERS environment variable sets the worker
 count for the samplers.
 """
@@ -14,11 +15,11 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from .benchmarks import TABLES, table_configs
 from .config import ConfigError, load_config
 from .multivariate import SingularCovarianceError
 from .runner import reproduce_tables, rows_to_csv, rows_to_json, run_copula, run_price, run_tau
@@ -27,19 +28,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
-
-def _resolve_config(name: str) -> Path:
-    path = Path(name)
-    if path.exists():
-        return path
-    bundled = resources.files("mvmix") / "configs" / (name if name.endswith(".json") else f"{name}.json")
-    if bundled.is_file():
-        return Path(str(bundled))
-    raise ConfigError(f"config file not found: {name}")
+_BUNDLED = {f"table{n}": n for n in TABLES}
 
 
 def _load(args) -> list:
-    configs = load_config(_resolve_config(args.config))
+    table = _BUNDLED.get(args.config.removesuffix(".json"))
+    if table is not None and not Path(args.config).exists():
+        configs = table_configs(table)
+    else:
+        configs = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         configs = [replace(c, seed=args.seed) for c in configs]
     if getattr(args, "kappa", None) is not None:

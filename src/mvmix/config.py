@@ -2,8 +2,8 @@
 
 A config file holds one experiment object or a list of them.  Every block is
 validated against the model invariants on load and unknown keys are
-rejected, so fixture files stay diffable and mistakes surface with the
-offending key path in the message.
+rejected, so mistakes surface with the offending key path in the message,
+and ``dump_config`` writes the canonical form back.
 """
 
 from __future__ import annotations
@@ -249,6 +249,8 @@ def load_config(source) -> list[ExperimentConfig]:
     if isinstance(source, (str, Path)):
         try:
             doc = json.loads(Path(source).read_text())
+        except OSError as exc:
+            raise ConfigError(f"{source}: cannot read config file ({exc.strerror})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{source}: invalid JSON ({exc})") from exc
     else:

@@ -288,7 +288,6 @@ class TupleSet:
 
     tuples: tuple[ComponentTuple, ...]
     weights: tuple[float, ...]
-    cutoff: float
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -312,13 +311,13 @@ def truncate(model: MultiAssetModel, kappa: float = 0.0) -> TupleSet:
     if kappa == 0.0:
         tuples = tuple(model.tuples())
         weights = tuple(tp.weight for tp in tuples)
-        return TupleSet(tuples, weights, 0.0)
+        return TupleSet(tuples, weights)
     kept = [tp for tp in model.tuples() if tp.weight > kappa]
     if not kept:
         raise ValueError(f"cutoff {kappa} removed all components")
     raw = np.array([tp.weight for tp in kept])
     weights = raw / raw.sum()
-    return TupleSet(tuple(kept), tuple(weights), kappa)
+    return TupleSet(tuple(kept), tuple(weights))
 
 
 def _tuple_logweights(

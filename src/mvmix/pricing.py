@@ -256,7 +256,7 @@ def component_arithmetic_price(
     """Single-step Monte Carlo price of the basket option on one tuple's law."""
     if spec.kind != "arithmetic":
         raise ValueError("spec must be arithmetic")
-    single = TupleSet((model.tuple_at(indices),), (1.0,), 0.0)
+    single = TupleSet((model.tuple_at(indices),), (1.0,))
     price, se = _tuple_mc_prices(model, single, spec, paths, seed, workers)
     return PriceEstimate(float(price[0]), se, paths, "mvmd-component")
 

@@ -155,7 +155,9 @@ def reproduce_tables(
     per cell, z_score = |price - ref| / ref_se) plus table1_parameters.csv
     echoing the model parameters.  Seeds are the documented constants
     benchmarks.SEED_BASE + table number; reruns produce byte-identical files.
+    Every experiment is built, and `paths` checked, before `outdir` is made.
     """
+    experiments = {table: benchmarks.table_configs(table, paths) for table in benchmarks.TABLES}
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     results: dict[str, list[dict]] = {}
@@ -178,11 +180,8 @@ def reproduce_tables(
     results["table1_parameters"] = param_rows
     (outdir / "table1_parameters.csv").write_text(rows_to_csv(param_rows))
 
-    for table, info in benchmarks.TABLES.items():
-        rows: list[dict] = []
-        for product in info["products"]:
-            config = benchmarks.benchmark_config(product, info["rho"], info["seed"], paths)
-            rows.extend(run_price(config, workers))
+    for table, configs in experiments.items():
+        rows = [row for config in configs for row in run_price(config, workers)]
         annotated = _reference_annotated(rows, table)
         name = f"table{table}"
         results[name] = annotated

@@ -1,11 +1,14 @@
 import copy
+import hashlib
 import json
+from argparse import Namespace
 
 import numpy as np
 import pytest
 
 from mvmix import ConfigError, ExperimentConfig, load_config
-from mvmix.cli import main
+from mvmix.benchmarks import table_configs
+from mvmix.cli import _load, main
 from mvmix.runner import reproduce_tables, run_price, run_tau
 
 BASE_DOC = {
@@ -219,6 +222,54 @@ def test_cli_bundled_config(capsys):
     out = capsys.readouterr().out
     assert "mvmd-closed-form" in out
     assert out.count("scmd-empirical") == 2  # vanilla and spread experiments
+
+
+# sha256 of json.dumps([c.to_dict() for c in configs], sort_keys=True) for each
+# table, computed from the JSON fixture files the package shipped before the
+# tables were built from benchmarks.TABLES
+BUNDLED_DIGESTS = {
+    "table2": "7625db395ac437348b356bbac5a6284c05b815f5b2a2858b70e992a3da27488a",
+    "table3": "ce495d3a88c4e4c218d11465ba7daf0ea999643b68053af284793207ddf0a730",
+    "table4": "b4f045f93845734a8e019186f3af4b97d85bc2de304a20540903625163fbfd22",
+    "table5": "566cfc17cdf6a34f43cbd113712e8f24d31f4a29d933a8788a001d57c927370a",
+    "table6": "7eafb69f323c42dd08e5d24e7d6e08fd5988a1bdab0d7f38aa1da77f55552362",
+}
+
+
+def _digest(configs) -> str:
+    return hashlib.sha256(json.dumps([c.to_dict() for c in configs], sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))
+def test_bundled_names_load_the_pinned_experiments(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert _digest(_load(Namespace(config=name))) == BUNDLED_DIGESTS[name]
+    assert _digest(_load(Namespace(config=name + ".json"))) == BUNDLED_DIGESTS[name]
+    assert _digest(table_configs(int(name.removeprefix("table")))) == BUNDLED_DIGESTS[name]
+
+
+def test_local_file_wins_over_bundled_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table2").write_text(json.dumps(BASE_DOC))
+    assert _load(Namespace(config="table2")) == [ExperimentConfig.from_dict(BASE_DOC)]
+    assert _digest(_load(Namespace(config="table2.json"))) == BUNDLED_DIGESTS["table2"]
+
+
+@pytest.mark.parametrize("name", ["a_directory", "missing.json", "table7"])
+def test_cli_unreadable_config_names_the_path(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_directory").mkdir()
+    assert main(["price", "--config", name]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: cannot read config file (")
+    assert "Traceback" not in err
+
+
+def test_reproduce_tables_rejects_zero_paths_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["reproduce-tables", "--out", str(out), "--paths", "0"]) == 1
+    assert capsys.readouterr().err == "error: paths: must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_cli_validation_exit_codes(tmp_path, capsys):
