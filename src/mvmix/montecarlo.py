@@ -210,6 +210,15 @@ def _sampled(draw):
     return route
 
 
+def _shared_strikes(exp, workers):
+    """Route of the semi-analytic mixture: every strike prices off one draw, made on first use."""
+    specs = tuple(dict.fromkeys(exp.spec(strike) for strike in exp.strikes))
+    estimates = cache(
+        lambda: dict(zip(specs, pricing._mvmd_estimates(exp.model, specs, exp.kappa, exp.paths, exp.seed, workers)))
+    )
+    return lambda spec: estimates()[spec]
+
+
 # Scheme tag -> route(experiment, workers), which returns the function that
 # prices a BasketSpec of that experiment (a config.ExperimentConfig).  The
 # mixture prices semi-analytically, per-tuple single-step Monte Carlo.
@@ -217,9 +226,7 @@ SCHEMES = {
     "scmd-euler": _sampled(
         lambda e, w: simulate_scmd(e.model, SimulationConfig(e.paths, e.steps, e.maturity, e.seed), w)
     ),
-    "mvmd-terminal": lambda e, w: (
-        lambda spec: pricing.price_mvmd_mc(e.model, spec, e.kappa, e.paths, e.seed, w)
-    ),
+    "mvmd-terminal": _shared_strikes,
     "muvm-terminal": _sampled(
         lambda e, w: sample_muvm_terminal(e.model, e.maturity, e.paths, e.seed, w)
     ),

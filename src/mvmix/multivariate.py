@@ -312,7 +312,10 @@ def truncate(model: MultiAssetModel, kappa: float = 0.0) -> TupleSet:
         tuples = tuple(model.tuples())
         weights = tuple(tp.weight for tp in tuples)
         return TupleSet(tuples, weights)
-    kept = [tp for tp in model.tuples() if tp.weight > kappa]
+    # The heaviest tuple's weight bounds every tuple's (same product, monotone
+    # rounding), so a cutoff at or above it is refused before enumerating.
+    heaviest = float(np.prod([max(c.weight for c in a.components) for a in model.assets]))
+    kept = [tp for tp in model.tuples() if tp.weight > kappa] if heaviest > kappa else []
     if not kept:
         raise ValueError(f"cutoff {kappa} removed all components")
     raw = np.array([tp.weight for tp in kept])

@@ -6,6 +6,11 @@ convex combination of tuple densities.  Each tuple is jointly lognormal at
 maturity, so tuple prices come either in closed form (Black-Scholes,
 exchange option, any geometric average) or from a single-step Monte Carlo
 draw of the terminal law, with no time discretization.
+
+A tuple's terminal law does not depend on the strike, and a spot bump moves
+only its log-means, so one kernel prices several strikes and spot bumps off
+the same draws: an experiment's strikes share one pass, and the bumped
+models of the Greeks are priced in one pass.
 """
 
 from __future__ import annotations
@@ -200,49 +205,76 @@ def price_geometric_mvmd(
 
 
 def _tuple_mc_prices(
-    model: MultiAssetModel,
+    models: tuple[MultiAssetModel, ...],
     tuple_set: TupleSet,
-    spec: BasketSpec,
+    specs: tuple[BasketSpec, ...],
     paths: int,
     seed: int,
     workers: int | None,
-) -> tuple[np.ndarray, float]:
-    """Single-step Monte Carlo prices per tuple, common random numbers.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Single-step Monte Carlo mixture prices of every (model, spec) pair on one draw.
 
-    Every tuple consumes the same standard normal draws, mapped through its
-    own factorization of the integrated covariance at maturity.  Returns the
-    per-tuple prices and the standard error of the weight-combined estimator
-    (the per-path weighted payoff), which is the honest error bar of the
-    convex combination under shared draws.
+    The models differ only in their spots: the kept tuples of `tuple_set`
+    belong to models[0] and supply the factorizations of the integrated
+    covariance at maturity, and each model supplies its own log-means.  The
+    specs differ only in strike and direction.  Per path block, one standard
+    normal draw feeds every tuple, one ``z @ factor`` per tuple feeds every
+    model, and one basket value per model feeds every spec, so tuples, spot
+    bumps and strikes all share common random numbers.  Returns the
+    (models, specs) arrays of weight-combined prices and of their standard
+    errors; the error is that of the per-path weighted payoff, which is the
+    honest error bar of the convex combination under shared draws.
     """
-    n = model.n
-    means = [tp.log_means(spec.maturity) for tp, _ in tuple_set]
-    factors = [psd_factor(tp.integrated_covariance(spec.maturity)).T for tp, _ in tuple_set]
+    spec = specs[0]
+    n, t = models[0].n, spec.maturity
+    means = [[tp.log_means(t) for tp, _ in tuple_set]]
+    means += [[model.tuple_at(tp.indices).log_means(t) for tp, _ in tuple_set] for model in models[1:]]
+    factors = [psd_factor(tp.integrated_covariance(t)).T for tp, _ in tuple_set]
     w = tuple_set.weight_array
-    ntup = len(tuple_set)
     nblocks = len(path_blocks(paths))
-    sums = np.zeros((nblocks, ntup))
-    comb_sq = np.zeros(nblocks)
+    sums = np.zeros((len(models), len(specs), nblocks, len(tuple_set)))
+    comb_sq = np.zeros((len(models), len(specs), nblocks))
 
     def run_block(b: int, start: int, stop: int) -> None:
-        gen = substream(seed, b)
-        z = gen.standard_normal((stop - start, n))
-        combined = np.zeros(stop - start)
-        for k in range(ntup):
-            pay = spec.payoff(np.exp(means[k] + z @ factors[k]))
-            sums[b, k] = pay.sum()
-            combined += w[k] * pay
-        comb_sq[b] = (combined**2).sum()
+        z = substream(seed, b).standard_normal((stop - start, n))
+        zf = np.empty_like(z)  # per-block buffers: fresh (m, n) temporaries cost more than the arithmetic
+        prices = np.empty_like(z)
+        combined = np.zeros((len(models), len(specs), stop - start))
+        for k in range(len(tuple_set)):
+            np.matmul(z, factors[k], out=zf)
+            for i, model_means in enumerate(means):
+                np.exp(np.add(model_means[k], zf, out=prices), out=prices)
+                level = spec.basket_value(prices)
+                for j, s in enumerate(specs):
+                    pay = np.maximum(s.omega * (level - s.strike), 0.0)
+                    sums[i, j, b, k] = pay.sum()
+                    combined[i, j] += w[k] * pay
+        for i, j in np.ndindex(comb_sq.shape[:2]):
+            comb_sq[i, j, b] = (combined[i, j] ** 2).sum()
 
     run_blocks(run_block, path_blocks(paths), workers)
     disc = np.exp(-spec.rate * spec.maturity)
-    mean = sums.sum(axis=0) / paths
-    if paths == 1:
-        return disc * mean, 0.0
-    bessel = paths / (paths - 1)
-    comb_mean = float(w @ mean)
-    comb_var = (comb_sq.sum() / paths - comb_mean**2) * bessel
-    return disc * mean, float(disc * np.sqrt(max(comb_var, 0.0) / paths))
+    price, se = np.empty(comb_sq.shape[:2]), np.zeros(comb_sq.shape[:2])
+    for i, j in np.ndindex(price.shape):
+        mean = sums[i, j].sum(axis=0) / paths
+        price[i, j] = w @ (disc * mean)
+        if paths > 1:
+            comb_var = (comb_sq[i, j].sum() / paths - float(w @ mean) ** 2) * (paths / (paths - 1))
+            se[i, j] = disc * np.sqrt(max(comb_var, 0.0) / paths)
+    return price, se
+
+
+def _mvmd_estimates(
+    model: MultiAssetModel,
+    specs: tuple[BasketSpec, ...],
+    kappa: float,
+    paths: int,
+    seed: int,
+    workers: int | None,
+) -> list[PriceEstimate]:
+    """`price_mvmd_mc` of every spec, all priced from the same draws."""
+    price, se = _tuple_mc_prices((model,), truncate(model, kappa), specs, paths, seed, workers)
+    return [PriceEstimate(float(p), float(e), paths, "mvmd-semianalytic") for p, e in zip(price[0], se[0])]
 
 
 def component_arithmetic_price(
@@ -257,8 +289,8 @@ def component_arithmetic_price(
     if spec.kind != "arithmetic":
         raise ValueError("spec must be arithmetic")
     single = TupleSet((model.tuple_at(indices),), (1.0,))
-    price, se = _tuple_mc_prices(model, single, spec, paths, seed, workers)
-    return PriceEstimate(float(price[0]), se, paths, "mvmd-component")
+    price, se = _tuple_mc_prices((model,), single, (spec,), paths, seed, workers)
+    return PriceEstimate(float(price[0, 0]), float(se[0, 0]), paths, "mvmd-component")
 
 
 def price_mvmd_mc(
@@ -279,9 +311,7 @@ def price_mvmd_mc(
     quadrature rule sqrt(sum w^2 se^2) over the per-tuple errors is exact
     only for independent streams and misstates the error here.
     """
-    tuple_set = truncate(model, kappa)
-    prices, comb_se = _tuple_mc_prices(model, tuple_set, spec, paths, seed, workers)
-    return PriceEstimate(float(tuple_set.weight_array @ prices), comb_se, paths, "mvmd-semianalytic")
+    return _mvmd_estimates(model, (spec,), kappa, paths, seed, workers)[0]
 
 
 def _bumped_model(model: MultiAssetModel, bumps: np.ndarray) -> MultiAssetModel:
@@ -302,41 +332,40 @@ def greeks_mvmd(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Delta vector and gamma matrix by central differences on the spots.
 
-    Every evaluation reuses the same seed, so the random draws cancel in the
-    differences and the convex-combination structure carries over to the
-    Greeks.  `bump` is an absolute spot bump, scalar or per asset.
+    All 1 + 2n + 2n(n-1) bumped models are priced in one pass on the same
+    draws (a bump moves only the tuples' log-means), so the random draws
+    cancel in the differences and the convex-combination structure carries
+    over to the Greeks; geometric baskets use the closed form.  `bump` is an
+    absolute spot bump, scalar or per asset, below each asset's spot.
     """
     n = model.n
     bumps = np.broadcast_to(np.asarray(bump, dtype=float), (n,)).copy()
+    if not np.all(np.isfinite(bumps)):
+        raise ValueError("bump must be finite")
     if np.any(bumps <= 0):
         raise ValueError("bump sizes must be positive")
-
-    def value(shift: np.ndarray) -> float:
-        shifted = _bumped_model(model, shift)
-        if spec.kind == "geometric":
-            return price_geometric_mvmd(shifted, spec, kappa).price
-        return price_mvmd_mc(shifted, spec, kappa, paths, seed, workers).price
-
-    base = value(np.zeros(n))
-    up = np.empty(n)
-    down = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = bumps[i]
-        up[i] = value(e)
-        down[i] = value(-e)
+    if np.any(bumps >= model.spots):
+        raise ValueError("bump must be smaller than the spot it moves")
+    eye = np.diag(bumps)
+    shifts = [s * eye[i] for i in range(n) for s in (1, -1)]
+    shifts += [
+        si * eye[i] + sj * eye[j]
+        for i in range(n)
+        for j in range(i + 1, n)
+        for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    ]
+    models = (model, *(_bumped_model(model, shift) for shift in shifts))
+    if spec.kind == "geometric":
+        values = np.array([price_geometric_mvmd(m, spec, kappa).price for m in models])
+    else:
+        values = _tuple_mc_prices(models, truncate(model, kappa), (spec,), paths, seed, workers)[0][:, 0]
+    base, up, down = values[0], values[1 : 2 * n + 1 : 2], values[2 : 2 * n + 1 : 2]
+    cross = iter(values[2 * n + 1 :].reshape(-1, 4))
     delta = (up - down) / (2.0 * bumps)
     gamma = np.empty((n, n))
     for i in range(n):
         gamma[i, i] = (up[i] - 2.0 * base + down[i]) / bumps[i] ** 2
         for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = bumps[i]
-            ej[j] = bumps[j]
-            pp = value(ei + ej)
-            pm = value(ei - ej)
-            mp = value(-ei + ej)
-            mm = value(-ei - ej)
+            pp, pm, mp, mm = next(cross)
             gamma[i, j] = gamma[j, i] = (pp - pm - mp + mm) / (4.0 * bumps[i] * bumps[j])
     return delta, gamma

@@ -38,10 +38,10 @@ TABLE_COLUMNS = (
 def run_price(config: ExperimentConfig, workers: int | None = None) -> list[dict]:
     """Price every (strike, scheme) pair of one experiment.
 
-    Each scheme prices along its route in ``montecarlo.SCHEMES``.  Sampling
-    schemes simulate once per scheme and price all strikes off the shared
-    terminal sample, so the first strike's wall time carries the
-    simulation cost.
+    Each scheme prices along its route in ``montecarlo.SCHEMES``.  Every
+    scheme prices all strikes in one pass on first use: sampling schemes
+    off one shared terminal sample, the semi-analytic mixture off one draw
+    per path block.  The first strike's wall time carries that shared cost.
     """
     rows = []
     for scheme in config.schemes:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 from argparse import Namespace
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from mvmix import ConfigError, ExperimentConfig, load_config
-from mvmix.benchmarks import table_configs
+from mvmix.benchmarks import benchmark_config, table_configs
 from mvmix.cli import _load, main
+from mvmix.pricing import price_mvmd_mc
 from mvmix.runner import reproduce_tables, run_price, run_tau
 
 BASE_DOC = {
@@ -177,6 +179,22 @@ def test_run_price_rows():
         assert row["paths"] == 2000
         assert row["wall_time_s"] >= 0
         assert row["std_error"] > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_price_strikes_share_one_draw(workers):
+    # The mvmd route prices all strikes in one pass; each must equal its own
+    # price_mvmd_mc call exactly, a repeated strike included.
+    cfg = dataclasses.replace(
+        benchmark_config("vanilla", 0.6, 5, 20_000, schemes=("mvmd-terminal",)),
+        strikes=(0.7, 1.0, 1.3, 1.0),
+        kappa=0.15,
+    )
+    rows = run_price(cfg, workers)
+    assert [r["strike"] for r in rows] == list(cfg.strikes)
+    for row in rows:
+        est = price_mvmd_mc(cfg.model, cfg.spec(row["strike"]), cfg.kappa, cfg.paths, cfg.seed, workers)
+        assert (row["price"], row["std_error"], row["paths"]) == (est.price, est.std_error, est.samples)
 
 
 def test_run_tau_rows():

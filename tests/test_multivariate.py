@@ -201,6 +201,17 @@ def test_truncate_cutoffs(vanilla_model):
         truncate(vanilla_model, 0.5)  # removes every tuple
 
 
+def test_truncate_refuses_a_cutoff_at_the_heaviest_tuple_without_enumerating(vanilla_model, monkeypatch):
+    heaviest = 0.6 * 0.7  # computed as truncate computes tuple weights
+    assert truncate(vanilla_model, np.nextafter(heaviest, 0.0)).weights == (1.0,)
+    monkeypatch.setattr(MultiAssetModel, "tuples", lambda self: pytest.fail("enumerated the tuples"))
+    with pytest.raises(ValueError, match="removed all components"):
+        truncate(vanilla_model, heaviest)
+    wide = make_model((1.0,) * 10, (0.0,) * 10, ((0.5, 0.3, 0.2),) * 10, ((0.2, 0.3, 0.4),) * 10, 0.3)
+    with pytest.raises(ValueError, match="removed all components"):
+        truncate(wide, 1e-3)  # 0.5**10 < 1e-3: none of the 3**10 tuples survives
+
+
 def test_volume_recursion_closed_forms():
     k = 0.05
     assert volume_estimate(k, 1) == pytest.approx(1 - k, rel=1e-14)

@@ -283,3 +283,12 @@ def test_greeks_bump_validation(vanilla_model):
         greeks_mvmd(vanilla_model, spec, bump=0.0, paths=1000, seed=1)
     with pytest.raises(ValueError):
         greeks_mvmd(vanilla_model, spec, bump=-0.1, paths=1000, seed=1)
+
+
+@pytest.mark.parametrize(
+    "bump", [np.nan, np.inf, 1.0, 2.5, (0.01, np.nan)], ids=["nan", "inf", "spot", "above-spot", "per-asset-nan"]
+)
+def test_greeks_rejects_bumps_that_leave_the_model(vanilla_model, bump):
+    spec = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0, 1, 0.05)
+    with pytest.raises(ValueError, match="bump"):
+        greeks_mvmd(vanilla_model, spec, bump=bump, paths=1000, seed=1)

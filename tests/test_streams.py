@@ -23,7 +23,7 @@ from mvmix import (
     simulate_scmd,
 )
 from mvmix.benchmarks import benchmark_model, benchmark_spec
-from mvmix.pricing import component_arithmetic_price, price_mvmd_mc
+from mvmix.pricing import component_arithmetic_price, greeks_mvmd, price_mvmd_mc
 
 from conftest import make_model
 
@@ -70,14 +70,34 @@ def _samplers():
     return out
 
 
-SAMPLERS = _samplers()
+def _greeks(model, spec, bump, kappa, seed) -> np.ndarray:
+    delta, gamma = greeks_mvmd(model, spec, bump, kappa, paths=PATHS, seed=seed)
+    return np.concatenate([delta, gamma.ravel()])
+
+
+def _greek_pins():
+    models = _models()
+    put = BasketSpec((0.5, 0.3, 0.2), "arithmetic", 1.0, 1.0, omega=-1, rate=0.05)
+    return {
+        "greeks-spread": lambda: _greeks(models["spread"], SPECS["spread"][0], 0.01, 0.0, 18),
+        # kappa drops the zero-weight tuples and the 0.06 ones; the bumps differ
+        # per asset, so every cross-gamma term has its own denominator.
+        "greeks-kappa-put-three": lambda: _greeks(models["three"], put, (0.01, 0.02, 0.015), 0.07, 19),
+    }
+
+
+SAMPLERS = _samplers() | _greek_pins()
 
 # Computed before the terminal samplers and the Euler loops were merged; the
 # price-* entries before the pricers read each tuple's law from ComponentTuple.
 # md-euler-spread, scmd-spread and scmd-three were re-pinned when nu^2 moved
 # to the quadratic-form kernel, which changes Euler paths at the rounding
-# level (md-euler-three keeps its digest at 12 significant digits).
+# level (md-euler-three keeps its digest at 12 significant digits).  The
+# greeks-* entries were computed while greeks_mvmd repriced each bump with
+# its own price_mvmd_mc call.
 EXPECTED = {
+    "greeks-kappa-put-three": "1267eb316d6555960f17cce286df67c80cc6ad5ec63d9ffee6da87dd6351ca98",
+    "greeks-spread": "80cdefd60a3e735e6f097744a1df3456c2c37565763267bdad0d3a3e07be7205",
     "md-euler-spread": "059a6daf11e5fdbfd4ff245b6150043b1551818c6674200b42dbd3fd37ed2d0a",
     "md-euler-three": "a72537b510086451ef09b704916ec8c57dce94bb75639138f1edb5de6e1924af",
     "muvm-spread": "d3e0aeeec5a35220e5ef8bbc81a6d81d6243812d57aba417d6f2e391b537e9ae",
