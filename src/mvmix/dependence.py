@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtr, owens_t
 from scipy.stats import kendalltau, norm, qmc
 
-from .multivariate import MultiAssetModel, truncate
+from .multivariate import MultiAssetModel, truncate, tuple_laws
 from .univariate import inverse_cdf
 
 __all__ = [
@@ -343,15 +343,12 @@ def copula_value(model: MultiAssetModel, t: float, u, kappa: float = 0.0) -> flo
         return 1.0
     logx = np.log([inverse_cdf(asset, t, ui) if ui < 1.0 else np.inf for asset, ui in zip(model.assets, u)])
     tuples = truncate(model, kappa)
-    z, corrs = [], []
-    for tp, _ in tuples:
-        xi = tp.integrated_covariance(t)
-        sd = np.sqrt(np.diag(xi))
-        z.append((logx - tp.log_means(t)) / sd)
-        corrs.append(xi / np.outer(sd, sd))
-    z = np.array(z)
+    means, xi = tuple_laws(model, tuples.index_array, t)
+    sd = np.sqrt(np.diagonal(xi, axis1=1, axis2=2))
+    z = (logx - means) / sd
+    corrs = xi / (sd[:, :, None] * sd[:, None, :])
     if model.n == 2:
-        values = bivariate_normal_cdf(z[:, 0], z[:, 1], [c[0, 1] for c in corrs])
+        values = bivariate_normal_cdf(z[:, 0], z[:, 1], corrs[:, 0, 1])
     else:
         values = [multivariate_normal_cdf(zk, c) for zk, c in zip(z, corrs)]
     value = tuples.weight_array @ np.asarray(values)

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import pricing
-from .multivariate import MultiAssetModel, TupleSet, psd_factor, truncate
+from .multivariate import MultiAssetModel, TupleSet, _tuple_factors, truncate, tuple_laws
 from .pricing import PriceEstimate
 from .rng import path_blocks, run_blocks, substream
 from .univariate import _log_euler, _nu2_schedule
@@ -100,16 +100,16 @@ def simulate_scmd(
 
 
 def _terminal_sample(
-    tuple_set: TupleSet, pick, maturity: float, paths: int, seed: int, workers: int | None
+    model: MultiAssetModel, tuple_set: TupleSet, pick, maturity: float, paths: int, seed: int, workers: int | None
 ) -> np.ndarray:
-    """Single-step terminal draw: pick a tuple per path, then its lognormal.
+    """Single-step terminal draw: pick a tuple of `model` per path, then its lognormal.
 
     `pick(gen, m)` draws the block's selection uniforms and returns m indices
     into `tuple_set`; the normal draws come after it on the same substream.
     """
-    means = [tp.log_means(maturity) for tp, _ in tuple_set]
-    factors = [psd_factor(tp.integrated_covariance(maturity)).T for tp, _ in tuple_set]
-    out = np.empty((paths, len(means[0])))
+    means, xi = tuple_laws(model, tuple_set.index_array, maturity)
+    times_factor = _tuple_factors(xi)
+    out = np.empty((paths, model.n))
 
     def run_block(b: int, start: int, stop: int) -> None:
         gen = substream(seed, b)
@@ -118,7 +118,7 @@ def _terminal_sample(
         block = out[start:stop]
         for k in np.flatnonzero(np.bincount(sel, minlength=len(tuple_set))):
             rows = sel == k
-            block[rows] = np.exp(means[k] + z[rows] @ factors[k])
+            block[rows] = np.exp(means[k] + times_factor(z[rows], k))
 
     run_blocks(run_block, path_blocks(paths), workers)
     return out
@@ -144,7 +144,7 @@ def sample_mvmd_terminal(
     def pick(gen: np.random.Generator, m: int) -> np.ndarray:
         return np.searchsorted(cum, gen.random(m), side="right")
 
-    sample = _terminal_sample(tuple_set, pick, maturity, paths, seed, workers)
+    sample = _terminal_sample(model, tuple_set, pick, maturity, paths, seed, workers)
     return TerminalSample(sample, "mvmd-terminal", seed)
 
 
@@ -176,7 +176,7 @@ def sample_muvm_terminal(
         picks = [np.searchsorted(c, u[:, i], side="right") for i, c in enumerate(cums)]
         return np.column_stack(picks) @ radix
 
-    sample = _terminal_sample(truncate(model, 0.0), pick, maturity, paths, seed, workers)
+    sample = _terminal_sample(model, truncate(model, 0.0), pick, maturity, paths, seed, workers)
     return TerminalSample(sample, "muvm-terminal", seed)
 
 

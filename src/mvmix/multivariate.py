@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator
 
 import numpy as np
@@ -28,6 +28,7 @@ __all__ = [
     "ComponentTuple",
     "TupleSet",
     "SingularCovarianceError",
+    "tuple_laws",
     "integrated_covariance",
     "component_mvln_pdf",
     "mixture_pdf",
@@ -177,8 +178,7 @@ class ComponentTuple:
     """One multivariate mixture component: indices (k_1, ..., k_n).
 
     Its law at t is jointly lognormal with log-means `log_means(t)` and log
-    covariance `integrated_covariance(t)`; pricers, densities and the copula
-    all read the law from these two methods.
+    covariance `integrated_covariance(t)`, the one-row case of `tuple_laws`.
     """
 
     model: MultiAssetModel
@@ -210,9 +210,7 @@ class ComponentTuple:
 
     def log_means(self, t: float) -> np.ndarray:
         """Log-space means: ln x_i(0) + mu_i t - Xi_ii(t) / 2."""
-        model = self.model
-        v2 = np.array([v.integral_sq(t) for v in self.vols()])
-        return np.log(model.spots) + model.drifts * t - 0.5 * v2
+        return tuple_laws(self.model, [self.indices], t)[0][0]
 
     def instantaneous_covariance(self, t: float) -> np.ndarray:
         """V(t) = [sigma_i(t) rho_ij sigma_j(t)] for this tuple's vols."""
@@ -220,21 +218,65 @@ class ComponentTuple:
         return np.outer(s, s) * self.model.corr.values
 
 
-def integrated_covariance(model: MultiAssetModel, indices, t: float) -> np.ndarray:
-    """Xi_ij(t) = rho_ij * integral of sigma_i^{k_i}(s) sigma_j^{k_j}(s) ds.
+def tuple_laws(model: MultiAssetModel, indices, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal laws at t of K component tuples, one per row of the (K, n) `indices`.
 
-    Exact for the piecewise-constant curves; symmetric with the integrated
-    variances on the diagonal.
+    Returns the (K, n) log-means ln x_i(0) + mu_i t - Xi_ii(t) / 2 and the
+    (K, n, n) integrated covariances Xi_ij(t) = rho_ij * integral of
+    sigma_i^{k_i}(s) sigma_j^{k_j}(s) ds, exact for the piecewise-constant
+    curves and symmetric with the integrated variances on the diagonal.
+    Each integral is evaluated once per pair of (asset, component) the rows
+    use and gathered into every row that holds the pair.
     """
     if not t > 0:
         raise ValueError("need t > 0")
-    vols = [a.components[k].vol for a, k in zip(model.assets, indices)]
-    n = model.n
-    xi = np.empty((n, n))
+    n, counts = model.n, np.array(model.component_counts())
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 2 or idx.shape[1] != n:
+        raise ValueError("one component index per asset required")
+    bad = (idx < 0) | (idx >= counts)
+    if bad.any():
+        raise ValueError(f"component index {idx[bad][0]} out of range")
+    vols = [[c.vol for c in a.components] for a in model.assets]
+    used = [np.unique(idx[:, i]).tolist() for i in range(n)]
+    table = np.zeros((n, n, counts.max(), counts.max()))  # [i, j, a, b]: sigma_i^a with sigma_j^b
     for i in range(n):
         for j in range(i, n):
-            xi[i, j] = xi[j, i] = model.corr[i, j] * vols[i].integral_with(vols[j], t)
-    return xi
+            for a in used[i]:
+                for b in used[j]:
+                    table[i, j, a, b] = table[j, i, b, a] = vols[i][a].integral_with(vols[j][b], t)
+    assets = np.arange(n)
+    xi = model.corr.values * table[assets[:, None], assets, idx[:, :, None], idx[:, None, :]]
+    v2 = table[assets, assets, idx, idx]
+    return np.log(model.spots) + model.drifts * t - 0.5 * v2, xi
+
+
+def integrated_covariance(model: MultiAssetModel, indices, t: float) -> np.ndarray:
+    """Xi(t) of one component tuple: the one-row case of `tuple_laws`."""
+    return tuple_laws(model, [indices], t)[1][0]
+
+
+def _tuple_factors(xi: np.ndarray):
+    """times(z, k) = z @ F_k for a (K, n, n) covariance stack, with F_k.T @ F_k = xi[k].
+
+    One batched Cholesky factors a positive-definite stack; otherwise every
+    tuple gets `psd_factor`, whose eigen fallback takes the rank-deficient
+    (perfectly correlated) ones.  Each F_k is held C-contiguous, which
+    numpy's matmul reads about three times faster than the transposed view
+    of the lower factor.  A single row goes through a matrix-vector product
+    whose summation order follows the factor's layout, so it takes the
+    transposed view of the factor exactly as `psd_factor` laid it out.
+    """
+    try:
+        lower = np.linalg.cholesky(xi)
+    except np.linalg.LinAlgError:
+        lower = [psd_factor(x) for x in xi]
+    right = np.ascontiguousarray(np.swapaxes(lower, 1, 2))
+
+    def times(z: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(z, right[k] if len(z) > 1 else lower[k].T, out=out)
+
+    return times
 
 
 def _chol_or_singular(xi: np.ndarray, indices, t: float):
@@ -256,25 +298,27 @@ def component_mvln_logpdf(model: MultiAssetModel, indices, t: float, x) -> np.nd
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    pts = x[None, :] if single else x
+    out = _tuple_logpdfs(model, [indices], t, x[None, :] if single else x)[0]
+    return float(out[0]) if single else out
+
+
+def _tuple_logpdfs(model: MultiAssetModel, indices, t: float, pts: np.ndarray) -> list[np.ndarray]:
+    """Log densities of the tuples in the rows of `indices` at (m, n) points, one array per tuple."""
     if pts.shape[1] != model.n:
         raise ValueError("price vector dimension must match the model")
     if np.any(pts <= 0):
         raise ValueError("prices must be positive")
-    tup = model.tuple_at(indices)
-    c, low = _chol_or_singular(tup.integrated_covariance(t), tup.indices, t)
-    logdet = 2.0 * np.sum(np.log(np.diag(c)))
+    means, xi = tuple_laws(model, indices, t)
     logx = np.log(pts)
-    centered = logx - tup.log_means(t)[None, :]
-    sol = cho_solve((c, low), centered.T)
-    quad = np.sum(centered.T * sol, axis=0)
-    out = (
-        -0.5 * quad
-        - 0.5 * logdet
-        - 0.5 * model.n * np.log(2.0 * np.pi)
-        - np.sum(logx, axis=1)
-    )
-    return float(out[0]) if single else out
+    out = []
+    for row, mean, cov in zip(indices, means, xi):
+        c, low = _chol_or_singular(cov, [int(k) for k in row], t)
+        logdet = 2.0 * np.sum(np.log(np.diag(c)))
+        centered = logx - mean[None, :]
+        sol = cho_solve((c, low), centered.T)
+        quad = np.sum(centered.T * sol, axis=0)
+        out.append(-0.5 * quad - 0.5 * logdet - 0.5 * model.n * np.log(2.0 * np.pi) - np.sum(logx, axis=1))
+    return out
 
 
 def component_mvln_pdf(model: MultiAssetModel, indices, t: float, x) -> np.ndarray | float:
@@ -299,6 +343,11 @@ class TupleSet:
     def weight_array(self) -> np.ndarray:
         return np.array(self.weights)
 
+    @property
+    def index_array(self) -> np.ndarray:
+        """(K, n) component indices of the kept tuples, the rows `tuple_laws` takes."""
+        return np.array([tp.indices for tp in self.tuples])
+
 
 def truncate(model: MultiAssetModel, kappa: float = 0.0) -> TupleSet:
     """Keep tuples with product weight > kappa and renormalize to sum 1.
@@ -308,31 +357,29 @@ def truncate(model: MultiAssetModel, kappa: float = 0.0) -> TupleSet:
     kappa = float(kappa)
     if kappa < 0:
         raise ValueError("cutoff must be nonnegative")
-    if kappa == 0.0:
-        tuples = tuple(model.tuples())
-        weights = tuple(tp.weight for tp in tuples)
-        return TupleSet(tuples, weights)
     # The heaviest tuple's weight bounds every tuple's (same product, monotone
-    # rounding), so a cutoff at or above it is refused before enumerating.
+    # rounding), so a cutoff at or above it is refused before any tuple or
+    # weight table is built.
     heaviest = float(np.prod([max(c.weight for c in a.components) for a in model.assets]))
-    kept = [tp for tp in model.tuples() if tp.weight > kappa] if heaviest > kappa else []
-    if not kept:
+    if kappa > 0.0 and not heaviest > kappa:
         raise ValueError(f"cutoff {kappa} removed all components")
-    raw = np.array([tp.weight for tp in kept])
-    weights = raw / raw.sum()
-    return TupleSet(tuple(kept), tuple(weights))
+    # Every tuple's weight, in itertools.product order: one running product
+    # over the assets, left to right like ComponentTuple.weight, so equal to it.
+    raw = reduce(np.multiply.outer, [a.weights for a in model.assets]).ravel()
+    if kappa == 0.0:
+        return TupleSet(tuple(model.tuples()), tuple(raw.tolist()))
+    keep = raw > kappa
+    kept = raw[keep]
+    return TupleSet(tuple(itertools.compress(model.tuples(), keep)), tuple(kept / kept.sum()))
 
 
 def _tuple_logweights(
     model: MultiAssetModel, tuple_set: TupleSet, t: float, x: np.ndarray
 ) -> np.ndarray:
     """log(weight * density) per kept tuple at points x, shape (K, m)."""
-    rows = []
+    logpdfs = _tuple_logpdfs(model, tuple_set.index_array, t, x)
     with np.errstate(divide="ignore"):  # zero weights belong at -inf
-        for tp, w in tuple_set:
-            logpdf = component_mvln_logpdf(model, tp.indices, t, x)
-            rows.append(np.log(w) + np.atleast_1d(logpdf))
-    return np.vstack(rows)
+        return np.vstack([np.log(w) + logpdf for w, logpdf in zip(tuple_set.weights, logpdfs)])
 
 
 def mixture_pdf(model: MultiAssetModel, t: float, x, kappa: float = 0.0) -> np.ndarray | float:
@@ -410,9 +457,10 @@ def marginal_moment(model: MultiAssetModel, i: int, t: float, order: int = 1) ->
 
     Marginal consistency makes this equal the univariate mixture moment.
     """
+    tuple_set = truncate(model, 0.0)
+    means = tuple_laws(model, tuple_set.index_array, t)[0]
     total = 0.0
-    for tp in model.tuples():
-        m = tp.log_means(t)[i]
+    for (tp, w), m in zip(tuple_set, means[:, i]):
         v2 = tp.vols()[i].integral_sq(t)
-        total += tp.weight * np.exp(order * m + 0.5 * order**2 * v2)
+        total += w * np.exp(order * m + 0.5 * order**2 * v2)
     return float(total)

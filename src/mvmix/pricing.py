@@ -10,17 +10,23 @@ draw of the terminal law, with no time discretization.
 A tuple's terminal law does not depend on the strike, and a spot bump moves
 only its log-means, so one kernel prices several strikes and spot bumps off
 the same draws: an experiment's strikes share one pass, and the bumped
-models of the Greeks are priced in one pass.
+models of the Greeks are priced in one pass.  The kernel reads every tuple's
+law from one `tuple_laws` call.  Its time goes to memory traffic, not to the
+per-tuple Python loop: per tuple and path block it streams the block through
+one matmul, one mean add, one `exp` and one basket product, so it holds each
+factor C-contiguous and adds the log-means along rows of r * n values rather
+than n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
 
-from .multivariate import MultiAssetModel, TupleSet, psd_factor, truncate
+from .multivariate import MultiAssetModel, TupleSet, _tuple_factors, truncate, tuple_laws
 from .rng import path_blocks, run_blocks, substream
 
 __all__ = [
@@ -178,6 +184,24 @@ def _lognormal_option(log_mean: float, log_sd: float, strike: float, rate: float
     return float(omega * disc * (mean * ndtr(omega * d1) - strike * ndtr(omega * d2)))
 
 
+def _geometric_mixture(means, xi: np.ndarray, weights: np.ndarray, spec: BasketSpec) -> np.ndarray:
+    """Closed-form geometric-basket mixture price of each model's (K, n) log-means.
+
+    The weighted geometric average of a tuple's jointly lognormal prices is
+    lognormal, and its log-variance depends only on the tuple's covariance
+    `xi[k]`, so models that differ only in spots share it.  Each model's
+    price is the `weights` combination of its tuple prices.
+    """
+    w = np.asarray(spec.weights)
+    p = 1.0 / w.sum()
+    log_sds = [np.sqrt(max(float(p**2 * (w @ x @ w)), 0.0)) for x in xi]
+
+    def option(log_means: np.ndarray, log_sd: float) -> float:
+        return _lognormal_option(float(p * (w @ log_means)), log_sd, spec.strike, spec.rate, spec.maturity, spec.omega)
+
+    return np.array([float(weights @ np.array([option(m, sd) for m, sd in zip(rows, log_sds)])) for rows in means])
+
+
 def geometric_tuple_price(model: MultiAssetModel, indices, spec: BasketSpec) -> float:
     """Exact European price on the weighted geometric average for one tuple.
 
@@ -187,12 +211,8 @@ def geometric_tuple_price(model: MultiAssetModel, indices, spec: BasketSpec) -> 
     """
     if spec.kind != "geometric":
         raise ValueError("spec must be geometric")
-    w = np.asarray(spec.weights)
-    p = 1.0 / w.sum()
-    tp = model.tuple_at(indices)
-    log_mean = float(p * (w @ tp.log_means(spec.maturity)))
-    log_sd = np.sqrt(max(float(p**2 * (w @ tp.integrated_covariance(spec.maturity) @ w)), 0.0))
-    return _lognormal_option(log_mean, log_sd, spec.strike, spec.rate, spec.maturity, spec.omega)
+    means, xi = tuple_laws(model, [indices], spec.maturity)
+    return float(_geometric_mixture([means], xi, np.ones(1), spec)[0])
 
 
 def price_geometric_mvmd(
@@ -200,8 +220,11 @@ def price_geometric_mvmd(
 ) -> PriceEstimate:
     """Exact mixture price of the geometric-average option (zero error bar)."""
     tuple_set = truncate(model, kappa)
-    prices = np.array([geometric_tuple_price(model, tp.indices, spec) for tp, _ in tuple_set])
-    return PriceEstimate(float(tuple_set.weight_array @ prices), 0.0, 0, "geometric-closed-form")
+    if spec.kind != "geometric":
+        raise ValueError("spec must be geometric")
+    means, xi = tuple_laws(model, tuple_set.index_array, spec.maturity)
+    price = _geometric_mixture([means], xi, tuple_set.weight_array, spec)[0]
+    return PriceEstimate(float(price), 0.0, 0, "geometric-closed-form")
 
 
 def _tuple_mc_prices(
@@ -227,23 +250,30 @@ def _tuple_mc_prices(
     """
     spec = specs[0]
     n, t = models[0].n, spec.maturity
-    means = [[tp.log_means(t) for tp, _ in tuple_set]]
-    means += [[model.tuple_at(tp.indices).log_means(t) for tp, _ in tuple_set] for model in models[1:]]
-    factors = [psd_factor(tp.integrated_covariance(t)).T for tp, _ in tuple_set]
+    indices = tuple_set.index_array
+    means, xi = tuple_laws(models[0], indices, t)
+    means = np.stack([means, *(tuple_laws(model, indices, t)[0] for model in models[1:])])
+    times_factor = _tuple_factors(xi)
     w = tuple_set.weight_array
     nblocks = len(path_blocks(paths))
     sums = np.zeros((len(models), len(specs), nblocks, len(tuple_set)))
     comb_sq = np.zeros((len(models), len(specs), nblocks))
 
     def run_block(b: int, start: int, stop: int) -> None:
-        z = substream(seed, b).standard_normal((stop - start, n))
+        m = stop - start
+        z = substream(seed, b).standard_normal((m, n))
         zf = np.empty_like(z)  # per-block buffers: fresh (m, n) temporaries cost more than the arithmetic
         prices = np.empty_like(z)
-        combined = np.zeros((len(models), len(specs), stop - start))
+        # The log-means are added over (m / r, r * n) rows against r-fold tiles:
+        # broadcasting along rows of length n would keep numpy's inner loop n long.
+        r = math.gcd(m, 64)
+        tiled = np.tile(means, r)
+        zf_rows, price_rows = zf.reshape(m // r, r * n), prices.reshape(m // r, r * n)
+        combined = np.zeros((len(models), len(specs), m))
         for k in range(len(tuple_set)):
-            np.matmul(z, factors[k], out=zf)
-            for i, model_means in enumerate(means):
-                np.exp(np.add(model_means[k], zf, out=prices), out=prices)
+            times_factor(z, k, out=zf)
+            for i in range(len(models)):
+                np.exp(np.add(tiled[i, k], zf_rows, out=price_rows), out=price_rows)
                 level = spec.basket_value(prices)
                 for j, s in enumerate(specs):
                     pay = np.maximum(s.omega * (level - s.strike), 0.0)
@@ -355,10 +385,13 @@ def greeks_mvmd(
         for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))
     ]
     models = (model, *(_bumped_model(model, shift) for shift in shifts))
+    tuple_set = truncate(model, kappa)
     if spec.kind == "geometric":
-        values = np.array([price_geometric_mvmd(m, spec, kappa).price for m in models])
+        indices, t = tuple_set.index_array, spec.maturity
+        xi = tuple_laws(model, indices, t)[1]
+        values = _geometric_mixture([tuple_laws(m, indices, t)[0] for m in models], xi, tuple_set.weight_array, spec)
     else:
-        values = _tuple_mc_prices(models, truncate(model, kappa), (spec,), paths, seed, workers)[0][:, 0]
+        values = _tuple_mc_prices(models, tuple_set, (spec,), paths, seed, workers)[0][:, 0]
     base, up, down = values[0], values[1 : 2 * n + 1 : 2], values[2 : 2 * n + 1 : 2]
     cross = iter(values[2 * n + 1 :].reshape(-1, 4))
     delta = (up - down) / (2.0 * bumps)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from mvmix import (
     CorrelationMatrix,
     MultiAssetModel,
     SingularCovarianceError,
+    VolCurve,
     component_pdf,
     component_mvln_pdf,
     density_count,
@@ -20,7 +22,7 @@ from mvmix import (
     volume_estimate,
 )
 from mvmix import analytic_moment
-from mvmix.multivariate import marginal_moment, mixture_pdf
+from mvmix.multivariate import _tuple_factors, marginal_moment, mixture_pdf, psd_factor, tuple_laws
 from mvmix.univariate import mixture_pdf as mixture_pdf_1d
 
 from conftest import make_model
@@ -54,6 +56,97 @@ def test_integrated_covariance_off_diagonal(vanilla_model):
     assert xi[0, 1] == pytest.approx(0.6 * 0.3 * 0.25, abs=1e-15)
     assert xi[0, 1] == xi[1, 0]
     assert np.allclose(np.diag(xi), [0.09, 0.0625], atol=1e-15)
+
+
+def _laws_by_loop(model, indices, t):
+    """Each tuple's law written out one integral at a time: log S0 + mu t - int sigma^2 / 2, rho_ij int sigma_i sigma_j."""
+    means, covs = [], []
+    for row in indices:
+        vols = [a.components[k].vol for a, k in zip(model.assets, row)]
+        means.append([np.log(a.spot) + a.drift * t - 0.5 * v.integral_sq(t) for a, v in zip(model.assets, vols)])
+        covs.append([[model.corr[i, j] * vi.integral_with(vj, t) for vj, j in zip(vols, range(model.n))] for i, vi in enumerate(vols)])
+    return np.array(means), np.array(covs)
+
+
+def _law_models():
+    piecewise = VolCurve((0.0, 0.25, 0.5), (0.2, 0.4, 0.3))
+    gen = np.random.default_rng(3)
+    wide_vols = [tuple(gen.uniform(0.1, 0.5, size=3)) for _ in range(6)]
+    return {
+        "n1": make_model((1.2,), (0.03,), ((0.6, 0.4),), ((piecewise, 0.25),), 0.0),
+        "n2-piecewise": make_model(
+            (0.7, 1.7), (0.05, 0.02), ((0.6, 0.4), (0.7, 0.3)), ((piecewise, 0.1), (0.4, VolCurve((0.0, 0.6), (0.5, 0.2)))), -0.6
+        ),
+        "n3-zero-weight": make_model(
+            (1.0, 0.9, 1.1),
+            (0.05, 0.03, 0.04),
+            ((0.6, 0.4), (0.5, 0.5, 0.0), (0.7, 0.3)),
+            ((0.3, 0.2), (VolCurve((0.0, 0.5), (0.2, 0.35)), 0.25, 0.4), (0.15, 0.3)),
+            0.4,
+        ),
+        "n6": make_model((1.0,) * 6, (0.05,) * 6, ((0.5, 0.3, 0.2),) * 6, wide_vols, 0.35),
+        "n3-rho1": make_model((1.0, 0.8, 1.2), (0.05,) * 3, ((0.6, 0.4),) * 3, ((0.25, piecewise),) * 3, 1.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_law_models()))
+def test_tuple_laws_equal_the_per_integral_loop(name):
+    model = _law_models()[name]
+    for t in (0.3, 1.0):
+        indices = [tp.indices for tp in model.tuples()]
+        means, xi = tuple_laws(model, indices, t)
+        loop_means, loop_xi = _laws_by_loop(model, indices, t)
+        assert np.array_equal(means, loop_means) and np.array_equal(xi, loop_xi)
+        for k, row in enumerate(indices):  # the one-row calls read the same source
+            assert np.array_equal(model.tuple_at(row).log_means(t), means[k])
+            assert np.array_equal(integrated_covariance(model, row, t), xi[k])
+        sub = indices[::-2]  # any subset, in any order
+        assert np.array_equal(tuple_laws(model, sub, t)[1], loop_xi[::-2])
+
+
+def test_tuple_laws_reject_bad_indices_and_times(vanilla_model):
+    with pytest.raises(ValueError, match="out of range"):
+        tuple_laws(vanilla_model, [(0, 2)], 1.0)
+    with pytest.raises(ValueError, match="out of range"):
+        tuple_laws(vanilla_model, [(-1, 0)], 1.0)
+    with pytest.raises(ValueError, match="one component index per asset"):
+        tuple_laws(vanilla_model, [(0, 0, 0)], 1.0)
+    with pytest.raises(ValueError, match="t > 0"):
+        tuple_laws(vanilla_model, [(0, 0)], 0.0)
+
+
+@pytest.mark.parametrize("name", ["n3-zero-weight", "n6", "n3-rho1"])
+def test_tuple_factors_reproduce_psd_factor_products(name):
+    """z @ F_k equals z @ psd_factor(xi[k]).T for every row count, including the single-row product."""
+    model = _law_models()[name]
+    xi = tuple_laws(model, [tp.indices for tp in model.tuples()], 1.0)[1]
+    if name == "n3-rho1":  # equal vols at rho = 1 leave a zero pivot: the batched Cholesky refuses the stack
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(xi)
+    times = _tuple_factors(xi)
+    gen = np.random.default_rng(5)
+    for m in (1, 2, 7, 3616):
+        z = gen.standard_normal((m, model.n))
+        for k in range(len(xi)):
+            assert np.array_equal(times(z, k), z @ psd_factor(xi[k]).T)
+
+
+def test_truncate_weights_are_the_product_weights_in_product_order():
+    gen = np.random.default_rng(8)
+    for n in range(1, 11):
+        counts = gen.integers(1, 4, size=n)
+        weights = [gen.dirichlet(np.ones(c)) for c in counts]
+        weights = [w / w.sum() for w in weights]
+        model = make_model((1.0,) * n, (0.0,) * n, weights, [(0.2,) * c for c in counts], 0.2)
+        expect = [np.prod([w[k] for w, k in zip(weights, row)]) for row in itertools.product(*map(range, counts))]
+        full = truncate(model, 0.0)
+        assert full.weights == tuple(expect)
+        assert [tp.indices for tp in full.tuples] == list(itertools.product(*map(range, counts)))
+        kappa = float(np.median(expect))
+        cut = truncate(model, kappa)
+        kept = np.array([w for w in expect if w > kappa])
+        assert cut.weights == tuple(kept / kept.sum())
+        assert [tp.indices for tp in cut.tuples] == [tp.indices for tp in full.tuples if tp.weight > kappa]
 
 
 def test_perfect_correlation_is_flagged_singular():

@@ -22,13 +22,25 @@ from mvmix import (
     simulate_md_euler,
     simulate_scmd,
 )
-from mvmix.benchmarks import benchmark_model, benchmark_spec
+from mvmix.benchmarks import RATE, benchmark_model, benchmark_spec
 from mvmix.pricing import component_arithmetic_price, greeks_mvmd, price_mvmd_mc
 
 from conftest import make_model
 
 PATHS = 20_000  # two path blocks, the second one partial
 STEPS = 30
+WIDE_KAPPA = 1e-3  # keeps 314 of the 729 tuples of the n=6 wide basket
+
+
+def _wide_model(n: int = 6, seed: int = 3):
+    """The benchmark's wide basket: weights (0.5, 0.3, 0.2) per asset, vols and equicorrelation drawn from seed."""
+    gen = np.random.default_rng(seed)
+    vols = [tuple(gen.uniform(0.1, 0.5, size=3)) for _ in range(n)]
+    return make_model((1.0,) * n, (RATE,) * n, ((0.5, 0.3, 0.2),) * n, vols, float(gen.uniform(0.1, 0.6)))
+
+
+def _wide_spec(kind: str, n: int = 6) -> BasketSpec:
+    return BasketSpec((1.0 / n,) * n, kind, 1.0, 1.0, rate=RATE)
 
 
 def _models():
@@ -67,6 +79,14 @@ def _samplers():
         out[f"price-component-{name}"] = lambda m=model, s=spec, k=indices: _estimate(
             component_arithmetic_price(m, k, s, paths=PATHS, seed=17)
         )
+    wide = _wide_model()
+    out["mvmd-wide"] = lambda: sample_mvmd_terminal(wide, 1.0, PATHS, 20, kappa=WIDE_KAPPA).values
+    # 20,000 paths end in a 3,616-path block and 16,385 in a 1-path block.
+    for paths in (PATHS, 16_385):
+        for kind in ("arithmetic", "geometric"):
+            out[f"price-mvmd-wide-{kind}-{paths}"] = lambda k=kind, p=paths: _estimate(
+                price_mvmd_mc(wide, _wide_spec(k), WIDE_KAPPA, paths=p, seed=21)
+            )
     return out
 
 
@@ -78,11 +98,14 @@ def _greeks(model, spec, bump, kappa, seed) -> np.ndarray:
 def _greek_pins():
     models = _models()
     put = BasketSpec((0.5, 0.3, 0.2), "arithmetic", 1.0, 1.0, omega=-1, rate=0.05)
+    geo_put = BasketSpec((0.5, 0.3, 0.2), "geometric", 1.0, 1.0, omega=-1, rate=0.05)
     return {
         "greeks-spread": lambda: _greeks(models["spread"], SPECS["spread"][0], 0.01, 0.0, 18),
         # kappa drops the zero-weight tuples and the 0.06 ones; the bumps differ
         # per asset, so every cross-gamma term has its own denominator.
         "greeks-kappa-put-three": lambda: _greeks(models["three"], put, (0.01, 0.02, 0.015), 0.07, 19),
+        "greeks-geometric": lambda: _greeks(_wide_model(), _wide_spec("geometric"), 0.01, WIDE_KAPPA, 0),
+        "greeks-geometric-put-three": lambda: _greeks(models["three"], geo_put, (0.01, 0.02, 0.015), 0.07, 0),
     }
 
 
@@ -94,8 +117,12 @@ SAMPLERS = _samplers() | _greek_pins()
 # to the quadratic-form kernel, which changes Euler paths at the rounding
 # level (md-euler-three keeps its digest at 12 significant digits).  The
 # greeks-* entries were computed while greeks_mvmd repriced each bump with
-# its own price_mvmd_mc call.
+# its own price_mvmd_mc call; greeks-geometric* and the *-wide* entries while
+# each tuple's law came from its own ComponentTuple calls and the geometric
+# Greeks repriced every bumped model with price_geometric_mvmd.
 EXPECTED = {
+    "greeks-geometric": "19cd0bdd5bf9cdea1b2368088f6aca4f38883c4a8df2922b5e4258644fbdbd0c",
+    "greeks-geometric-put-three": "6af031777b22a5f7eded454148b494aac8ff94739d11ae71e4e1a7eebe75ebfd",
     "greeks-kappa-put-three": "1267eb316d6555960f17cce286df67c80cc6ad5ec63d9ffee6da87dd6351ca98",
     "greeks-spread": "80cdefd60a3e735e6f097744a1df3456c2c37565763267bdad0d3a3e07be7205",
     "md-euler-spread": "059a6daf11e5fdbfd4ff245b6150043b1551818c6674200b42dbd3fd37ed2d0a",
@@ -110,6 +137,11 @@ EXPECTED = {
     "mvmd-kappa-three": "7a2c7a5cef29dd1616c3765919b66ed749ed6d4ea99ae8f52639e8ea98d41a04",
     "mvmd-spread": "a8e3dcda4a0bfda17e0c9e28aa2ded4f87d38334d75702a7f34bedf61f7c29ac",
     "mvmd-three": "bdcc5a55611a4f5543815f017d09a1e85bfb3827de2ce97426594dd010f4d218",
+    "mvmd-wide": "beabaa862d281254bb61588fed890b111872f5ae6c63b662d09f60ccdd69895f",
+    "price-mvmd-wide-arithmetic-16385": "82dd0cc0477766d2e87b0821bb8c557c63141b93957e1cca3b98a1e205c12324",
+    "price-mvmd-wide-arithmetic-20000": "33108a87b02e62601eec245e7f7f3e21195772790c63e7b0d5e887e60d29688b",
+    "price-mvmd-wide-geometric-16385": "eda72f2bf39d0a2819ba38e1adf2dddfca1771a594e14493ab35f15bca85aeab",
+    "price-mvmd-wide-geometric-20000": "fdf71ad5ff67f46af58e36c8ff81550cb98361e91f5e5e2657e66e58e541826f",
     "scmd-spread": "8f35c992ee4062b28adce8b83fa486e8d26c25b6d7d37adb001145f2ef76683a",
     "scmd-three": "c31e3f3d850fa076fedd227fc1c95d610b76f21cf8fee941a1ec951237c938b9",
 }
