@@ -99,8 +99,7 @@ def main(argv=None) -> int:
         configs = _load(args)
         rows: list[dict] = []
         if args.command == "price":
-            for config in configs:
-                rows.extend(run_price(config))
+            rows = run_price(configs)
         elif args.command == "tau":
             for config in configs:
                 for row in run_tau(config):

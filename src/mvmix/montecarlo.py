@@ -13,7 +13,9 @@ Two ways to reach the maturity-T joint law:
   have the same one-time law, which the tests exercise.
 
 ``SCHEMES`` maps each scheme tag of the experiment configs to the way that
-scheme prices a basket.  All samplers consume randomness through
+scheme prices the baskets of a run: one draw per distinct draw key, which
+the experiments that share it price off (for the mixture, in one kernel
+pass).  All samplers consume randomness through
 fixed-size path blocks keyed by (seed, block), so results are
 byte-identical for any worker count.
 """
@@ -21,8 +23,8 @@ byte-identical for any worker count.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -200,34 +202,60 @@ def estimate(
     return PriceEstimate(float(disc * pay.mean()), se, m, method)
 
 
-def _sampled(draw):
-    """Route of a sampling scheme: every spec prices off one sample, drawn on first use."""
+def _memoized(key, draw, price):
+    """Route that makes one draw per distinct `key(experiment)` of a run, on first use.
 
-    def route(exp, workers):
-        sample = cache(lambda: draw(exp, workers))
-        return lambda spec: estimate(sample(), spec.payoff, spec.rate, spec.maturity)
+    `draw(exp, group, workers)` makes the draw of exp's key, `group` being
+    the run's experiments with that key; `price(drawn, spec)` prices a
+    BasketSpec of any of them off it.  A draw is dropped once its
+    experiments' strikes have all been priced, so a run holds only the
+    draws it still needs.
+    """
+
+    def route(experiments, workers):
+        drawn, uses = {}, Counter(key(e) for e in experiments for _ in e.strikes)
+
+        def price_spec(exp, spec):
+            k = key(exp)
+            if k not in drawn:
+                drawn[k] = draw(exp, [e for e in experiments if key(e) == k], workers)
+            result = price(drawn[k], spec)
+            uses[k] -= 1
+            if uses[k] <= 0:
+                del drawn[k]
+            return result
+
+        return price_spec
 
     return route
 
 
-def _shared_strikes(exp, workers):
-    """Route of the semi-analytic mixture: every strike prices off one draw, made on first use."""
-    specs = tuple(dict.fromkeys(exp.spec(strike) for strike in exp.strikes))
-    estimates = cache(
-        lambda: dict(zip(specs, pricing._mvmd_estimates(exp.model, specs, exp.kappa, exp.paths, exp.seed, workers)))
-    )
-    return lambda spec: estimates()[spec]
+def _estimate_spec(sample: TerminalSample, spec) -> PriceEstimate:
+    return estimate(sample, spec.payoff, spec.rate, spec.maturity)
 
 
-# Scheme tag -> route(experiment, workers), which returns the function that
-# prices a BasketSpec of that experiment (a config.ExperimentConfig).  The
-# mixture prices semi-analytically, per-tuple single-step Monte Carlo.
+def _mvmd_draw(exp, group, workers) -> dict:
+    """Every strike of exp and its group priced in one kernel pass on one draw."""
+    specs = tuple(dict.fromkeys(e.spec(strike) for e in (exp, *group) for strike in e.strikes))
+    return dict(zip(specs, pricing._mvmd_estimates(exp.model, specs, exp.kappa, exp.paths, exp.seed, workers)))
+
+
+# Scheme tag -> route(experiments, workers), which returns price(exp, spec)
+# for the BasketSpecs of a run's experiments (config.ExperimentConfig).  A
+# draw key holds all that the scheme's draw depends on and nothing of the
+# basket, strike, direction or rate.  The mixture prices semi-analytically.
 SCHEMES = {
-    "scmd-euler": _sampled(
-        lambda e, w: simulate_scmd(e.model, SimulationConfig(e.paths, e.steps, e.maturity, e.seed), w)
+    "scmd-euler": _memoized(
+        lambda e: (e.model, e.maturity, e.paths, e.steps, e.seed),
+        lambda e, _, w: simulate_scmd(e.model, SimulationConfig(e.paths, e.steps, e.maturity, e.seed), w),
+        _estimate_spec,
     ),
-    "mvmd-terminal": _shared_strikes,
-    "muvm-terminal": _sampled(
-        lambda e, w: sample_muvm_terminal(e.model, e.maturity, e.paths, e.seed, w)
+    "mvmd-terminal": _memoized(
+        lambda e: (e.model, e.kappa, e.paths, e.seed, e.maturity), _mvmd_draw, lambda estimates, spec: estimates[spec]
+    ),
+    "muvm-terminal": _memoized(
+        lambda e: (e.model, e.maturity, e.paths, e.seed),
+        lambda e, _, w: sample_muvm_terminal(e.model, e.maturity, e.paths, e.seed, w),
+        _estimate_spec,
     ),
 }

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .univariate import AssetMixture, local_vol
+from .univariate import AssetMixture, _local_vols
 from .volcurve import VolCurve
 
 __all__ = [
@@ -228,6 +228,18 @@ def tuple_laws(model: MultiAssetModel, indices, t: float) -> tuple[np.ndarray, n
     Each integral is evaluated once per pair of (asset, component) the rows
     use and gathered into every row that holds the pair.
     """
+    means, xi = _shared_laws((model,), indices, t)
+    return means[0], xi
+
+
+def _shared_laws(models, indices, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """`tuple_laws` of models that differ from models[0] only in spots and drifts.
+
+    The integrals come from models[0], once; each model's (K, n) log-means
+    are formed from the same integrated variances, so the result is the
+    (M, K, n) log-means and the one (K, n, n) covariance stack they share.
+    """
+    model = models[0]
     if not t > 0:
         raise ValueError("need t > 0")
     n, counts = model.n, np.array(model.component_counts())
@@ -248,7 +260,7 @@ def tuple_laws(model: MultiAssetModel, indices, t: float) -> tuple[np.ndarray, n
     assets = np.arange(n)
     xi = model.corr.values * table[assets[:, None], assets, idx[:, :, None], idx[:, None, :]]
     v2 = table[assets, assets, idx, idx]
-    return np.log(model.spots) + model.drifts * t - 0.5 * v2, xi
+    return np.stack([np.log(m.spots) + m.drifts * t - 0.5 * v2 for m in models]), xi
 
 
 def integrated_covariance(model: MultiAssetModel, indices, t: float) -> np.ndarray:
@@ -425,7 +437,7 @@ def scmd_covariance(model: MultiAssetModel, t: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != model.n:
         raise ValueError("x must be a single price vector")
-    nus = np.array([local_vol(a, t, xi) for a, xi in zip(model.assets, x)])
+    nus = _local_vols(model.assets, t, x[:, None])[:, 0]
     return np.outer(nus, nus) * model.corr.values
 
 

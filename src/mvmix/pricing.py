@@ -7,15 +7,18 @@ maturity, so tuple prices come either in closed form (Black-Scholes,
 exchange option, any geometric average) or from a single-step Monte Carlo
 draw of the terminal law, with no time discretization.
 
-A tuple's terminal law does not depend on the strike, and a spot bump moves
-only its log-means, so one kernel prices several strikes and spot bumps off
-the same draws: an experiment's strikes share one pass, and the bumped
-models of the Greeks are priced in one pass.  The kernel reads every tuple's
-law from one `tuple_laws` call.  Its time goes to memory traffic, not to the
-per-tuple Python loop: per tuple and path block it streams the block through
-one matmul, one mean add, one `exp` and one basket product, so it holds each
-factor C-contiguous and adds the log-means along rows of r * n values rather
-than n.
+A tuple's terminal law does not depend on the basket, the strike, the
+direction or the rate, and a spot bump moves only its log-means, so one
+kernel prices many specs and spot bumps off the same draws: the experiments
+of a run that share a draw key (model, kappa, paths, seed, maturity; see
+`montecarlo.SCHEMES`) are priced in one pass, with one basket level per
+distinct basket, and so are the bumped models of the Greeks.  The kernel
+reads every tuple's law from one `tuple_laws` call, and bumped models take
+their log-means from its integrated variances.  Its time goes to memory
+traffic, not to the per-tuple Python loop: per tuple and path block it
+streams the block through one matmul, one mean add, one `exp` and one basket
+product, so it holds each factor C-contiguous and adds the log-means along
+rows of r * n values rather than n.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .multivariate import MultiAssetModel, TupleSet, _tuple_factors, truncate, tuple_laws
+from .multivariate import MultiAssetModel, TupleSet, _shared_laws, _tuple_factors, truncate, tuple_laws
 from .rng import path_blocks, run_blocks, substream
 
 __all__ = [
@@ -240,20 +243,23 @@ def _tuple_mc_prices(
     The models differ only in their spots: the kept tuples of `tuple_set`
     belong to models[0] and supply the factorizations of the integrated
     covariance at maturity, and each model supplies its own log-means.  The
-    specs differ only in strike and direction.  Per path block, one standard
+    specs share a maturity and may differ in everything else: basket kind
+    and weights, strike, direction and rate.  Per path block, one standard
     normal draw feeds every tuple, one ``z @ factor`` per tuple feeds every
-    model, and one basket value per model feeds every spec, so tuples, spot
-    bumps and strikes all share common random numbers.  Returns the
-    (models, specs) arrays of weight-combined prices and of their standard
-    errors; the error is that of the per-path weighted payoff, which is the
-    honest error bar of the convex combination under shared draws.
+    model, and one basket level per model and distinct (kind, weights)
+    feeds every spec on that basket, so tuples, spot bumps, baskets and
+    strikes all share common random numbers; each spec is discounted at its
+    own rate.  Returns the (models, specs) arrays of weight-combined prices
+    and of their standard errors; the error is that of the per-path
+    weighted payoff, which is the honest error bar of the convex
+    combination under shared draws.
     """
-    spec = specs[0]
-    n, t = models[0].n, spec.maturity
-    indices = tuple_set.index_array
-    means, xi = tuple_laws(models[0], indices, t)
-    means = np.stack([means, *(tuple_laws(model, indices, t)[0] for model in models[1:])])
+    n, t = models[0].n, specs[0].maturity
+    if any(s.maturity != t for s in specs):
+        raise ValueError("specs priced on one draw must share a maturity")
+    means, xi = _shared_laws(models, tuple_set.index_array, t)
     times_factor = _tuple_factors(xi)
+    baskets = {(s.kind, s.weights): s for s in specs}  # a basket's level depends only on these
     w = tuple_set.weight_array
     nblocks = len(path_blocks(paths))
     sums = np.zeros((len(models), len(specs), nblocks, len(tuple_set)))
@@ -274,18 +280,18 @@ def _tuple_mc_prices(
             times_factor(z, k, out=zf)
             for i in range(len(models)):
                 np.exp(np.add(tiled[i, k], zf_rows, out=price_rows), out=price_rows)
-                level = spec.basket_value(prices)
+                levels = {key: s.basket_value(prices) for key, s in baskets.items()}
                 for j, s in enumerate(specs):
-                    pay = np.maximum(s.omega * (level - s.strike), 0.0)
+                    pay = np.maximum(s.omega * (levels[s.kind, s.weights] - s.strike), 0.0)
                     sums[i, j, b, k] = pay.sum()
                     combined[i, j] += w[k] * pay
         for i, j in np.ndindex(comb_sq.shape[:2]):
             comb_sq[i, j, b] = (combined[i, j] ** 2).sum()
 
     run_blocks(run_block, path_blocks(paths), workers)
-    disc = np.exp(-spec.rate * spec.maturity)
     price, se = np.empty(comb_sq.shape[:2]), np.zeros(comb_sq.shape[:2])
     for i, j in np.ndindex(price.shape):
+        disc = np.exp(-specs[j].rate * t)
         mean = sums[i, j].sum(axis=0) / paths
         price[i, j] = w @ (disc * mean)
         if paths > 1:
@@ -387,9 +393,8 @@ def greeks_mvmd(
     models = (model, *(_bumped_model(model, shift) for shift in shifts))
     tuple_set = truncate(model, kappa)
     if spec.kind == "geometric":
-        indices, t = tuple_set.index_array, spec.maturity
-        xi = tuple_laws(model, indices, t)[1]
-        values = _geometric_mixture([tuple_laws(m, indices, t)[0] for m in models], xi, tuple_set.weight_array, spec)
+        means, xi = _shared_laws(models, tuple_set.index_array, spec.maturity)
+        values = _geometric_mixture(means, xi, tuple_set.weight_array, spec)
     else:
         values = _tuple_mc_prices(models, tuple_set, (spec,), paths, seed, workers)[0][:, 0]
     base, up, down = values[0], values[1 : 2 * n + 1 : 2], values[2 : 2 * n + 1 : 2]

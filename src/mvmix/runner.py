@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import time
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -35,33 +37,42 @@ TABLE_COLUMNS = (
 )
 
 
-def run_price(config: ExperimentConfig, workers: int | None = None) -> list[dict]:
-    """Price every (strike, scheme) pair of one experiment.
+def run_price(experiments: ExperimentConfig | Sequence[ExperimentConfig], workers: int | None = None) -> list[dict]:
+    """Price every (strike, scheme) pair of one experiment or of a run of them.
 
-    Each scheme prices along its route in ``montecarlo.SCHEMES``.  Every
-    scheme prices all strikes in one pass on first use: sampling schemes
-    off one shared terminal sample, the semi-analytic mixture off one draw
-    per path block.  The first strike's wall time carries that shared cost.
+    Rows come per experiment, then per scheme, then per strike.  Each scheme
+    prices along its route in ``montecarlo.SCHEMES``, which makes one draw
+    per distinct draw key of the run on first use: experiments of the run
+    whose key matches (the same model, maturity, paths and seed, and the
+    same kappa or steps where the scheme uses one) price off one shared
+    draw, whatever their basket, strikes, direction or rate.  Sampling
+    schemes price every strike off one terminal sample, the semi-analytic
+    mixture prices every spec of the key in one kernel pass.  The first row
+    priced from a shared draw carries its cost in ``wall_time_s``.
     """
+    if isinstance(experiments, ExperimentConfig):
+        experiments = [experiments]
+    schemes = {s for config in experiments for s in config.schemes}
+    routes = {s: montecarlo.SCHEMES[s]([c for c in experiments if s in c.schemes], workers) for s in schemes}
     rows = []
-    for scheme in config.schemes:
-        price = montecarlo.SCHEMES[scheme](config, workers)
-        for strike in config.strikes:
-            start = time.perf_counter()
-            est = price(config.spec(strike))
-            rows.append(
-                {
-                    "product": config.name,
-                    "scheme": scheme.split("-")[0],
-                    "strike": strike,
-                    "rho": config.rho,
-                    "price": est.price,
-                    "std_error": est.std_error,
-                    "paths": est.samples if est.samples else config.paths,
-                    "wall_time_s": time.perf_counter() - start,
-                    "seed": config.seed,
-                }
-            )
+    for config in experiments:
+        for scheme in config.schemes:
+            for strike in config.strikes:
+                start = time.perf_counter()
+                est = routes[scheme](config, config.spec(strike))
+                rows.append(
+                    {
+                        "product": config.name,
+                        "scheme": scheme.split("-")[0],
+                        "strike": strike,
+                        "rho": config.rho,
+                        "price": est.price,
+                        "std_error": est.std_error,
+                        "paths": est.samples if est.samples else config.paths,
+                        "wall_time_s": time.perf_counter() - start,
+                        "seed": config.seed,
+                    }
+                )
     return rows
 
 
@@ -180,9 +191,10 @@ def reproduce_tables(
     results["table1_parameters"] = param_rows
     (outdir / "table1_parameters.csv").write_text(rows_to_csv(param_rows))
 
+    rows = iter(run_price([config for configs in experiments.values() for config in configs], workers))
     for table, configs in experiments.items():
-        rows = [row for config in configs for row in run_price(config, workers)]
-        annotated = _reference_annotated(rows, table)
+        cells = itertools.islice(rows, sum(len(c.schemes) * len(c.strikes) for c in configs))
+        annotated = _reference_annotated(list(cells), table)
         name = f"table{table}"
         results[name] = annotated
         (outdir / f"{name}.csv").write_text(rows_to_csv(annotated, TABLE_COLUMNS))

@@ -315,13 +315,17 @@ def local_vol(asset: AssetMixture, t: float, x) -> np.ndarray | float:
     of the mixture and is what the simulator uses on its first step.
     """
     x = np.asarray(x, dtype=float)
+    out = _local_vols((asset,), t, x.reshape(1, -1)).reshape(x.shape)
+    return out if out.ndim else float(out)
+
+
+def _local_vols(assets, t: float, x: np.ndarray) -> np.ndarray:
+    """nu(t, x) of every asset at once: row i of the (n, m) prices x belongs to assets[i]."""
     if t > 0 and np.any(x <= 0):
         raise ValueError("price must be positive")
-    y = np.log(x / asset.spot) if t > 0 else np.zeros_like(x)
-    coefs = _nu2_schedule((asset,), [t])[0]
-    nu2 = _nu2(y.reshape(1, -1), coefs, np.empty((3, 1, y.size)))
-    out = np.sqrt(nu2).reshape(x.shape)
-    return out if out.ndim else float(out)
+    spots = np.array([a.spot for a in assets])[:, None]
+    y = np.log(x / spots) if t > 0 else np.zeros_like(x)
+    return np.sqrt(_nu2(y, _nu2_schedule(assets, [t])[0], np.empty((3,) + x.shape)))
 
 
 def simulate_md_euler(

@@ -197,6 +197,69 @@ def test_run_price_strikes_share_one_draw(workers):
         assert (row["price"], row["std_error"], row["paths"]) == (est.price, est.std_error, est.samples)
 
 
+def _one_draw_key_run():
+    """Arithmetic, geometric and put-at-another-rate experiments with one mvmd draw key."""
+    base = dataclasses.replace(
+        benchmark_config("vanilla", 0.6, 5, 20_000, schemes=("mvmd-terminal",)), kappa=0.15
+    )
+    return [
+        base,
+        dataclasses.replace(base, name="geometric", kind="geometric"),
+        dataclasses.replace(base, name="put", direction="put", rate=0.03, strikes=(1.0, 1.1)),
+    ]
+
+
+def _priced(rows):
+    return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in rows]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_price_experiments_on_one_draw_key_equal_separate_runs(workers):
+    run = _one_draw_key_run()
+    rows = run_price(run, workers)
+    assert _priced(rows) == _priced([row for cfg in run for row in run_price(cfg, workers)])
+    assert [r["product"] for r in rows] == ["vanilla"] * 3 + ["geometric"] * 3 + ["put"] * 2
+
+
+def test_run_price_makes_one_kernel_pass_per_draw_key(monkeypatch):
+    from mvmix import pricing
+
+    passes = []
+    kernel = pricing._tuple_mc_prices
+    monkeypatch.setattr(pricing, "_tuple_mc_prices", lambda *args: passes.append(args[2]) or kernel(*args))
+    run = _one_draw_key_run()
+    # Each of these changes the draw key, so none may share the run's draw.
+    others = [
+        dataclasses.replace(run[0], name=field, **{field: value})
+        for field, value in (("seed", 6), ("kappa", 0.0), ("paths", 20_001), ("maturity", 0.5))
+    ]
+    rows = run_price(run + others)
+    assert [len(specs) for specs in passes] == [8, 3, 3, 3, 3]
+    monkeypatch.setattr(pricing, "_tuple_mc_prices", kernel)
+    assert _priced(rows[8:]) == _priced([row for cfg in others for row in run_price(cfg)])
+
+
+@pytest.mark.parametrize("scheme,sampler", [("scmd-euler", "simulate_scmd"), ("muvm-terminal", "sample_muvm_terminal")])
+def test_equal_sampling_experiments_draw_one_sample(monkeypatch, scheme, sampler):
+    from mvmix import montecarlo
+
+    draws = []
+    draw = getattr(montecarlo, sampler)
+    monkeypatch.setattr(montecarlo, sampler, lambda *args: draws.append(args) or draw(*args))
+    cfg = dataclasses.replace(benchmark_config("vanilla", 0.6, 5, 2000, schemes=(scheme,)), steps=10)
+    again = dataclasses.replace(cfg, name="again", direction="put", rate=0.03)
+    rows = run_price([cfg, again])
+    assert len(draws) == 1
+    assert _priced(rows[3:]) == _priced(run_price(again))
+    draws.clear()
+    changed = [
+        dataclasses.replace(cfg, **{field: value})
+        for field, value in (("seed", 6), ("paths", 2001), ("maturity", 0.5), ("steps", 11))
+    ]
+    run_price([cfg, *changed])
+    assert len(draws) == (5 if scheme == "scmd-euler" else 4)  # the terminal sampler takes no steps
+
+
 def test_run_tau_rows():
     rows = run_tau(ExperimentConfig.from_dict(BASE_DOC))
     methods = [r["method"] for r in rows]

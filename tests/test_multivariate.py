@@ -273,6 +273,31 @@ def test_scmd_covariance_composition(spread_model):
     assert c[0, 1] == c[1, 0]
 
 
+def test_scmd_covariance_equals_the_per_asset_local_vols():
+    # One nu^2 schedule for all assets, padded to the largest component count,
+    # gives the same bits as one local_vol call per asset, t = 0 included.
+    gen = np.random.default_rng(11)
+    for _ in range(150):
+        n = int(gen.integers(1, 5))
+        assets = []
+        for _ in range(n):
+            vols = [
+                VolCurve(np.r_[0.0, np.sort(gen.uniform(0.05, 1.5, size=j))], gen.uniform(0.1, 0.6, size=j + 1))
+                for j in gen.integers(0, 3, size=int(gen.integers(1, 4)))
+            ]
+            weights = gen.dirichlet(np.ones(len(vols)))
+            assets.append(AssetMixture.from_arrays(gen.uniform(0.5, 2.0), gen.uniform(-0.05, 0.1), weights, vols))
+        corr = np.full((n, n), gen.uniform(-0.3, 0.9))
+        np.fill_diagonal(corr, 1.0)
+        model = MultiAssetModel(tuple(assets), CorrelationMatrix(corr))
+        for t in (0.0, gen.uniform(0.01, 2.0)):
+            x = gen.uniform(0.3, 3.0, size=n)
+            nus = np.array([local_vol(a, t, xi) for a, xi in zip(model.assets, x)])
+            assert np.array_equal(scmd_covariance(model, t, x), np.outer(nus, nus) * model.corr.values)
+    with pytest.raises(ValueError, match="price must be positive"):
+        scmd_covariance(model, 0.5, np.r_[x[:-1], 0.0])
+
+
 def test_scmd_equals_mvmd_for_single_component():
     model = make_model((1.0, 1.5), (0.03, 0.04), ((1.0,), (1.0,)), ((0.3,), (0.25,)), 0.4)
     for x in ([1.0, 1.5], [0.6, 2.0]):

@@ -196,6 +196,14 @@ def test_put_call_parity_mixture(vanilla_model):
     assert abs((call.price - put.price) - expect) < 3 * se
 
 
+def test_kernel_refuses_specs_of_different_maturities(vanilla_model):
+    from mvmix.pricing import _tuple_mc_prices
+
+    specs = (BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0), BasketSpec((0.5, 0.5), "arithmetic", 1.0, 0.5))
+    with pytest.raises(ValueError, match="share a maturity"):
+        _tuple_mc_prices((vanilla_model,), truncate(vanilla_model, 0.0), specs, 100, 0, 1)
+
+
 def test_basket_spec_validation():
     with pytest.raises(ValueError):
         BasketSpec((1.0, -1.0), "geometric", 1.0, 1.0, 1, 0.05)
