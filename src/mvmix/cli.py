@@ -6,13 +6,13 @@ regenerates the benchmark CSVs.  ``--config table2`` … ``table6`` (with or
 without ``.json``) loads that paper table from ``benchmarks.TABLES`` unless a
 file of that name exists.  Exit codes: 0 success, 1 invalid configuration, 2
 numerical failure.  The MVMIX_WORKERS environment variable sets the worker
-count for the samplers.
+count for the samplers; unset, it is the number of CPUs the process may run
+on.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +22,7 @@ import numpy as np
 from .benchmarks import TABLES, table_configs
 from .config import ConfigError, load_config
 from .multivariate import SingularCovarianceError
-from .runner import reproduce_tables, rows_to_csv, rows_to_json, run_copula, run_price, run_tau
+from .runner import _check_finite, reproduce_tables, rows_to_csv, rows_to_json, run_copula, run_price, run_tau
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -42,15 +42,6 @@ def _load(args) -> list:
     if getattr(args, "kappa", None) is not None:
         configs = [replace(c, kappa=args.kappa) for c in configs]
     return configs
-
-
-def _check_finite(rows: list[dict]) -> None:
-    """Refuse to emit a non-finite price, error bar, tau or copula value."""
-    for i, row in enumerate(rows):
-        for key in ("price", "std_error", "tau", "copula"):
-            value = row.get(key)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise FloatingPointError(f"non-finite {key} ({value}) in output row {i}")
 
 
 def _emit(rows: list[dict], fmt: str, path: str | None, columns=None) -> None:

@@ -14,11 +14,12 @@ of a run that share a draw key (model, kappa, paths, seed, maturity; see
 `montecarlo.SCHEMES`) are priced in one pass, with one basket level per
 distinct basket, and so are the bumped models of the Greeks.  The kernel
 reads every tuple's law from one `tuple_laws` call, and bumped models take
-their log-means from its integrated variances.  Its time goes to memory
-traffic, not to the per-tuple Python loop: per tuple and path block it
-streams the block through one matmul, one mean add, one `exp` and one basket
-product, so it holds each factor C-contiguous and adds the log-means along
-rows of r * n values rather than n.
+their log-means from its integrated variances.  Basket levels follow from
+each tuple's Gaussian draw by linearity, so a geometric level needs no price
+matrix and a spot bump only rescales one.  The kernel's time goes to memory
+traffic, not to the per-tuple Python loop, so it holds each factor
+C-contiguous, adds the log-means along rows of r * n values rather than n,
+and writes payoffs into per-block buffers.
 """
 
 from __future__ import annotations
@@ -222,9 +223,9 @@ def price_geometric_mvmd(
     model: MultiAssetModel, spec: BasketSpec, kappa: float = 0.0
 ) -> PriceEstimate:
     """Exact mixture price of the geometric-average option (zero error bar)."""
-    tuple_set = truncate(model, kappa)
     if spec.kind != "geometric":
         raise ValueError("spec must be geometric")
+    tuple_set = truncate(model, kappa)
     means, xi = tuple_laws(model, tuple_set.index_array, spec.maturity)
     price = _geometric_mixture([means], xi, tuple_set.weight_array, spec)[0]
     return PriceEstimate(float(price), 0.0, 0, "geometric-closed-form")
@@ -241,16 +242,22 @@ def _tuple_mc_prices(
     """Single-step Monte Carlo mixture prices of every (model, spec) pair on one draw.
 
     The models differ only in their spots: the kept tuples of `tuple_set`
-    belong to models[0] and supply the factorizations of the integrated
+    belong to models[0] and supply the factorizations F_k of the integrated
     covariance at maturity, and each model supplies its own log-means.  The
     specs share a maturity and may differ in everything else: basket kind
-    and weights, strike, direction and rate.  Per path block, one standard
-    normal draw feeds every tuple, one ``z @ factor`` per tuple feeds every
-    model, and one basket level per model and distinct (kind, weights)
-    feeds every spec on that basket, so tuples, spot bumps, baskets and
-    strikes all share common random numbers; each spec is discounted at its
-    own rate.  Returns the (models, specs) arrays of weight-combined prices
-    and of their standard errors; the error is that of the per-path
+    and weights, strike, direction and rate.  Per path block one standard
+    normal draw z feeds every tuple, model, basket and strike, so they all
+    share common random numbers, and basket levels are linear in it:
+
+    * geometric, g = w / sum(w): model i's log level on tuple k is
+      g . means[i, k] + z @ (F_k g), with no price matrix;
+    * arithmetic: models[0]'s price matrix exp(means[0, k] + z @ F_k) is
+      formed once per tuple, and a spot bump scales its columns, so the
+      levels of all models are one product with the weights times S_i / S_0.
+
+    Payoffs go into one per-block buffer, and each spec is discounted at
+    its own rate.  Returns the (models, specs) arrays of weight-combined
+    prices and of their standard errors; the error is that of the per-path
     weighted payoff, which is the honest error bar of the convex
     combination under shared draws.
     """
@@ -259,7 +266,15 @@ def _tuple_mc_prices(
         raise ValueError("specs priced on one draw must share a maturity")
     means, xi = _shared_laws(models, tuple_set.index_array, t)
     times_factor = _tuple_factors(xi)
-    baskets = {(s.kind, s.weights): s for s in specs}  # a basket's level depends only on these
+    ratios = np.array([m.spots for m in models]) / models[0].spots
+    arithmetic, geometric = {}, {}  # a basket's level depends only on its kind and weights
+    for s in specs:
+        w = np.asarray(s.weights)
+        if s.kind == "arithmetic":
+            arithmetic[s.kind, s.weights] = w * ratios  # (models, n)
+        else:
+            g = w / w.sum()
+            geometric[s.kind, s.weights] = (means @ g, times_factor.right @ g)  # (models, K), (K, n)
     w = tuple_set.weight_array
     nblocks = len(path_blocks(paths))
     sums = np.zeros((len(models), len(specs), nblocks, len(tuple_set)))
@@ -268,23 +283,35 @@ def _tuple_mc_prices(
     def run_block(b: int, start: int, stop: int) -> None:
         m = stop - start
         z = substream(seed, b).standard_normal((m, n))
-        zf = np.empty_like(z)  # per-block buffers: fresh (m, n) temporaries cost more than the arithmetic
-        prices = np.empty_like(z)
-        # The log-means are added over (m / r, r * n) rows against r-fold tiles:
-        # broadcasting along rows of length n would keep numpy's inner loop n long.
-        r = math.gcd(m, 64)
-        tiled = np.tile(means, r)
-        zf_rows, price_rows = zf.reshape(m // r, r * n), prices.reshape(m // r, r * n)
+        # Per-block buffers: fresh (m, n) temporaries cost more than the arithmetic.
+        levels = {key: np.empty((len(models), m)) for key in arithmetic | geometric}
+        zg, pay = np.empty(m), np.empty(m)
         combined = np.zeros((len(models), len(specs), m))
+        if arithmetic:
+            zf, prices = np.empty_like(z), np.empty_like(z)
+            # The log-means are added over (m / r, r * n) rows against r-fold tiles:
+            # broadcasting along rows of length n would keep numpy's inner loop n long.
+            r = math.gcd(m, 64)
+            tiled = np.tile(means[0], r)
+            zf_rows, price_rows = zf.reshape(m // r, r * n), prices.reshape(m // r, r * n)
         for k in range(len(tuple_set)):
-            times_factor(z, k, out=zf)
-            for i in range(len(models)):
-                np.exp(np.add(tiled[i, k], zf_rows, out=price_rows), out=price_rows)
-                levels = {key: s.basket_value(prices) for key, s in baskets.items()}
-                for j, s in enumerate(specs):
-                    pay = np.maximum(s.omega * (levels[s.kind, s.weights] - s.strike), 0.0)
+            if arithmetic:
+                times_factor(z, k, out=zf)
+                np.exp(np.add(tiled[k], zf_rows, out=price_rows), out=price_rows)
+                for key, scaled in arithmetic.items():
+                    np.matmul(scaled, prices.T, out=levels[key])
+            for key, (offsets, vectors) in geometric.items():
+                np.add(offsets[:, k, None], np.matmul(z, vectors[k], out=zg), out=levels[key])
+                np.exp(levels[key], out=levels[key])
+            for j, s in enumerate(specs):
+                for i, level in enumerate(levels[s.kind, s.weights]):
+                    if s.omega == 1:  # the operand order gives the direction: L - K or K - L
+                        np.subtract(level, s.strike, out=pay)
+                    else:
+                        np.subtract(s.strike, level, out=pay)
+                    np.maximum(pay, 0.0, out=pay)
                     sums[i, j, b, k] = pay.sum()
-                    combined[i, j] += w[k] * pay
+                    combined[i, j] += np.multiply(pay, w[k], out=pay)
         for i, j in np.ndindex(comb_sq.shape[:2]):
             comb_sq[i, j, b] = (combined[i, j] ** 2).sum()
 

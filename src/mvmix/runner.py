@@ -11,6 +11,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import time
 from pathlib import Path
 from typing import Sequence
@@ -118,6 +119,15 @@ def run_copula(config: ExperimentConfig, grid: int, workers: int | None = None) 
     return rows
 
 
+def _check_finite(rows: list[dict]) -> None:
+    """Refuse to emit a non-finite price, error bar, tau or copula value."""
+    for i, row in enumerate(rows):
+        for key in ("price", "std_error", "tau", "copula"):
+            value = row.get(key)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise FloatingPointError(f"non-finite {key} ({value}) in output row {i}")
+
+
 def _format_cell(value) -> str:
     if isinstance(value, float):
         return format(value, ".10g")
@@ -166,11 +176,10 @@ def reproduce_tables(
     per cell, z_score = |price - ref| / ref_se) plus table1_parameters.csv
     echoing the model parameters.  Seeds are the documented constants
     benchmarks.SEED_BASE + table number; reruns produce byte-identical files.
-    Every experiment is built, and `paths` checked, before `outdir` is made.
+    Every cell is priced, and refused if any price or error bar is not
+    finite, before `outdir` is made, so a failed run writes no file.
     """
     experiments = {table: benchmarks.table_configs(table, paths) for table in benchmarks.TABLES}
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     results: dict[str, list[dict]] = {}
 
     param_rows = []
@@ -189,13 +198,18 @@ def reproduce_tables(
                 }
             )
     results["table1_parameters"] = param_rows
-    (outdir / "table1_parameters.csv").write_text(rows_to_csv(param_rows))
 
-    rows = iter(run_price([config for configs in experiments.values() for config in configs], workers))
+    rows = run_price([config for configs in experiments.values() for config in configs], workers)
+    _check_finite(rows)
+    cells = iter(rows)
     for table, configs in experiments.items():
-        cells = itertools.islice(rows, sum(len(c.schemes) * len(c.strikes) for c in configs))
-        annotated = _reference_annotated(list(cells), table)
+        table_rows = itertools.islice(cells, sum(len(c.schemes) * len(c.strikes) for c in configs))
+        results[f"table{table}"] = _reference_annotated(list(table_rows), table)
+
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "table1_parameters.csv").write_text(rows_to_csv(param_rows))
+    for table in benchmarks.TABLES:
         name = f"table{table}"
-        results[name] = annotated
-        (outdir / f"{name}.csv").write_text(rows_to_csv(annotated, TABLE_COLUMNS))
+        (outdir / f"{name}.csv").write_text(rows_to_csv(results[name], TABLE_COLUMNS))
     return results

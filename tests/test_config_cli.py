@@ -136,6 +136,24 @@ def test_cli_bad_worker_variable_names_it(tmp_path, capsys, monkeypatch, value):
     assert captured.err.startswith("error: MVMIX_WORKERS") and captured.out == ""
 
 
+def test_worker_count_defaults_to_the_usable_cpus(monkeypatch):
+    from mvmix.rng import worker_count
+
+    monkeypatch.delenv("MVMIX_WORKERS", raising=False)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert worker_count() == 3
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 7)
+    assert worker_count() == 7
+    monkeypatch.setenv("MVMIX_WORKERS", "1")
+    assert worker_count() == 1
+    assert worker_count(2) == 2
+    for bad in ("two", "0", ""):
+        monkeypatch.setenv("MVMIX_WORKERS", bad)
+        with pytest.raises(ValueError, match="MVMIX_WORKERS"):
+            worker_count()
+
+
 def test_engine_integers_accept_integral_floats():
     (cfg,) = load_config(doc_with(("engine", "paths"), 2000.0))
     assert cfg.paths == 2000 and type(cfg.paths) is int
@@ -398,7 +416,7 @@ def test_reproduce_tables_structure_and_determinism(tmp_path):
 
 
 def test_reproduce_tables_worker_independent(tmp_path, monkeypatch):
-    reproduce_tables(tmp_path / "w1", paths=2000)
+    reproduce_tables(tmp_path / "w1", paths=2000, workers=1)
     monkeypatch.setenv("MVMIX_WORKERS", "4")
     reproduce_tables(tmp_path / "w4", paths=2000)
     for i in range(2, 7):
@@ -454,6 +472,18 @@ def test_cli_non_finite_output_exits_numerical(tmp_path, capsys, monkeypatch, co
     captured = capsys.readouterr()
     assert captured.err.startswith("numerical failure: non-finite")
     assert captured.out == ""
+
+
+def test_reproduce_tables_with_a_non_finite_cell_writes_nothing(tmp_path, capsys, monkeypatch):
+    from mvmix import montecarlo
+    from mvmix.pricing import PriceEstimate
+
+    nan_route = lambda experiments, workers: lambda exp, spec: PriceEstimate(float("nan"), 0.0, 1, "mvmd")
+    monkeypatch.setitem(montecarlo.SCHEMES, "mvmd-terminal", nan_route)
+    out = tmp_path / "out"
+    assert main(["reproduce-tables", "--out", str(out), "--paths", "100"]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: non-finite price")
+    assert not out.exists()
 
 
 def test_cli_tau_needs_two_assets(tmp_path, capsys):

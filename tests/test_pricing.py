@@ -14,7 +14,9 @@ from mvmix import (
     price_mvmd_mc,
     truncate,
 )
-from mvmix.rng import substream
+from mvmix import pricing
+from mvmix.multivariate import _tuple_factors, tuple_laws
+from mvmix.rng import path_blocks, substream
 
 from conftest import make_model
 
@@ -202,6 +204,81 @@ def test_kernel_refuses_specs_of_different_maturities(vanilla_model):
     specs = (BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0), BasketSpec((0.5, 0.5), "arithmetic", 1.0, 0.5))
     with pytest.raises(ValueError, match="share a maturity"):
         _tuple_mc_prices((vanilla_model,), truncate(vanilla_model, 0.0), specs, 100, 0, 1)
+
+
+def three_asset_model():
+    return make_model(
+        (1.0, 0.9, 1.1), (0.05, 0.03, 0.04), ((0.6, 0.4), (0.5, 0.5), (0.7, 0.3)),
+        ((0.3, 0.2), (0.25, 0.4), (0.15, 0.3)), 0.4,
+    )
+
+
+def geometric_price_from_price_matrix(model, spec, paths, seed):
+    """The kernel's geometric price recomputed on its draws, each level as exp(log(prices) @ g)."""
+    tuple_set = truncate(model, 0.0)
+    means, xi = tuple_laws(model, tuple_set.index_array, spec.maturity)
+    times = _tuple_factors(xi)
+    g = np.asarray(spec.weights) / sum(spec.weights)
+    total = 0.0
+    for b, start, stop in path_blocks(paths):
+        z = substream(seed, b).standard_normal((stop - start, model.n))
+        for k, w in enumerate(tuple_set.weights):
+            level = np.exp(np.log(np.exp(means[k] + times(z, k))) @ g)
+            total += w * np.maximum(spec.omega * (level - spec.strike), 0.0).sum()
+    return np.exp(-spec.rate * spec.maturity) * total / paths
+
+
+@pytest.mark.parametrize("omega", [1, -1], ids=["call", "put"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_geometric_kernel_reads_levels_from_the_draw(vanilla_model, n, omega):
+    model = vanilla_model if n == 2 else three_asset_model()
+    spec = BasketSpec(tuple(np.linspace(0.5, 1.5, n)), "geometric", 1.0, 1.0, omega, 0.05)
+    price = price_mvmd_mc(model, spec, paths=20_000, seed=12).price
+    assert price == pytest.approx(geometric_price_from_price_matrix(model, spec, 20_000, 12), rel=1e-12)
+
+
+def test_bumped_models_price_as_if_alone():
+    model = three_asset_model()
+    tuple_set = truncate(model, 0.0)
+    bumps = ((0.01, 0, 0), (0, -0.02, 0.01), (-0.05, 0, 0))
+    models = (model, *(pricing._bumped_model(model, np.array(bump)) for bump in bumps))
+    specs = tuple(
+        BasketSpec((0.5, 0.3, 0.2), kind, strike, 1.0, omega, 0.05)
+        for kind in ("arithmetic", "geometric") for strike in (0.9, 1.1) for omega in (1, -1)
+    )
+    price, se = pricing._tuple_mc_prices(models, tuple_set, specs, 20_000, 13, None)
+    for i, alone in enumerate(models):
+        price_alone, se_alone = pricing._tuple_mc_prices((alone,), tuple_set, specs, 20_000, 13, None)
+        assert price[i] == pytest.approx(price_alone[0], rel=1e-12)
+        assert se[i] == pytest.approx(se_alone[0], rel=1e-12)
+
+
+def test_geometric_only_draw_forms_no_price_matrix(vanilla_model, monkeypatch):
+    products = []
+
+    def counting_factors(xi):
+        times = _tuple_factors(xi)
+
+        def counted(z, k, out=None):
+            products.append(k)
+            return times(z, k, out=out)
+
+        counted.right = times.right
+        return counted
+
+    monkeypatch.setattr(pricing, "_tuple_factors", counting_factors)
+    geometric = tuple(BasketSpec((0.5, 0.5), "geometric", k, 1.0, o) for k in (0.9, 1.1) for o in (1, -1))
+    pricing._mvmd_estimates(vanilla_model, geometric, 0.0, 20_000, 14, None)
+    assert products == []
+    arithmetic = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0)
+    pricing._mvmd_estimates(vanilla_model, (*geometric, arithmetic), 0.0, 20_000, 14, None)
+    assert len(products) == len(truncate(vanilla_model, 0.0)) * len(path_blocks(20_000))
+
+
+def test_geometric_closed_form_checks_the_spec_before_enumerating(vanilla_model):
+    # kappa 0.9 removes every tuple, so truncate would raise first
+    with pytest.raises(ValueError, match="spec must be geometric"):
+        price_geometric_mvmd(vanilla_model, BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0), kappa=0.9)
 
 
 def test_basket_spec_validation():
