@@ -6,8 +6,7 @@ regenerates the benchmark CSVs.  ``--config table2`` … ``table6`` (with or
 without ``.json``) loads that paper table from ``benchmarks.TABLES`` unless a
 file of that name exists.  Exit codes: 0 success, 1 invalid configuration, 2
 numerical failure.  The MVMIX_WORKERS environment variable sets the worker
-count for the samplers; unset, it is the number of CPUs the process may run
-on.
+count for the samplers.
 """
 
 from __future__ import annotations

@@ -110,7 +110,7 @@ def _terminal_sample(
     into `tuple_set`; the normal draws come after it on the same substream.
     """
     means, xi = tuple_laws(model, tuple_set.index_array, maturity)
-    times_factor = _tuple_factors(xi)
+    times_factor, _ = _tuple_factors(xi)
     out = np.empty((paths, model.n))
 
     def run_block(b: int, start: int, stop: int) -> None:

@@ -269,9 +269,9 @@ def integrated_covariance(model: MultiAssetModel, indices, t: float) -> np.ndarr
 
 
 def _tuple_factors(xi: np.ndarray):
-    """times(z, k) = z @ F_k for a (K, n, n) covariance stack, with F_k.T @ F_k = xi[k].
+    """(times, right) for a (K, n, n) covariance stack: times(z, k) = z @ F_k.
 
-    `times.right` is the (K, n, n) stack of the F_k themselves.
+    right is the (K, n, n) stack of the F_k, with F_k.T @ F_k = xi[k].
 
     One batched Cholesky factors a positive-definite stack; otherwise every
     tuple gets `psd_factor`, whose eigen fallback takes the rank-deficient
@@ -290,8 +290,7 @@ def _tuple_factors(xi: np.ndarray):
     def times(z: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
         return np.matmul(z, right[k] if len(z) > 1 else lower[k].T, out=out)
 
-    times.right = right
-    return times
+    return times, right
 
 
 def _chol_or_singular(xi: np.ndarray, indices, t: float):

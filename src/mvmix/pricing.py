@@ -264,9 +264,14 @@ def _tuple_mc_prices(
     n, t = models[0].n, specs[0].maturity
     if any(s.maturity != t for s in specs):
         raise ValueError("specs priced on one draw must share a maturity")
+    base = models[0]
+    for m in models[1:]:  # the arithmetic levels of models[1:] scale models[0]'s prices by spot ratios
+        same = [(a.drift, a.components) == (b.drift, b.components) for a, b in zip(m.assets, base.assets)]
+        if m.n != n or not all(same) or not np.array_equal(m.corr.values, base.corr.values):
+            raise ValueError("models priced on one draw may differ only in their spots")
     means, xi = _shared_laws(models, tuple_set.index_array, t)
-    times_factor = _tuple_factors(xi)
-    ratios = np.array([m.spots for m in models]) / models[0].spots
+    times_factor, right = _tuple_factors(xi)
+    ratios = np.array([m.spots for m in models]) / base.spots
     arithmetic, geometric = {}, {}  # a basket's level depends only on its kind and weights
     for s in specs:
         w = np.asarray(s.weights)
@@ -274,7 +279,7 @@ def _tuple_mc_prices(
             arithmetic[s.kind, s.weights] = w * ratios  # (models, n)
         else:
             g = w / w.sum()
-            geometric[s.kind, s.weights] = (means @ g, times_factor.right @ g)  # (models, K), (K, n)
+            geometric[s.kind, s.weights] = (means @ g, right @ g)  # (models, K), (K, n)
     w = tuple_set.weight_array
     nblocks = len(path_blocks(paths))
     sums = np.zeros((len(models), len(specs), nblocks, len(tuple_set)))

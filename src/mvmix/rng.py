@@ -40,19 +40,11 @@ def path_blocks(paths: int) -> list[tuple[int, int, int]]:
 
 
 def worker_count(workers: int | None = None) -> int:
-    """Resolve the worker count.
-
-    An explicit argument wins, then the MVMIX_WORKERS environment variable;
-    with neither, one worker per CPU this process may run on.
-    """
+    """Resolve the worker count: explicit argument, else env var, else 1."""
     source = "worker count"
     if workers is None:
         source = WORKERS_ENV_VAR
-        raw = os.environ.get(WORKERS_ENV_VAR)
-        if raw is None:
-            if hasattr(os, "sched_getaffinity"):
-                return len(os.sched_getaffinity(0))
-            return os.cpu_count() or 1
+        raw = os.environ.get(WORKERS_ENV_VAR, "1")
         try:
             workers = int(raw)
         except ValueError:

@@ -328,9 +328,6 @@ def _local_vols(assets, t: float, x: np.ndarray) -> np.ndarray:
     return np.sqrt(_nu2(y, _nu2_schedule(assets, [t])[0], np.empty((3,) + x.shape)))
 
 
-_SHOCK_ROWS, _SHOCK_TILE = 32, 1024  # steps and paths per tile of simulate_md_euler's shock copy
-
-
 def simulate_md_euler(
     asset: AssetMixture,
     maturity: float,
@@ -357,20 +354,8 @@ def simulate_md_euler(
     def run_block(b: int, start: int, stop: int) -> None:
         gen = substream(seed, b)
         z = gen.standard_normal((stop - start, steps))
-        # Step i's shocks are column i of z.  The loop reads them as contiguous
-        # rows of a scaled, transposed copy made a few steps at a time: strided
-        # column reads slow every step, and a copy of the whole block would
-        # double its memory.  The copy goes in tiles of paths that stay in cache.
-        rows = np.empty((min(steps, _SHOCK_ROWS), stop - start))
-
-        def shocks(step: int) -> np.ndarray:
-            i = step % len(rows)
-            if i == 0:
-                cols = z[:, step : step + len(rows)].T
-                for p in range(0, stop - start, _SHOCK_TILE):
-                    np.multiply(cols[:, p : p + _SHOCK_TILE], np.sqrt(dt), out=rows[: len(cols), p : p + _SHOCK_TILE])
-            return rows[i]
-
+        z *= np.sqrt(dt)
+        shocks = lambda step: z.T[step]  # the step's column of z, a row of z.T
         out[start:stop] = _log_euler((asset,), schedule, dt, stop - start, shocks)[0]
 
     run_blocks(run_block, path_blocks(paths), workers)

@@ -51,7 +51,7 @@ def tables_one_worker(tmp_path_factory):
     """One timed reproduce_tables run at PATHS, shared by criteria 1 and 8."""
     outdir = tmp_path_factory.mktemp("tables") / "one"
     start = time.time()
-    results = reproduce_tables(outdir, paths=PATHS, workers=1)
+    results = reproduce_tables(outdir, paths=PATHS)
     return outdir, results, time.time() - start
 
 
@@ -217,14 +217,14 @@ def test_criterion_7_truncation_convergence():
 
 def test_criterion_8_determinism(tmp_path, tables_one_worker):
     model = benchmark_model("vanilla", 0.6)
-    a = sample_mvmd_terminal(model, MATURITY, 10_000, seed=808, workers=1)
+    a = sample_mvmd_terminal(model, MATURITY, 10_000, seed=808)
     b = sample_mvmd_terminal(model, MATURITY, 10_000, seed=808, workers=3)
     assert np.array_equal(a.values, b.values)
-    c = sample_muvm_terminal(model, MATURITY, 10_000, seed=808, workers=1)
+    c = sample_muvm_terminal(model, MATURITY, 10_000, seed=808)
     d = sample_muvm_terminal(model, MATURITY, 10_000, seed=808, workers=3)
     assert np.array_equal(c.values, d.values)
     cfg = SimulationConfig(10_000, 60, MATURITY, 808)
-    e = simulate_scmd(model, cfg, workers=1)
+    e = simulate_scmd(model, cfg)
     f = simulate_scmd(model, cfg, workers=3)
     assert np.array_equal(e.values, f.values)
 

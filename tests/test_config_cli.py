@@ -136,15 +136,13 @@ def test_cli_bad_worker_variable_names_it(tmp_path, capsys, monkeypatch, value):
     assert captured.err.startswith("error: MVMIX_WORKERS") and captured.out == ""
 
 
-def test_worker_count_defaults_to_the_usable_cpus(monkeypatch):
+def test_worker_count_defaults_to_one(monkeypatch):
     from mvmix.rng import worker_count
 
     monkeypatch.delenv("MVMIX_WORKERS", raising=False)
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("MVMIX_WORKERS", "3")
     assert worker_count() == 3
-    monkeypatch.delattr("os.sched_getaffinity", raising=False)
-    monkeypatch.setattr("os.cpu_count", lambda: 7)
-    assert worker_count() == 7
     monkeypatch.setenv("MVMIX_WORKERS", "1")
     assert worker_count() == 1
     assert worker_count(2) == 2
@@ -416,7 +414,7 @@ def test_reproduce_tables_structure_and_determinism(tmp_path):
 
 
 def test_reproduce_tables_worker_independent(tmp_path, monkeypatch):
-    reproduce_tables(tmp_path / "w1", paths=2000, workers=1)
+    reproduce_tables(tmp_path / "w1", paths=2000)
     monkeypatch.setenv("MVMIX_WORKERS", "4")
     reproduce_tables(tmp_path / "w4", paths=2000)
     for i in range(2, 7):

@@ -66,7 +66,7 @@ def test_scmd_mixed_component_counts_match_mixture():
 
 def test_scmd_deterministic_across_workers(vanilla_model):
     cfg = SimulationConfig(40_000, 24, 1.0, 31)
-    a = simulate_scmd(vanilla_model, cfg, workers=1)
+    a = simulate_scmd(vanilla_model, cfg)
     b = simulate_scmd(vanilla_model, cfg, workers=3)
     assert np.array_equal(a.values, b.values)
     assert np.all(a.values > 0)
@@ -74,7 +74,7 @@ def test_scmd_deterministic_across_workers(vanilla_model):
 
 
 def test_mvmd_terminal_marginals_and_determinism(vanilla_model):
-    s1 = sample_mvmd_terminal(vanilla_model, 1.0, 100_000, seed=37, workers=1)
+    s1 = sample_mvmd_terminal(vanilla_model, 1.0, 100_000, seed=37)
     s2 = sample_mvmd_terminal(vanilla_model, 1.0, 100_000, seed=37, workers=4)
     assert np.array_equal(s1.values, s2.values)
     for i, asset in enumerate(vanilla_model.assets):

@@ -123,7 +123,7 @@ def test_tuple_factors_reproduce_psd_factor_products(name):
     if name == "n3-rho1":  # equal vols at rho = 1 leave a zero pivot: the batched Cholesky refuses the stack
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(xi)
-    times = _tuple_factors(xi)
+    times, _ = _tuple_factors(xi)
     gen = np.random.default_rng(5)
     for m in (1, 2, 7, 3616):
         z = gen.standard_normal((m, model.n))

@@ -206,6 +206,18 @@ def test_kernel_refuses_specs_of_different_maturities(vanilla_model):
         _tuple_mc_prices((vanilla_model,), truncate(vanilla_model, 0.0), specs, 100, 0, 1)
 
 
+def test_kernel_refuses_models_that_differ_beyond_their_spots(vanilla_model):
+    from dataclasses import replace
+
+    spec = (BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0),)
+    tuple_set = truncate(vanilla_model, 0.0)
+    carry = replace(vanilla_model, assets=(replace(vanilla_model.assets[0], drift=0.07), vanilla_model.assets[1]))
+    with pytest.raises(ValueError, match="differ only in their spots"):
+        pricing._tuple_mc_prices((vanilla_model, carry), tuple_set, spec, 100, 0, 1)
+    bumped = pricing._bumped_model(vanilla_model, np.array([0.01, 0.0]))
+    pricing._tuple_mc_prices((vanilla_model, bumped), tuple_set, spec, 100, 0, 1)
+
+
 def three_asset_model():
     return make_model(
         (1.0, 0.9, 1.1), (0.05, 0.03, 0.04), ((0.6, 0.4), (0.5, 0.5), (0.7, 0.3)),
@@ -217,7 +229,7 @@ def geometric_price_from_price_matrix(model, spec, paths, seed):
     """The kernel's geometric price recomputed on its draws, each level as exp(log(prices) @ g)."""
     tuple_set = truncate(model, 0.0)
     means, xi = tuple_laws(model, tuple_set.index_array, spec.maturity)
-    times = _tuple_factors(xi)
+    times, _ = _tuple_factors(xi)
     g = np.asarray(spec.weights) / sum(spec.weights)
     total = 0.0
     for b, start, stop in path_blocks(paths):
@@ -257,14 +269,13 @@ def test_geometric_only_draw_forms_no_price_matrix(vanilla_model, monkeypatch):
     products = []
 
     def counting_factors(xi):
-        times = _tuple_factors(xi)
+        times, right = _tuple_factors(xi)
 
         def counted(z, k, out=None):
             products.append(k)
             return times(z, k, out=out)
 
-        counted.right = times.right
-        return counted
+        return counted, right
 
     monkeypatch.setattr(pricing, "_tuple_factors", counting_factors)
     geometric = tuple(BasketSpec((0.5, 0.5), "geometric", k, 1.0, o) for k in (0.9, 1.1) for o in (1, -1))
