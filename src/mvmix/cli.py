@@ -39,6 +39,8 @@ def _load(args) -> list:
     if getattr(args, "seed", None) is not None:
         configs = [replace(c, seed=args.seed) for c in configs]
     if getattr(args, "kappa", None) is not None:
+        if not 0.0 <= args.kappa < 1.0:  # the rule of a config's engine.kappa
+            raise ConfigError(f"--kappa: must lie in [0, 1), got {args.kappa}")
         configs = [replace(c, kappa=args.kappa) for c in configs]
     return configs
 

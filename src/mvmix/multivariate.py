@@ -369,8 +369,8 @@ def truncate(model: MultiAssetModel, kappa: float = 0.0) -> TupleSet:
     kappa = 0 returns the full tensor-product set with the raw weights.
     """
     kappa = float(kappa)
-    if kappa < 0:
-        raise ValueError("cutoff must be nonnegative")
+    if not 0.0 <= kappa < np.inf:  # NaN fails every comparison and would keep no tuple
+        raise ValueError(f"cutoff must be finite and nonnegative, got {kappa}")
     # The heaviest tuple's weight bounds every tuple's (same product, monotone
     # rounding), so a cutoff at or above it is refused before any tuple or
     # weight table is built.

@@ -15,16 +15,16 @@ of a run that share a draw key (model, kappa, paths, seed, maturity; see
 distinct basket, and so are the bumped models of the Greeks.  The kernel
 reads every tuple's law from one `tuple_laws` call, and bumped models take
 their log-means from its integrated variances.  Basket levels follow from
-each tuple's Gaussian draw by linearity, so a geometric level needs no price
-matrix and a spot bump only rescales one.  The kernel's time goes to memory
-traffic, not to the per-tuple Python loop, so it holds each factor
-C-contiguous, adds the log-means along rows of r * n values rather than n,
-and writes payoffs into per-block buffers.
+each tuple's Gaussian draw by linearity: a geometric level needs no price
+matrix, and an arithmetic level is exp(z @ F_k) times weights that carry
+the spot ratios and the tuple's exp(log-means), so no log-mean is added
+per path.  The kernel's time goes to memory traffic, so it holds each factor
+C-contiguous, takes payoffs over a few tuples at a time and allocates its
+buffers once per path block.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -251,15 +251,16 @@ def _tuple_mc_prices(
 
     * geometric, g = w / sum(w): model i's log level on tuple k is
       g . means[i, k] + z @ (F_k g), with no price matrix;
-    * arithmetic: models[0]'s price matrix exp(means[0, k] + z @ F_k) is
-      formed once per tuple, and a spot bump scales its columns, so the
-      levels of all models are one product with the weights times S_i / S_0.
+    * arithmetic: the levels of all models are one product of exp(z @ F_k)
+      with the weights times S_i / S_0 * exp(means[0, k]), formed per call.
 
-    Payoffs go into one per-block buffer, and each spec is discounted at
-    its own rate.  Returns the (models, specs) arrays of weight-combined
-    prices and of their standard errors; the error is that of the per-path
-    weighted payoff, which is the honest error bar of the convex
-    combination under shared draws.
+    Payoffs are taken over chunks of max(1, 4 // models) tuples, one row of
+    a per-block buffer each, and each spec is discounted at its own rate.
+    A tuple's price has the same bits as in a pass over that tuple alone:
+    nothing of it is formed or summed across tuples.  Returns the
+    (models, specs) arrays of weight-combined prices and of their standard
+    errors; the error is that of the per-path weighted payoff, which is the
+    honest error bar of the convex combination under shared draws.
     """
     n, t = models[0].n, specs[0].maturity
     if any(s.maturity != t for s in specs):
@@ -275,48 +276,48 @@ def _tuple_mc_prices(
     arithmetic, geometric = {}, {}  # a basket's level depends only on its kind and weights
     for s in specs:
         w = np.asarray(s.weights)
-        if s.kind == "arithmetic":
-            arithmetic[s.kind, s.weights] = w * ratios  # (models, n)
+        if s.kind == "arithmetic":  # (K, models, n); each tuple's row is exponentiated on its own
+            arithmetic[s.kind, s.weights] = np.array([w * ratios * np.exp(row) for row in means[0]])
         else:
             g = w / w.sum()
-            geometric[s.kind, s.weights] = (means @ g, right @ g)  # (models, K), (K, n)
+            # (models, K), (K, n); unlike one gemv over all rows, a row sum is K-independent
+            geometric[s.kind, s.weights] = ((means * g).sum(axis=-1), right @ g)
     w = tuple_set.weight_array
+    nmodels, ntuples = len(models), len(tuple_set)
+    chunk = max(1, 4 // nmodels)  # tuples per payoff pass: about 4 level rows per path
     nblocks = len(path_blocks(paths))
-    sums = np.zeros((len(models), len(specs), nblocks, len(tuple_set)))
-    comb_sq = np.zeros((len(models), len(specs), nblocks))
+    sums = np.zeros((nmodels, len(specs), ntuples, nblocks))
+    comb_sq = np.zeros((nmodels, len(specs), nblocks))
 
     def run_block(b: int, start: int, stop: int) -> None:
         m = stop - start
         z = substream(seed, b).standard_normal((m, n))
         # Per-block buffers: fresh (m, n) temporaries cost more than the arithmetic.
-        levels = {key: np.empty((len(models), m)) for key in arithmetic | geometric}
-        zg, pay = np.empty(m), np.empty(m)
-        combined = np.zeros((len(models), len(specs), m))
-        if arithmetic:
-            zf, prices = np.empty_like(z), np.empty_like(z)
-            # The log-means are added over (m / r, r * n) rows against r-fold tiles:
-            # broadcasting along rows of length n would keep numpy's inner loop n long.
-            r = math.gcd(m, 64)
-            tiled = np.tile(means[0], r)
-            zf_rows, price_rows = zf.reshape(m // r, r * n), prices.reshape(m // r, r * n)
-        for k in range(len(tuple_set)):
-            if arithmetic:
-                times_factor(z, k, out=zf)
-                np.exp(np.add(tiled[k], zf_rows, out=price_rows), out=price_rows)
-                for key, scaled in arithmetic.items():
-                    np.matmul(scaled, prices.T, out=levels[key])
-            for key, (offsets, vectors) in geometric.items():
-                np.add(offsets[:, k, None], np.matmul(z, vectors[k], out=zg), out=levels[key])
-                np.exp(levels[key], out=levels[key])
+        levels = {key: np.empty((nmodels, chunk, m)) for key in arithmetic | geometric}
+        zf, zg, term, pay = np.empty_like(z), np.empty(m), np.empty(m), np.empty((chunk, m))
+        combined = np.zeros((nmodels, len(specs), m))
+        for k0 in range(0, ntuples, chunk):
+            k1 = min(k0 + chunk, ntuples)
+            for r, k in enumerate(range(k0, k1)):
+                if arithmetic:
+                    np.exp(times_factor(z, k, out=zf), out=zf)
+                    for key, scaled in arithmetic.items():
+                        np.matmul(scaled[k], zf.T, out=levels[key][:, r])
+                for key, (offsets, vectors) in geometric.items():
+                    row = levels[key][:, r]
+                    np.exp(np.add(offsets[:, k, None], np.matmul(z, vectors[k], out=zg), out=row), out=row)
+            rows = pay[: k1 - k0]  # the last chunk may hold fewer tuples
             for j, s in enumerate(specs):
                 for i, level in enumerate(levels[s.kind, s.weights]):
                     if s.omega == 1:  # the operand order gives the direction: L - K or K - L
-                        np.subtract(level, s.strike, out=pay)
+                        np.subtract(level[: len(rows)], s.strike, out=rows)
                     else:
-                        np.subtract(s.strike, level, out=pay)
-                    np.maximum(pay, 0.0, out=pay)
-                    sums[i, j, b, k] = pay.sum()
-                    combined[i, j] += np.multiply(pay, w[k], out=pay)
+                        np.subtract(s.strike, level[: len(rows)], out=rows)
+                    np.maximum(rows, 0.0, out=rows)
+                    for k, row in enumerate(rows, k0):  # a 1-D sum per tuple keeps its pairwise order
+                        sums[i, j, k, b] = row.sum()
+                    # np.dot: matmul of a one-tuple chunk misses BLAS and takes ~5x longer
+                    combined[i, j] += np.dot(rows.T, w[k0:k1], out=term)
         for i, j in np.ndindex(comb_sq.shape[:2]):
             comb_sq[i, j, b] = (combined[i, j] ** 2).sum()
 
@@ -324,7 +325,7 @@ def _tuple_mc_prices(
     price, se = np.empty(comb_sq.shape[:2]), np.zeros(comb_sq.shape[:2])
     for i, j in np.ndindex(price.shape):
         disc = np.exp(-specs[j].rate * t)
-        mean = sums[i, j].sum(axis=0) / paths
+        mean = sums[i, j].sum(axis=1) / paths  # each tuple's blocks in one row: the order is K-independent
         price[i, j] = w @ (disc * mean)
         if paths > 1:
             comb_var = (comb_sq[i, j].sum() / paths - float(w @ mean) ** 2) * (paths / (paths - 1))

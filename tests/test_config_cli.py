@@ -389,6 +389,14 @@ def test_cli_cutoff_removing_all_components(tmp_path, capsys):
     assert "removed all components" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kappa", ["nan", "2", "-1", "1"])
+def test_cli_kappa_override_follows_the_config_rule(tmp_path, capsys, kappa):
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(BASE_DOC))
+    assert main(["price", "--config", str(path), "--kappa", kappa]) == 1
+    assert "--kappa: must lie in [0, 1)" in capsys.readouterr().err
+
+
 def test_cli_copula_grid(tmp_path, capsys):
     path = tmp_path / "toy.json"
     path.write_text(json.dumps(BASE_DOC))

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from mvmix import (
     AssetMixture,
+    BasketSpec,
     CorrelationMatrix,
     MultiAssetModel,
     SingularCovarianceError,
@@ -17,6 +18,7 @@ from mvmix import (
     integrated_covariance,
     local_vol,
     mvmd_diffusion_squared,
+    price_mvmd_mc,
     scmd_covariance,
     truncate,
     volume_estimate,
@@ -317,6 +319,15 @@ def test_truncate_cutoffs(vanilla_model):
     assert sum(cut.weights) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
         truncate(vanilla_model, 0.5)  # removes every tuple
+
+
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -0.1])
+def test_truncate_rejects_a_non_finite_or_negative_cutoff(vanilla_model, kappa):
+    with pytest.raises(ValueError, match="cutoff must be finite and nonnegative"):
+        truncate(vanilla_model, kappa)
+    spec = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0)
+    with pytest.raises(ValueError, match="cutoff must be finite and nonnegative"):
+        price_mvmd_mc(vanilla_model, spec, kappa, paths=10)
 
 
 def test_truncate_refuses_a_cutoff_at_the_heaviest_tuple_without_enumerating(vanilla_model, monkeypatch):

@@ -4,6 +4,7 @@ from scipy.stats import norm
 
 from mvmix import (
     BasketSpec,
+    TupleSet,
     black_scholes,
     component_arithmetic_price,
     geometric_pair_k0,
@@ -175,6 +176,81 @@ def test_convex_combination_identity(vanilla_model):
     )
     resum = float(tuple_set.weight_array @ comp)
     assert combined.price == resum
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_convex_combination_identity_at_every_seed(vanilla_model, seed):
+    # 200,000 paths are 13 path blocks: each tuple's block sums must reduce in
+    # the same order whether one tuple or four were kept.
+    spec = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0, 1, 0.05)
+    combined = price_mvmd_mc(vanilla_model, spec, paths=200_000, seed=seed)
+    tuple_set = truncate(vanilla_model, 0.0)
+    comp = [component_arithmetic_price(vanilla_model, tp.indices, spec, 200_000, seed).price for tp, _ in tuple_set]
+    assert combined.price == float(tuple_set.weight_array @ np.array(comp))
+
+
+def _three_by_three_model():
+    """27 tuples: three components on each of three assets."""
+    return make_model(
+        (1.0, 0.9, 1.1),
+        (0.05, 0.03, 0.04),
+        ((0.5, 0.3, 0.2), (0.6, 0.3, 0.1), (0.4, 0.35, 0.25)),
+        ((0.3, 0.2, 0.45), (0.25, 0.4, 0.15), (0.15, 0.3, 0.35)),
+        0.4,
+    )
+
+
+@pytest.mark.parametrize("paths", [7, 16_385, 20_000])
+def test_each_tuple_prices_as_in_its_own_pass(paths):
+    # kappa = 0.01 keeps 23 of the 27 tuples, not a whole number of payoff chunks.
+    model = _three_by_three_model()
+    kept = truncate(model, 0.01)
+    assert len(kept) == 23
+    specs = tuple(
+        BasketSpec((0.5, 0.3, 0.2), kind, 1.0, 1.0, omega, 0.05)
+        for kind in ("arithmetic", "geometric")
+        for omega in (1, -1)
+    )
+    for k, (tp, _) in enumerate(kept):
+        # A one-hot weight reads tuple k's price exactly out of the 23-tuple pass.
+        one_hot = TupleSet(kept.tuples, tuple(float(i == k) for i in range(len(kept))))
+        in_pass, _ = pricing._tuple_mc_prices((model,), one_hot, specs, paths, 3, 1)
+        alone, _ = pricing._tuple_mc_prices((model,), TupleSet((tp,), (1.0,)), specs, paths, 3, 1)
+        assert np.array_equal(in_pass, alone), (k, in_pass - alone)
+
+
+def test_wide_pass_is_the_same_at_one_and_two_workers():
+    gen = np.random.default_rng(3)  # the n=6 wide basket of the benchmark: 314 tuples at kappa = 1e-3
+    vols = [tuple(gen.uniform(0.1, 0.5, size=3)) for _ in range(6)]
+    wide = make_model((1.0,) * 6, (0.05,) * 6, ((0.5, 0.3, 0.2),) * 6, vols, float(gen.uniform(0.1, 0.6)))
+    tuple_set = truncate(wide, 1e-3)
+    assert len(tuple_set) == 314
+    specs = tuple(BasketSpec((1 / 6,) * 6, kind, 1.0, 1.0, rate=0.05) for kind in ("arithmetic", "geometric"))
+    one = pricing._tuple_mc_prices((wide,), tuple_set, specs, 20_000, 21, 1)
+    two = pricing._tuple_mc_prices((wide,), tuple_set, specs, 20_000, 21, 2)
+    assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
+
+
+@pytest.mark.parametrize(
+    "scale, omega, price, se",
+    [  # computed before the log-means were folded into the level weights
+        (1e-150, 1, 9.779780305021302e-152, 1.0527169410553677e-153),
+        (1e-150, -1, 6.669171388837433e-152, 6.676233860160847e-154),
+        (1e150, 1, 9.779780305020607e148, 1.0527169410553262e147),
+        (1e150, -1, 6.669171388837827e148, 6.676233860161004e146),
+    ],
+)
+def test_extreme_spots_price_finitely(scale, omega, price, se):
+    model = make_model(
+        (scale, 0.9 * scale, 1.1 * scale),
+        (0.05, 0.03, 0.04),
+        ((0.6, 0.4), (0.5, 0.5), (0.7, 0.3)),
+        ((0.3, 0.2), (0.25, 0.4), (0.15, 0.3)),
+        0.4,
+    )
+    est = price_mvmd_mc(model, BasketSpec((0.5, 0.3, 0.2), "arithmetic", scale, 1.0, omega, 0.05), paths=20_000, seed=23)
+    assert est.price == pytest.approx(price, rel=1e-12)
+    assert est.std_error == pytest.approx(se, rel=1e-12)
 
 
 def test_price_monotone_in_strike(vanilla_model):
