@@ -37,6 +37,8 @@ def _load(args) -> list:
     else:
         configs = load_config(args.config)
     if getattr(args, "seed", None) is not None:
+        if not 0 <= args.seed < 2**64:  # the rule of a config's engine.seed
+            raise ConfigError(f"--seed: must lie in [0, 2**64), got {args.seed}")
         configs = [replace(c, seed=args.seed) for c in configs]
     if getattr(args, "kappa", None) is not None:
         if not 0.0 <= args.kappa < 1.0:  # the rule of a config's engine.kappa

@@ -173,6 +173,8 @@ class ExperimentConfig:
             raise ConfigError(f"{where}.engine.paths: must be >= 1")
         if steps < 1:
             raise ConfigError(f"{where}.engine.steps: must be >= 1")
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"{where}.engine.seed: must lie in [0, 2**64)")
         if not 0.0 <= kappa < 1.0:
             raise ConfigError(f"{where}.engine.kappa: must lie in [0, 1)")
 

@@ -4,13 +4,16 @@ Two ways to reach the maturity-T joint law:
 
 * ``simulate_scmd`` — path-wise log-Euler on each asset's own univariate
   mixture dynamics, with instantaneously correlated Brownian shocks.
-* one single-step terminal sampler: pick a component tuple per path, then
-  draw that tuple's multivariate lognormal.  No time discretization is
-  needed because the terminal law is known.  It has two ways to pick the
-  tuple: ``sample_mvmd_terminal`` picks it with its (cutoff-renormalized)
-  product weight; ``sample_muvm_terminal``, the uncertain-volatility
-  reading, lets each asset pick its own component independently.  The two
-  have the same one-time law, which the tests exercise.
+* one single-step terminal sampler: pick a component per asset and path,
+  then read the picked columns of the block's log-price matrix, which holds
+  every (asset, component) column of the terminal law at once
+  (``multivariate._component_columns``).  No time discretization is needed
+  because the terminal law is known.  It has two ways to pick: by tuple,
+  ``sample_mvmd_terminal`` picks a component tuple with its
+  (cutoff-renormalized) product weight; ``sample_muvm_terminal``, the
+  uncertain-volatility reading, lets each asset pick its own component
+  independently and enumerates no tuple.  The two have the same one-time
+  law, which the tests exercise.
 
 ``SCHEMES`` maps each scheme tag of the experiment configs to the way that
 scheme prices the baskets of a run: one draw per distinct draw key, which
@@ -22,7 +25,6 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -30,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import pricing
-from .multivariate import MultiAssetModel, TupleSet, _tuple_factors, truncate, tuple_laws
+from .multivariate import MultiAssetModel, _column_log_prices, _component_columns, truncate
 from .pricing import PriceEstimate
 from .rng import path_blocks, run_blocks, substream
 from .univariate import _log_euler, _nu2_schedule
@@ -101,26 +103,24 @@ def simulate_scmd(
     return TerminalSample(out, "scmd-euler", config.seed)
 
 
-def _terminal_sample(
-    model: MultiAssetModel, tuple_set: TupleSet, pick, maturity: float, paths: int, seed: int, workers: int | None
-) -> np.ndarray:
-    """Single-step terminal draw: pick a tuple of `model` per path, then its lognormal.
+def _terminal_sample(model: MultiAssetModel, pick, maturity: float, paths: int, seed: int, workers: int | None) -> np.ndarray:
+    """Single-step terminal draw: pick a component per asset and path, then read its column.
 
-    `pick(gen, m)` draws the block's selection uniforms and returns m indices
-    into `tuple_set`; the normal draws come after it on the same substream.
+    `pick(gen, m)` draws the block's selection uniforms and returns the
+    (m, n) component picks; the normal draws come after it on the same
+    substream and become the block's log-price matrix of every component
+    column (`multivariate._component_columns`), from which each path takes
+    its picked columns.
     """
-    means, xi = tuple_laws(model, tuple_set.index_array, maturity)
-    times_factor, _ = _tuple_factors(xi)
+    loadings, means, offsets = _component_columns(model, maturity)
     out = np.empty((paths, model.n))
 
     def run_block(b: int, start: int, stop: int) -> None:
-        gen = substream(seed, b)
-        sel = pick(gen, stop - start)
-        z = gen.standard_normal((stop - start, out.shape[1]))
-        block = out[start:stop]
-        for k in np.flatnonzero(np.bincount(sel, minlength=len(tuple_set))):
-            rows = sel == k
-            block[rows] = np.exp(means[k] + times_factor(z[rows], k))
+        gen, m = substream(seed, b), stop - start
+        picked = offsets + pick(gen, m)  # (m, n) columns
+        z = gen.standard_normal((m, model.n * loadings.shape[1]))
+        x = _column_log_prices(model, loadings, means, z, np.empty((len(means), m)))
+        np.exp(np.take(x, picked * m + np.arange(m)[:, None]), out=out[start:stop])
 
     run_blocks(run_block, path_blocks(paths), workers)
     return out
@@ -140,13 +140,14 @@ def sample_mvmd_terminal(
     weight, then draw the tuple's correlated lognormal terminal value.
     """
     tuple_set = truncate(model, kappa)
+    indices = tuple_set.index_array
     cum = np.cumsum(tuple_set.weight_array)
     cum[-1] = 1.0
 
     def pick(gen: np.random.Generator, m: int) -> np.ndarray:
-        return np.searchsorted(cum, gen.random(m), side="right")
+        return np.take(indices, np.searchsorted(cum, gen.random(m), side="right"), axis=0)
 
-    sample = _terminal_sample(model, tuple_set, pick, maturity, paths, seed, workers)
+    sample = _terminal_sample(model, pick, maturity, paths, seed, workers)
     return TerminalSample(sample, "mvmd-terminal", seed)
 
 
@@ -163,22 +164,18 @@ def sample_muvm_terminal(
     component probability; conditionally on the picks, the assets follow
     correlated constant-parameter lognormals to maturity.  Because pricing
     only needs the maturity law, the scenario is applied over the whole
-    horizon and no early-time regularization enters.
+    horizon and no early-time regularization enters.  No tuple is
+    enumerated: each asset's pick selects its own column.
     """
     cums = [np.cumsum(asset.weights) for asset in model.assets]
     for c in cums:
         c[-1] = 1.0
-    # truncate(model, 0) lists the tuples in itertools.product order, last
-    # asset fastest, so the per-asset picks are the digits of a mixed-radix index.
-    counts = model.component_counts()
-    radix = np.array([math.prod(counts[i + 1 :]) for i in range(model.n)])
 
     def pick(gen: np.random.Generator, m: int) -> np.ndarray:
         u = gen.random((m, model.n))
-        picks = [np.searchsorted(c, u[:, i], side="right") for i, c in enumerate(cums)]
-        return np.column_stack(picks) @ radix
+        return np.column_stack([np.searchsorted(c, u[:, i], side="right") for i, c in enumerate(cums)])
 
-    sample = _terminal_sample(model, truncate(model, 0.0), pick, maturity, paths, seed, workers)
+    sample = _terminal_sample(model, pick, maturity, paths, seed, workers)
     return TerminalSample(sample, "muvm-terminal", seed)
 
 

@@ -6,6 +6,13 @@ log-space covariance is the integrated covariance matrix Xi(t).  The
 diffusion matrix C C^T at (t, x) is the density-weighted average of the
 per-tuple instantaneous covariance matrices, which keeps each asset's
 marginal law exactly equal to its univariate mixture.
+
+Read as the Markovian projection of an uncertain-volatility model, every
+tuple's terminal law is one set of correlated Brownian motions seen
+through each asset's own curve, so the samplers and the pricing kernel
+draw it as component columns: asset i under component c is one log-price
+column, shared by every tuple that holds c, driven by one standard normal
+n-vector per piece of [0, T] between the curves' breakpoints.
 """
 
 from __future__ import annotations
@@ -268,29 +275,48 @@ def integrated_covariance(model: MultiAssetModel, indices, t: float) -> np.ndarr
     return tuple_laws(model, [indices], t)[1][0]
 
 
-def _tuple_factors(xi: np.ndarray):
-    """(times, right) for a (K, n, n) covariance stack: times(z, k) = z @ F_k.
+def _component_columns(model: MultiAssetModel, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every tuple's terminal law at t as columns shared by the tuples, one per (asset, component).
 
-    right is the (K, n, n) stack of the F_k, with F_k.T @ F_k = xi[k].
-
-    One batched Cholesky factors a positive-definite stack; otherwise every
-    tuple gets `psd_factor`, whose eigen fallback takes the rank-deficient
-    (perfectly correlated) ones.  Each F_k is held C-contiguous, which
-    numpy's matmul reads about three times faster than the transposed view
-    of the lower factor.  A single row goes through a matrix-vector product
-    whose summation order follows the factor's layout, so it takes the
-    transposed view of the factor exactly as `psd_factor` laid it out.
+    Asset i under component c is column offsets[i] + c, so tuple k's
+    columns are offsets + indices[k].  [0, t] is cut into P pieces at every
+    breakpoint below t of the model's curves (P = 1 for constant vols), and
+    column col's log-price is means[col] + sum_p loadings[col, p] W_p,i,
+    where loadings[col, p] = sigma_i^c(t_p) sqrt(tau_p) and the moves
+    W_p = z_p @ L_R.T of independent standard normal n-vectors z_p, one per
+    piece, are shared by every column (see `_column_log_prices`).  A tuple's
+    columns thus have exactly the log-means and the covariance
+    Xi = sum_p u u^T * R of `tuple_laws`.  Returns the (C, P) loadings, the
+    (C,) log-means and the (n,) offsets, C being the total component count.
     """
-    try:
-        lower = np.linalg.cholesky(xi)
-    except np.linalg.LinAlgError:
-        lower = [psd_factor(x) for x in xi]
-    right = np.ascontiguousarray(np.swapaxes(lower, 1, 2))
+    if not t > 0:
+        raise ValueError("need t > 0")
+    curves = [c.vol for a in model.assets for c in a.components]
+    knots = sorted({b for v in curves for b in v.times if b < t})  # starts at 0
+    loadings = np.array([[v.value(s) for s in knots] for v in curves]) * np.sqrt(np.diff([*knots, t]))
+    counts = model.component_counts()
+    asset = np.repeat(np.arange(model.n), counts)
+    v2 = np.array([v.integral_sq(t) for v in curves])
+    means = np.log(model.spots)[asset] + model.drifts[asset] * t - 0.5 * v2
+    return loadings, means, np.cumsum((0, *counts[:-1]))
 
-    def times(z: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
-        return np.matmul(z, right[k] if len(z) > 1 else lower[k].T, out=out)
 
-    return times, right
+def _column_log_prices(model: MultiAssetModel, loadings: np.ndarray, means: np.ndarray, z: np.ndarray, out: np.ndarray):
+    """The (C, m) log-prices of every column for (m, n * P) standard normals z, written into out.
+
+    Piece p reads z[:, p * n:(p + 1) * n]; the columns are
+    `_component_columns`' means and loadings, here from the same model.
+    """
+    n, bounds = model.n, np.cumsum((0, *model.component_counts()))
+    for p in range(loadings.shape[1]):
+        moves = np.matmul(model.corr.factor(), z[:, p * n : (p + 1) * n].T)  # (n, m): W_p.T
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):  # asset i's columns
+            if p == 0:
+                np.multiply(loadings[lo:hi, :1], moves[i], out=out[lo:hi])
+            else:
+                out[lo:hi] += loadings[lo:hi, p : p + 1] * moves[i]
+    out += means[:, None]
+    return out
 
 
 def _chol_or_singular(xi: np.ndarray, indices, t: float):

@@ -13,25 +13,31 @@ kernel prices many specs and spot bumps off the same draws: the experiments
 of a run that share a draw key (model, kappa, paths, seed, maturity; see
 `montecarlo.SCHEMES`) are priced in one pass, with one basket level per
 distinct basket, and so are the bumped models of the Greeks.  The kernel
-reads every tuple's law from one `tuple_laws` call, and bumped models take
-their log-means from its integrated variances.  Basket levels follow from
-each tuple's Gaussian draw by linearity: a geometric level needs no price
-matrix, and an arithmetic level is exp(z @ F_k) times weights that carry
-the spot ratios and the tuple's exp(log-means), so no log-mean is added
-per path.  The kernel's time goes to memory traffic, so it holds each factor
-C-contiguous, takes payoffs over a few tuples at a time and allocates its
-buffers once per path block.
+reads every tuple's law from the model's component columns
+(`multivariate._component_columns`): asset i under component c is one
+log-price column that every tuple holding c shares, so one normal draw per
+path gives the (C, paths) log-price matrix X, and a tuple's draw is its n
+rows of X.  Basket levels are linear in X: a geometric log level is a
+weighted sum of the tuple's rows of X, and an arithmetic level the same sum
+of exp(X), taken once, with weights that carry the spot ratios of bumped
+models, so the levels of a few tuples and every model are one product of a
+selection matrix with X or exp(X).  The kernel's time goes to memory
+traffic, so it takes a block a cache-sized tile of paths at a time, and
+each pool thread allocates its scratch once per call.  A tuple's price has
+the same bits whatever else was kept.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
 
-from .multivariate import MultiAssetModel, TupleSet, _shared_laws, _tuple_factors, truncate, tuple_laws
-from .rng import path_blocks, run_blocks, substream
+from .multivariate import MultiAssetModel, TupleSet, _column_log_prices, _component_columns, _shared_laws, truncate, tuple_laws
+from .rng import BLOCK_SIZE, path_blocks, run_blocks, substream
 
 __all__ = [
     "BasketSpec",
@@ -231,6 +237,10 @@ def price_geometric_mvmd(
     return PriceEstimate(float(price), 0.0, 0, "geometric-closed-form")
 
 
+_TILE_BYTES = 2**20  # a tile's (C, paths) log-price matrix stays within this, so a worker's scratch stays in cache
+_ROWS = 8  # level rows per selection product; >= 2, since numpy sends a one-row product to gemv, whose sums differ
+
+
 def _tuple_mc_prices(
     models: tuple[MultiAssetModel, ...],
     tuple_set: TupleSet,
@@ -242,84 +252,115 @@ def _tuple_mc_prices(
     """Single-step Monte Carlo mixture prices of every (model, spec) pair on one draw.
 
     The models differ only in their spots: the kept tuples of `tuple_set`
-    belong to models[0] and supply the factorizations F_k of the integrated
-    covariance at maturity, and each model supplies its own log-means.  The
-    specs share a maturity and may differ in everything else: basket kind
-    and weights, strike, direction and rate.  Per path block one standard
-    normal draw z feeds every tuple, model, basket and strike, so they all
-    share common random numbers, and basket levels are linear in it:
+    belong to models[0], whose component columns at maturity (see
+    `multivariate._component_columns`) carry every tuple's law.  The specs
+    share a maturity and may differ in everything else: basket kind and
+    weights, strike, direction and rate.  Per tile of a path block one
+    standard normal draw z becomes the (C, tile) log-price matrix X of the
+    columns, which feeds every tuple, model, basket and strike, so they all
+    share common random numbers, and basket levels are linear in it: a
+    tuple's level rows are one product of a (rows, C) selection matrix,
+    whose row holds a basket's weights at the tuple's columns, with
 
-    * geometric, g = w / sum(w): model i's log level on tuple k is
-      g . means[i, k] + z @ (F_k g), with no price matrix;
-    * arithmetic: the levels of all models are one product of exp(z @ F_k)
-      with the weights times S_i / S_0 * exp(means[0, k]), formed per call.
+    * geometric, g = w / sum(w): X itself, giving the log level, to which
+      model i adds g . log(S_i / S_0);
+    * arithmetic: exp(X), taken once per tile in X's own buffer after the
+      geometric levels are read, with w times S_i / S_0 in model i's row.
 
-    Payoffs are taken over chunks of max(1, 4 // models) tuples, one row of
-    a per-block buffer each, and each spec is discounted at its own rate.
-    A tuple's price has the same bits as in a pass over that tuple alone:
-    nothing of it is formed or summed across tuples.  Returns the
-    (models, specs) arrays of weight-combined prices and of their standard
-    errors; the error is that of the per-path weighted payoff, which is the
-    honest error bar of the convex combination under shared draws.
+    Tuples are taken a chunk of about 8 level rows at a time, and each spec
+    is discounted at its own rate.  Each pool thread allocates its scratch
+    once per call.  A tuple's price has the same bits as in a pass over
+    that tuple alone: nothing of it is formed or summed across tuples.
+    Returns the (models, specs) arrays of weight-combined prices and of
+    their standard errors; the error is that of the per-path weighted
+    payoff, which is the honest error bar of the convex combination under
+    shared draws.
     """
     n, t = models[0].n, specs[0].maturity
     if any(s.maturity != t for s in specs):
         raise ValueError("specs priced on one draw must share a maturity")
     base = models[0]
-    for m in models[1:]:  # the arithmetic levels of models[1:] scale models[0]'s prices by spot ratios
+    for m in models[1:]:  # models[1:] read models[0]'s columns, moved by their spot ratios
         same = [(a.drift, a.components) == (b.drift, b.components) for a, b in zip(m.assets, base.assets)]
         if m.n != n or not all(same) or not np.array_equal(m.corr.values, base.corr.values):
             raise ValueError("models priced on one draw may differ only in their spots")
-    means, xi = _shared_laws(models, tuple_set.index_array, t)
-    times_factor, right = _tuple_factors(xi)
+    loadings, means, offsets = _component_columns(base, t)
+    cols = offsets + tuple_set.index_array  # (K, n): each tuple's columns
     ratios = np.array([m.spots for m in models]) / base.spots
-    arithmetic, geometric = {}, {}  # a basket's level depends only on its kind and weights
-    for s in specs:
-        w = np.asarray(s.weights)
-        if s.kind == "arithmetic":  # (K, models, n); each tuple's row is exponentiated on its own
-            arithmetic[s.kind, s.weights] = np.array([w * ratios * np.exp(row) for row in means[0]])
-        else:
-            g = w / w.sum()
-            # (models, K), (K, n); unlike one gemv over all rows, a row sum is K-independent
-            geometric[s.kind, s.weights] = ((means * g).sum(axis=-1), right @ g)
+    nmodels, ntuples, ncols = len(models), len(tuple_set), len(means)
+    chunk = max(1, min(_ROWS // nmodels, ntuples))  # tuples per selection product
+    nchunks, rows = -(-ntuples // chunk), max(2, chunk * nmodels)
+
+    def selection(entries: np.ndarray) -> np.ndarray:
+        """(chunks, rows, C): row r * models + i of chunk q holds model i's entries at tuple q * chunk + r's columns."""
+        sel, k = np.zeros((nchunks, rows, ncols)), np.arange(ntuples)[:, None, None]
+        sel[k // chunk, k % chunk * nmodels + np.arange(nmodels)[:, None], cols[:, None, :]] = entries
+        return sel
+
+    baskets = {}  # (kind, weights) -> (selection, log-level shifts or None, spec indices)
+    for j, s in enumerate(specs):
+        if (s.kind, s.weights) not in baskets:
+            w = np.asarray(s.weights)
+            if s.kind == "arithmetic":
+                baskets[s.kind, s.weights] = (selection(w * ratios), None, [])
+            else:
+                g = w / w.sum()
+                baskets[s.kind, s.weights] = (selection(np.broadcast_to(g, ratios.shape)), np.log(ratios) @ g, [])
+        baskets[s.kind, s.weights][2].append(j)
+    order = sorted(baskets, key=lambda key: key[0] == "arithmetic")  # X is exponentiated in place after the geometric levels
     w = tuple_set.weight_array
-    nmodels, ntuples = len(models), len(tuple_set)
-    chunk = max(1, 4 // nmodels)  # tuples per payoff pass: about 4 level rows per path
     nblocks = len(path_blocks(paths))
     sums = np.zeros((nmodels, len(specs), ntuples, nblocks))
     comb_sq = np.zeros((nmodels, len(specs), nblocks))
+    # paths per tile: a power of two, so tiles split blocks evenly; set by the model alone, so a
+    # tuple's sums are grouped alike whatever else is priced
+    tile = min(BLOCK_SIZE, 2 ** int(math.log2(max(1, _TILE_BYTES // (8 * ncols)))))
+    width = min(tile, paths)
+    sizes = {"x": ncols, "levels": rows, "pay": rows, "term": nmodels, "combined": len(specs) * nmodels}
+    local = threading.local()
 
     def run_block(b: int, start: int, stop: int) -> None:
-        m = stop - start
-        z = substream(seed, b).standard_normal((m, n))
-        # Per-block buffers: fresh (m, n) temporaries cost more than the arithmetic.
-        levels = {key: np.empty((nmodels, chunk, m)) for key in arithmetic | geometric}
-        zf, zg, term, pay = np.empty_like(z), np.empty(m), np.empty(m), np.empty((chunk, m))
-        combined = np.zeros((nmodels, len(specs), m))
-        for k0 in range(0, ntuples, chunk):
-            k1 = min(k0 + chunk, ntuples)
-            for r, k in enumerate(range(k0, k1)):
-                if arithmetic:
-                    np.exp(times_factor(z, k, out=zf), out=zf)
-                    for key, scaled in arithmetic.items():
-                        np.matmul(scaled[k], zf.T, out=levels[key][:, r])
-                for key, (offsets, vectors) in geometric.items():
-                    row = levels[key][:, r]
-                    np.exp(np.add(offsets[:, k, None], np.matmul(z, vectors[k], out=zg), out=row), out=row)
-            rows = pay[: k1 - k0]  # the last chunk may hold fewer tuples
-            for j, s in enumerate(specs):
-                for i, level in enumerate(levels[s.kind, s.weights]):
-                    if s.omega == 1:  # the operand order gives the direction: L - K or K - L
-                        np.subtract(level[: len(rows)], s.strike, out=rows)
-                    else:
-                        np.subtract(s.strike, level[: len(rows)], out=rows)
-                    np.maximum(rows, 0.0, out=rows)
-                    for k, row in enumerate(rows, k0):  # a 1-D sum per tuple keeps its pairwise order
-                        sums[i, j, k, b] = row.sum()
-                    # np.dot: matmul of a one-tuple chunk misses BLAS and takes ~5x longer
-                    combined[i, j] += np.dot(rows.T, w[k0:k1], out=term)
-        for i, j in np.ndindex(comb_sq.shape[:2]):
-            comb_sq[i, j, b] = (combined[i, j] ** 2).sum()
+        if not hasattr(local, "scratch"):  # per pool thread, once per call
+            local.z = np.empty((width, n * loadings.shape[1]))
+            local.scratch = {name: np.empty(size * width) for name, size in sizes.items()}
+        gen = substream(seed, b)
+        for first in range(start, stop, tile):
+            m = min(tile, stop - first)
+
+            def view(name: str, *shape: int) -> np.ndarray:
+                return local.scratch[name][: m * math.prod(shape)].reshape(*shape, m)
+
+            z = gen.standard_normal(out=local.z[:m])  # the block's draw, a tile at a time
+            x = _column_log_prices(base, loadings, means, z, view("x", ncols))
+            combined, term, logs = view("combined", len(specs), nmodels), view("term", nmodels), True
+            for key in order:
+                sel, shifts, members = baskets[key]
+                if key[0] == "arithmetic" and logs:
+                    np.exp(x, out=x)
+                    logs = False
+                for q, k0 in enumerate(range(0, ntuples, chunk)):
+                    k1 = min(k0 + chunk, ntuples)  # the last chunk may hold fewer tuples
+                    levels = np.matmul(sel[q], x, out=view("levels", rows))[: (k1 - k0) * nmodels]
+                    levels = levels.reshape(k1 - k0, nmodels, m)
+                    if shifts is not None:
+                        if nmodels > 1:
+                            levels += shifts[:, None]
+                        np.exp(levels, out=levels)
+                    pay = view("pay", k1 - k0, nmodels)
+                    for j in members:
+                        s = specs[j]
+                        if s.omega == 1:  # the operand order gives the direction: L - K or K - L
+                            np.subtract(levels, s.strike, out=pay)
+                        else:
+                            np.subtract(s.strike, levels, out=pay)
+                        np.maximum(pay, 0.0, out=pay)
+                        sums[:, j, k0:k1, b] += pay.sum(axis=-1).T  # a 1-D pairwise sum per tuple, model and tile
+                        # the weighted payoff of each path: the first chunk writes it, later ones add
+                        np.dot(w[k0:k1], pay.reshape(k1 - k0, -1), out=(term if k0 else combined[j]).reshape(-1))
+                        if k0:
+                            combined[j] += term
+            for i, j in np.ndindex(comb_sq.shape[:2]):
+                comb_sq[i, j, b] += (combined[j, i] ** 2).sum()
 
     run_blocks(run_block, path_blocks(paths), workers)
     price, se = np.empty(comb_sq.shape[:2]), np.zeros(comb_sq.shape[:2])

@@ -24,9 +24,15 @@ WORKERS_ENV_VAR = "MVMIX_WORKERS"
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Generator for block `index` of the stream identified by `seed`."""
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF, int(index) & 0xFFFFFFFFFFFFFFFF)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator for block `index` of the stream identified by `seed`, both in [0, 2**64).
+
+    The pair is Philox's 128-bit key as two unsigned 64-bit words, so
+    distinct pairs give distinct streams.
+    """
+    seed, index = int(seed), int(index)
+    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
+        raise ValueError(f"seed and block index must lie in [0, 2**64), got {seed} and {index}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 def path_blocks(paths: int) -> list[tuple[int, int, int]]:

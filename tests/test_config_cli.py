@@ -152,6 +152,18 @@ def test_worker_count_defaults_to_one(monkeypatch):
             worker_count()
 
 
+@pytest.mark.parametrize("value", [-5, -1, 1e20, 2**64])
+def test_engine_seed_outside_64_bits_names_the_key(value):
+    with pytest.raises(ConfigError, match=r"^config\[0\]\.engine\.seed: must lie in \[0, 2\*\*64\)"):
+        load_config(doc_with(("engine", "seed"), value))
+
+
+def test_engine_seed_accepts_every_64_bit_value():
+    for value in (0, 2**64 - 1):
+        (cfg,) = load_config(doc_with(("engine", "seed"), value))
+        assert cfg.seed == value
+
+
 def test_engine_integers_accept_integral_floats():
     (cfg,) = load_config(doc_with(("engine", "paths"), 2000.0))
     assert cfg.paths == 2000 and type(cfg.paths) is int
@@ -395,6 +407,14 @@ def test_cli_kappa_override_follows_the_config_rule(tmp_path, capsys, kappa):
     path.write_text(json.dumps(BASE_DOC))
     assert main(["price", "--config", str(path), "--kappa", kappa]) == 1
     assert "--kappa: must lie in [0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-5", str(2**64)])
+def test_cli_seed_override_follows_the_config_rule(tmp_path, capsys, seed):
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(BASE_DOC))
+    assert main(["price", "--config", str(path), "--seed", seed]) == 1
+    assert "--seed: must lie in [0, 2**64)" in capsys.readouterr().err
 
 
 def test_cli_copula_grid(tmp_path, capsys):

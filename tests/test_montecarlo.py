@@ -130,6 +130,24 @@ def test_muvm_equals_mvmd_in_law(vanilla_model):
         assert res.pvalue > 0.01
 
 
+def test_muvm_samples_past_tuple_enumeration(monkeypatch):
+    # 3**12 = 531,441 tuples: each asset picks its own column, so no tuple is ever listed
+    from mvmix import analytic_moment, multivariate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_muvm_terminal enumerated the tuples")
+
+    monkeypatch.setattr(multivariate, "truncate", refuse)
+    monkeypatch.setattr("mvmix.montecarlo.truncate", refuse)
+    gen = np.random.default_rng(12)
+    vols = [tuple(gen.uniform(0.1, 0.5, size=3)) for _ in range(12)]
+    model = make_model(tuple(gen.uniform(0.8, 1.2, size=12)), (0.03,) * 12, ((0.5, 0.3, 0.2),) * 12, vols, 0.3)
+    sample = sample_muvm_terminal(model, 1.0, 40_000, seed=53).values
+    se = sample.std(axis=0, ddof=1) / np.sqrt(len(sample))
+    exact = np.array([analytic_moment(asset, 1.0) for asset in model.assets])
+    assert np.all(np.abs(sample.mean(axis=0) - exact) < 5 * se)
+
+
 def test_single_component_samplers_agree_in_law():
     model = gbm_model(0.7)
     a = sample_mvmd_terminal(model, 1.0, 50_000, seed=51)

@@ -24,7 +24,7 @@ from mvmix import (
     volume_estimate,
 )
 from mvmix import analytic_moment
-from mvmix.multivariate import _tuple_factors, marginal_moment, mixture_pdf, psd_factor, tuple_laws
+from mvmix.multivariate import _component_columns, marginal_moment, mixture_pdf, tuple_laws
 from mvmix.univariate import mixture_pdf as mixture_pdf_1d
 
 from conftest import make_model
@@ -117,20 +117,24 @@ def test_tuple_laws_reject_bad_indices_and_times(vanilla_model):
         tuple_laws(vanilla_model, [(0, 0)], 0.0)
 
 
-@pytest.mark.parametrize("name", ["n3-zero-weight", "n6", "n3-rho1"])
-def test_tuple_factors_reproduce_psd_factor_products(name):
-    """z @ F_k equals z @ psd_factor(xi[k]).T for every row count, including the single-row product."""
+@pytest.mark.parametrize("name", sorted(_law_models()))
+def test_component_columns_carry_the_tuple_laws(name):
+    """Each tuple's columns: sum_p u u^T * R is tuple_laws' Xi_k and the column means are its log-means."""
     model = _law_models()[name]
-    xi = tuple_laws(model, [tp.indices for tp in model.tuples()], 1.0)[1]
-    if name == "n3-rho1":  # equal vols at rho = 1 leave a zero pivot: the batched Cholesky refuses the stack
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(xi)
-    times, _ = _tuple_factors(xi)
-    gen = np.random.default_rng(5)
-    for m in (1, 2, 7, 3616):
-        z = gen.standard_normal((m, model.n))
-        for k in range(len(xi)):
-            assert np.array_equal(times(z, k), z @ psd_factor(xi[k]).T)
+    indices = np.array([tp.indices for tp in model.tuples()])
+    for t in (0.3, 1.0):
+        loadings, means, offsets = _component_columns(model, t)
+        law_means, xi = tuple_laws(model, indices, t)
+        for row, mean, cov in zip(indices, law_means, xi):
+            u = loadings[offsets + row]  # (n, P)
+            np.testing.assert_allclose((u @ u.T) * model.corr.values, cov, rtol=1e-14, atol=0)
+            assert np.array_equal(means[offsets + row], mean)
+
+
+def test_component_columns_cut_pieces_at_every_breakpoint_below_t():
+    model = _law_models()["n2-piecewise"]  # breakpoints 0.25, 0.5 and 0.6
+    assert [_component_columns(model, t)[0].shape[1] for t in (0.2, 0.25, 0.3, 0.55, 1.0)] == [1, 1, 2, 3, 4]
+    assert _component_columns(_law_models()["n6"], 1.0)[0].shape == (18, 1)
 
 
 def test_truncate_weights_are_the_product_weights_in_product_order():

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -16,8 +18,8 @@ from mvmix import (
     truncate,
 )
 from mvmix import pricing
-from mvmix.multivariate import _tuple_factors, tuple_laws
-from mvmix.rng import path_blocks, substream
+from mvmix.multivariate import _column_log_prices, _component_columns
+from mvmix.rng import BLOCK_SIZE, path_blocks, substream
 
 from conftest import make_model
 
@@ -231,6 +233,22 @@ def test_wide_pass_is_the_same_at_one_and_two_workers():
     assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
 
 
+def test_kernel_scratch_stays_with_its_worker_under_thread_switching(vanilla_model):
+    # Each pool thread owns its scratch; four workers on fewer cores, switching
+    # threads every microsecond, would mix the blocks of a shared buffer.
+    specs = tuple(BasketSpec((0.5, 0.5), kind, 1.0, 1.0, rate=0.05) for kind in ("arithmetic", "geometric"))
+    tuple_set = truncate(vanilla_model, 0.0)
+    paths = 8 * BLOCK_SIZE
+    one = pricing._tuple_mc_prices((vanilla_model,), tuple_set, specs, paths, 31, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = pricing._tuple_mc_prices((vanilla_model,), tuple_set, specs, paths, 31, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(one[0], four[0]) and np.array_equal(one[1], four[1])
+
+
 @pytest.mark.parametrize(
     "scale, omega, price, se",
     [  # computed before the log-means were folded into the level weights
@@ -304,14 +322,14 @@ def three_asset_model():
 def geometric_price_from_price_matrix(model, spec, paths, seed):
     """The kernel's geometric price recomputed on its draws, each level as exp(log(prices) @ g)."""
     tuple_set = truncate(model, 0.0)
-    means, xi = tuple_laws(model, tuple_set.index_array, spec.maturity)
-    times, _ = _tuple_factors(xi)
+    loadings, means, offsets = _component_columns(model, spec.maturity)
     g = np.asarray(spec.weights) / sum(spec.weights)
     total = 0.0
     for b, start, stop in path_blocks(paths):
-        z = substream(seed, b).standard_normal((stop - start, model.n))
-        for k, w in enumerate(tuple_set.weights):
-            level = np.exp(np.log(np.exp(means[k] + times(z, k))) @ g)
+        z = substream(seed, b).standard_normal((stop - start, model.n * loadings.shape[1]))
+        log_prices = _column_log_prices(model, loadings, means, z, np.empty((len(means), stop - start))).T
+        for row, w in zip(tuple_set.index_array, tuple_set.weights):
+            level = np.exp(np.log(np.exp(log_prices[:, offsets + row])) @ g)
             total += w * np.maximum(spec.omega * (level - spec.strike), 0.0).sum()
     return np.exp(-spec.rate * spec.maturity) * total / paths
 
@@ -342,24 +360,26 @@ def test_bumped_models_price_as_if_alone():
 
 
 def test_geometric_only_draw_forms_no_price_matrix(vanilla_model, monkeypatch):
-    products = []
+    # The price matrix is exp of the (C, paths) log-price matrix, the only 2-D array the kernel exponentiates.
+    shapes = []
 
-    def counting_factors(xi):
-        times, right = _tuple_factors(xi)
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-        def counted(z, k, out=None):
-            products.append(k)
-            return times(z, k, out=out)
+        def exp(self, x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return np.exp(x, *args, **kwargs)
 
-        return counted, right
-
-    monkeypatch.setattr(pricing, "_tuple_factors", counting_factors)
+    monkeypatch.setattr(pricing, "np", CountingNumpy())
     geometric = tuple(BasketSpec((0.5, 0.5), "geometric", k, 1.0, o) for k in (0.9, 1.1) for o in (1, -1))
     pricing._mvmd_estimates(vanilla_model, geometric, 0.0, 20_000, 14, None)
-    assert products == []
+    assert shapes and all(len(shape) != 2 for shape in shapes)
+    shapes.clear()
     arithmetic = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0)
     pricing._mvmd_estimates(vanilla_model, (*geometric, arithmetic), 0.0, 20_000, 14, None)
-    assert len(products) == len(truncate(vanilla_model, 0.0)) * len(path_blocks(20_000))
+    matrices = [shape for shape in shapes if len(shape) == 2]
+    assert {rows for rows, _ in matrices} == {4} and sum(paths for _, paths in matrices) == 20_000
 
 
 def test_geometric_closed_form_checks_the_spec_before_enumerating(vanilla_model):
