@@ -90,6 +90,8 @@ def main(argv=None) -> int:
                 print(f"wrote {Path(args.out) / (name + '.csv')} ({len(results[name])} rows)")
             return EXIT_OK
 
+        if args.command == "copula" and args.grid < 1:
+            raise ConfigError(f"--grid: must be >= 1, got {args.grid}")
         configs = _load(args)
         rows: list[dict] = []
         if args.command == "price":

@@ -9,6 +9,7 @@ from bivariate normal CDFs of standardized log-mean differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,13 @@ def bivariate_normal_cdf(a, b, rho) -> float | np.ndarray:
     """P(X <= a, Y <= b) for a standardized bivariate normal with correlation rho.
 
     Owen's (1956) T-function identity, exact to rounding (~1e-16 absolute).
-    Broadcasts over array arguments; all-scalar arguments give a float.
+    Broadcasts over array arguments.  All-scalar (0-d) arguments take a
+    scalar branch on Python floats that runs the same formulas and cases in
+    the same order, so it returns the bits the array path would, as a float.
     rho = +-1 are the degenerate comonotone / antimonotone limits.
     """
+    if all(isinstance(v, (int, float)) or np.ndim(v) == 0 for v in (a, b, rho)):
+        return _bivariate_normal_cdf_scalar(float(a), float(b), float(rho))
     h, k, r = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, rho)))
     if np.isnan(h).any() or np.isnan(k).any() or np.isnan(r).any():
         raise ValueError("inputs must not be NaN")
@@ -59,8 +64,42 @@ def bivariate_normal_cdf(a, b, rho) -> float | np.ndarray:
     # Infinite limits: -inf in either argument gives 0, +inf marginalizes it out.
     value = np.where(np.isposinf(h), ndtr(k), np.where(np.isposinf(k), ndtr(h), value))
     value = np.where(np.isneginf(h) | np.isneginf(k), 0.0, value)
-    value = np.clip(value, 0.0, 1.0)
-    return float(value) if value.ndim == 0 else value
+    return np.clip(value, 0.0, 1.0)
+
+
+def _bivariate_normal_cdf_scalar(h: float, k: float, r: float) -> float:
+    """`bivariate_normal_cdf` on floats: the array path's formulas, its last overrides tested first."""
+    if math.isnan(h) or math.isnan(k) or math.isnan(r):
+        raise ValueError("inputs must not be NaN")
+    if abs(r) > 1.0:
+        raise ValueError("correlation must lie in [-1, 1]")
+    if h == -math.inf or k == -math.inf:
+        return 0.0
+    if h == math.inf or k == math.inf:
+        value = float(ndtr(k if h == math.inf else h))
+    elif r == -1.0:
+        value = max(float(ndtr(h)) + float(ndtr(k)) - 1.0, 0.0)
+    elif r == 1.0:
+        value = float(ndtr(min(h, k)))
+    else:
+        s = math.sqrt((1.0 - r) * (1.0 + r))
+
+        def owen(x, y):
+            if h == 0.0 and k == 0.0:
+                c = (1.0 - r) / s
+            elif x == 0.0:
+                c = math.copysign(math.inf, y)
+            else:
+                try:
+                    c = (y - r * x) / (x * s)
+                except ZeroDivisionError:  # x * s underflowed: divide as numpy does
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        c = float(np.divide(y - r * x, x * s))
+            return float(owens_t(x, c))
+
+        beta = 0.5 if h * k < 0.0 or (h * k == 0.0 and h + k < 0.0) else 0.0
+        value = 0.5 * (float(ndtr(h)) + float(ndtr(k))) - owen(h, k) - owen(k, h) - beta
+    return min(max(value, 0.0), 1.0)
 
 
 def _plackett_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +328,12 @@ def kendall_tau_mvmd(model: MultiAssetModel, maturity: float) -> float:
 
 
 def _tie_pairs(values: np.ndarray) -> int:
-    _, counts = np.unique(values, return_counts=True)
+    """Number of tied pairs, from the run lengths of one sort."""
+    ordered = np.sort(values)
+    new_run = ordered[1:] != ordered[:-1]
+    if new_run.all():
+        return 0
+    counts = np.diff(np.flatnonzero(np.r_[True, new_run, True]))
     return int(np.sum(counts * (counts - 1) // 2))
 
 
@@ -322,6 +366,37 @@ def kendall_tau_empirical(x, y) -> float:
     return conc_minus_disc / n0
 
 
+def _copula_values(model: MultiAssetModel, t: float, points: np.ndarray, kappa: float) -> np.ndarray:
+    """Terminal copula of the mixture at each row of an (m, n) array of coordinates in [0, 1].
+
+    A grid shares its work: each asset's quantile is found once per distinct
+    level and the tuple laws once per call.  Every row still sums
+    `weights @ its tuple CDFs`, so its value has the bits of a one-row call.
+    Rows with a coordinate at 0 give 0, rows of ones give 1.
+    """
+    zero = np.any(points == 0.0, axis=1)
+    out = np.where(zero, 0.0, 1.0)
+    live = ~zero & np.any(points < 1.0, axis=1)
+    if not live.any():
+        return out
+    u = points[live]
+    logx = np.empty_like(u)
+    for j, asset in enumerate(model.assets):
+        levels, inverse = np.unique(u[:, j], return_inverse=True)
+        logx[:, j] = np.log([inverse_cdf(asset, t, level) if level < 1.0 else np.inf for level in levels])[inverse]
+    tuples = truncate(model, kappa)
+    means, xi = tuple_laws(model, tuples.index_array, t)
+    sd = np.sqrt(np.diagonal(xi, axis1=1, axis2=2))
+    z = (logx[:, None, :] - means) / sd
+    corrs = xi / (sd[:, :, None] * sd[:, None, :])
+    if model.n == 2:
+        values = bivariate_normal_cdf(z[..., 0], z[..., 1], corrs[:, 0, 1])
+    else:
+        values = np.array([[multivariate_normal_cdf(zk, c) for zk, c in zip(row, corrs)] for row in z])
+    out[live] = [min(max(tuples.weight_array @ row, 0.0), 1.0) for row in values]
+    return out
+
+
 def copula_value(model: MultiAssetModel, t: float, u, kappa: float = 0.0) -> float:
     """Terminal copula of the mixture at the uniform coordinates u.
 
@@ -337,22 +412,7 @@ def copula_value(model: MultiAssetModel, t: float, u, kappa: float = 0.0) -> flo
         raise ValueError("u must not contain NaN")
     if np.any((u < 0.0) | (u > 1.0)):
         raise ValueError("coordinates must lie in [0, 1]")
-    if np.any(u == 0.0):
-        return 0.0
-    if np.all(u == 1.0):
-        return 1.0
-    logx = np.log([inverse_cdf(asset, t, ui) if ui < 1.0 else np.inf for asset, ui in zip(model.assets, u)])
-    tuples = truncate(model, kappa)
-    means, xi = tuple_laws(model, tuples.index_array, t)
-    sd = np.sqrt(np.diagonal(xi, axis1=1, axis2=2))
-    z = (logx - means) / sd
-    corrs = xi / (sd[:, :, None] * sd[:, None, :])
-    if model.n == 2:
-        values = bivariate_normal_cdf(z[:, 0], z[:, 1], corrs[:, 0, 1])
-    else:
-        values = [multivariate_normal_cdf(zk, c) for zk, c in zip(z, corrs)]
-    value = tuples.weight_array @ np.asarray(values)
-    return float(min(max(value, 0.0), 1.0))
+    return float(_copula_values(model, t, u[None, :], kappa)[0])
 
 
 def empirical_copula(samples: np.ndarray, u: np.ndarray) -> float:

@@ -102,19 +102,23 @@ def run_tau(config: ExperimentConfig, workers: int | None = None) -> list[dict]:
 
 
 def run_copula(config: ExperimentConfig, grid: int, workers: int | None = None) -> list[dict]:
-    """Mixture copula values on the interior grid (i/(grid+1))_i per axis."""
-    if config.model.n > 3:
+    """Mixture copula values on the interior grid (i/(grid+1))_i per axis.
+
+    The grid's points share their quantiles and tuple laws in one call to
+    the copula evaluator; each value has the bits of `copula_value` there.
+    """
+    n = config.model.n
+    if n > 3:
         raise ValueError("copula grids are supported for up to 3 assets")
     if grid < 1:
         raise ValueError("grid must be >= 1")
     levels = [(i + 1) / (grid + 1) for i in range(grid)]
+    points = np.stack(np.meshgrid(*([levels] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    values = dependence._copula_values(config.model, config.maturity, points, config.kappa)
     rows = []
-    for point in np.stack(np.meshgrid(*([levels] * config.model.n), indexing="ij"), axis=-1).reshape(
-        -1, config.model.n
-    ):
-        value = dependence.copula_value(config.model, config.maturity, point, config.kappa)
+    for point, value in zip(points, values):
         row = {f"u{i + 1}": float(ui) for i, ui in enumerate(point)}
-        row["copula"] = value
+        row["copula"] = float(value)
         rows.append(row)
     return rows
 

@@ -391,6 +391,9 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
     bad.write_text(json.dumps(doc_with(("model", "assets", 0, "weights"), 5)))
     assert main(["price", "--config", str(bad)]) == 1
     assert "model.assets[0].weights: expected a list of numbers" in capsys.readouterr().err
+    for grid in ("0", "-3"):
+        assert main(["copula", "--config", "table2", "--grid", grid]) == 1
+        assert capsys.readouterr().err == f"error: --grid: must be >= 1, got {grid}\n"
 
 
 def test_cli_cutoff_removing_all_components(tmp_path, capsys):

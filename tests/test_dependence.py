@@ -1,9 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
 
 from mvmix import (
+    AssetMixture,
+    CorrelationMatrix,
+    MultiAssetModel,
     TauParams,
     bivariate_normal_cdf,
     copula_value,
@@ -16,6 +21,10 @@ from mvmix import (
     sample_mvmd_terminal,
     tau_params,
 )
+from mvmix.benchmarks import table_configs
+from mvmix.cli import main
+from mvmix.dependence import _copula_values, _tie_pairs
+from mvmix.runner import run_copula
 
 from conftest import make_model
 
@@ -88,10 +97,17 @@ def test_bvn_array_call_matches_scalar_loop():
     rho = rng.uniform(-1, 1, 500)
     a[:50], b[40:90], rho[90:100] = 0.0, 0.0, 1.0
     rho[100:110] = -1.0
+    # +-inf in either argument, h = k = 0 at rho = +-1, and an h * s that underflows
+    a[110:120], b[120:130], a[130:140], b[140:150] = np.inf, np.inf, -np.inf, -np.inf
+    rho[40:45], rho[45:50] = 1.0, -1.0
+    a[150:160], rho[150:160] = 5e-324, 0.999999
     values = bivariate_normal_cdf(a, b, rho)
     assert values.shape == (500,)
-    assert all(v == bivariate_normal_cdf(x, y, r) for v, x, y, r in zip(values, a, b, rho))
+    scalars = [bivariate_normal_cdf(x, y, r) for x, y, r in zip(a, b, rho)]
+    assert all(isinstance(v, float) for v in scalars)
+    assert np.array_equal(values, scalars) and np.array_equal(np.signbit(values), np.signbit(scalars))
     assert isinstance(bivariate_normal_cdf(0.1, 0.2, 0.3), float)
+    assert bivariate_normal_cdf(np.array(0.1), 0.2, np.float32(0.3)) == bivariate_normal_cdf([0.1], 0.2, np.float32(0.3))[0]
 
 
 def test_bvn_zero_arguments():
@@ -425,3 +441,103 @@ def test_bvn_near_degenerate_limits():
     assert bivariate_normal_cdf(0.5, -0.2, -0.9999999) == pytest.approx(
         max(norm.cdf(0.5) + norm.cdf(-0.2) - 1.0, 0.0), abs=1e-7
     )
+
+
+def _model3():
+    assets = (
+        AssetMixture.from_arrays(1.0, 0.05, (0.6, 0.4), (0.3, 0.2)),
+        AssetMixture.from_arrays(1.0, 0.05, (0.7, 0.3), (0.25, 0.35)),
+        AssetMixture.from_arrays(1.0, 0.05, (0.5, 0.5), (0.2, 0.4)),
+    )
+    return MultiAssetModel(assets, CorrelationMatrix([[1.0, 0.6, 0.4], [0.6, 1.0, 0.5], [0.4, 0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("case", ["n2-kappa0", "n2-kappa0.05", "n3"])
+def test_copula_grid_matches_per_point_calls(vanilla_model, case):
+    if case == "n3":
+        model, kappa, levels = _model3(), 0.0, (1 / 3, 2 / 3)
+    else:
+        model, kappa, levels = vanilla_model, float(case.removeprefix("n2-kappa")), (0.2, 0.5, 0.9)
+    points = np.stack(np.meshgrid(*([levels] * model.n), indexing="ij"), axis=-1).reshape(-1, model.n)
+    # rows with a coordinate at 1 (marginalized), at 0, and all ones
+    edges = np.array([[1.0] + [0.4] * (model.n - 1), [0.4] * (model.n - 1) + [1.0], [0.0] + [0.5] * (model.n - 1)])
+    points = np.vstack([points, edges, np.ones((1, model.n)), np.zeros((1, model.n))])
+    values = _copula_values(model, 1.0, points, kappa)
+    expected = [copula_value(model, 1.0, u, kappa) for u in points]
+    assert values.tolist() == expected
+    assert values[-3:].tolist() == [0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.arange(50.0), np.r_[np.arange(30.0), np.arange(20.0), [5.0] * 7], np.array([0.0, -0.0]), np.ones(4)],
+    ids=["distinct", "ties", "signed-zeros", "all-tied"],
+)
+def test_tie_pairs_match_a_unique_count(values):
+    rng = np.random.default_rng(8)
+    values = rng.permutation(values)
+    _, counts = np.unique(values, return_counts=True)
+    assert _tie_pairs(values) == int(np.sum(counts * (counts - 1) // 2))
+
+
+# Bit pins of the dependence outputs.  Values are hashed through float.hex, so
+# any change in the last bit shows; the CLI copula CSVs are hashed as printed.
+# A change to a pin is a change to the numbers the analytics return.
+PIN_TABLES = (2, 3, 4, 5, 6)
+PIN_MVN3_PANEL = (
+    ((0.0, 0.0, 0.0), ((1.0, 0.2, 0.2), (0.2, 1.0, 0.2), (0.2, 0.2, 1.0))),
+    ((-1.0, 0.5, 1.0), ((1.0, 0.5, 0.5), (0.5, 1.0, 0.5), (0.5, 0.5, 1.0))),
+    ((0.3, -0.4, 1.5), ((1.0, -0.3, 0.6), (-0.3, 1.0, 0.1), (0.6, 0.1, 1.0))),
+    ((-2.0, -1.0, 0.0), ((1.0, 0.7, 0.4), (0.7, 1.0, 0.9), (0.4, 0.9, 1.0))),
+    ((1.2, np.inf, -0.3), ((1.0, 0.3, -0.5), (0.3, 1.0, 0.2), (-0.5, 0.2, 1.0))),
+)
+DEPENDENCE_PINS = {
+    "copula-csv-table2": "25462ab1d2693f1012bbed31439205d4b5a9ce0717e67cfd4ef840012b57a8e2",
+    "copula-csv-table3": "9900f92a84e03b732fad8ec8337c504ba11f0881a62f3bc67c40309300d93877",
+    "copula-csv-table4": "a62e18ec5ccdb6e0433d36c5b548649adb171446fe4dc53e5a1568b236808059",
+    "copula-csv-table5": "4172238f7b602fef840f0e0e85f6c66441315c32243a60e2d485bf779cdf5c9e",
+    "copula-csv-table6": "535165aec5b3243534910a0404702a32a4def1f138b55933af8c2818042de34b",
+    "copula-values": "b32ac9eb767d3924830a6140640e8952ee8edaced31f5b3a4a15d40afe36a538",
+    "tau-tables": "7f356f7f79c1cffdc66845d7451b0821bb68b055d032b956377699e50721415a",
+    "mvn3-panel": "9e7e82565d7ebb82bd796595132e19e24b22c8a8ea3e97652b6e62ee6da07a80",
+    "bvn-scalar": "cf496384c97e40433a4245c0da438bba8a2dd3933497c7ad95b4c9975b73b00a",
+}
+
+
+def _hex_digest(values) -> str:
+    return hashlib.sha256("\n".join(float(v).hex() for v in values).encode()).hexdigest()
+
+
+def _bvn_pin_points():
+    rng = np.random.default_rng(2026)
+    a, b = rng.normal(0, 2, (2, 500))
+    rho = rng.uniform(-1, 1, 500)
+    a[:20], b[10:30], rho[30:40], rho[40:50] = 0.0, 0.0, 1.0, -1.0
+    a[50:55], b[55:60], a[60:65], b[65:70] = np.inf, np.inf, -np.inf, -np.inf
+    return zip(a, b, rho)
+
+
+def _dependence_outputs() -> dict:
+    configs = {t: table_configs(t, 2000) for t in PIN_TABLES}
+    copulas = [row["copula"] for t in PIN_TABLES for c in configs[t] for row in run_copula(c, 3)]
+    taus = [kendall_tau_mvmd(c.model, c.maturity) for t in PIN_TABLES for c in configs[t]]
+    mvn3 = [v for z, m in PIN_MVN3_PANEL for v in multivariate_normal_cdf(z, m, full_output=True)]
+    bvn = [bivariate_normal_cdf(a, b, r) for a, b, r in _bvn_pin_points()]
+    return {
+        "copula-values": _hex_digest(copulas),
+        "tau-tables": _hex_digest(taus),
+        "mvn3-panel": _hex_digest(mvn3),
+        "bvn-scalar": _hex_digest(bvn),
+    }
+
+
+def test_dependence_outputs_keep_their_bits():
+    assert _dependence_outputs() == {k: v for k, v in DEPENDENCE_PINS.items() if not k.startswith("copula-csv")}
+
+
+@pytest.mark.parametrize("table", PIN_TABLES)
+def test_cli_copula_csv_is_pinned(tmp_path, monkeypatch, capsys, table):
+    monkeypatch.chdir(tmp_path)
+    assert main(["copula", "--config", f"table{table}", "--grid", "3"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == DEPENDENCE_PINS[f"copula-csv-table{table}"]
