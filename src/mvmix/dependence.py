@@ -178,6 +178,12 @@ def multivariate_normal_cdf(
         raise ValueError("correlation matrix must be symmetric")
     if not np.allclose(np.diag(m), 1.0, rtol=0.0, atol=1e-12):
         raise ValueError("correlation matrix must have unit diagonal")
+    return _mvn_cdf(z, m, tol, full_output)
+
+
+def _mvn_cdf(z: np.ndarray, m: np.ndarray, tol: float, full_output: bool) -> float | tuple[float, float]:
+    """`multivariate_normal_cdf` without its matrix checks: m is symmetric with a unit diagonal."""
+    n = z.shape[0]
     if n > 6:
         raise ValueError("dimensions above 6 are not supported")
     if np.any(np.isnan(z)):
@@ -189,7 +195,7 @@ def multivariate_normal_cdf(
         idx = np.where(finite)[0]
         if idx.size == 0:
             return (1.0, 0.0) if full_output else 1.0
-        return multivariate_normal_cdf(z[idx], m[np.ix_(idx, idx)], tol, full_output)
+        return _mvn_cdf(z[idx], m[np.ix_(idx, idx)], tol, full_output)
     if n == 1:
         value = float(ndtr(z[0]))
         return (value, 0.0) if full_output else value
@@ -392,7 +398,8 @@ def _copula_values(model: MultiAssetModel, t: float, points: np.ndarray, kappa: 
     if model.n == 2:
         values = bivariate_normal_cdf(z[..., 0], z[..., 1], corrs[:, 0, 1])
     else:
-        values = np.array([[multivariate_normal_cdf(zk, c) for zk, c in zip(row, corrs)] for row in z])
+        # tuple_laws builds symmetric covariances, so corrs pass the public checks by construction
+        values = np.array([[_mvn_cdf(zk, c, 1e-6, False) for zk, c in zip(row, corrs)] for row in z])
     out[live] = [min(max(tuples.weight_array @ row, 0.0), 1.0) for row in values]
     return out
 

@@ -23,8 +23,8 @@ of exp(X), taken once, with weights that carry the spot ratios of bumped
 models, so the levels of a few tuples and every model are one product of a
 selection matrix with X or exp(X).  The kernel's time goes to memory
 traffic, so it takes a block a cache-sized tile of paths at a time, and
-each pool thread allocates its scratch once per call.  A tuple's price has
-the same bits whatever else was kept.
+each thread that runs blocks allocates its scratch once per call.  A
+tuple's price has the same bits whatever else was kept.
 """
 
 from __future__ import annotations
@@ -268,9 +268,10 @@ def _tuple_mc_prices(
       geometric levels are read, with w times S_i / S_0 in model i's row.
 
     Tuples are taken a chunk of about 8 level rows at a time, and each spec
-    is discounted at its own rate.  Each pool thread allocates its scratch
-    once per call.  A tuple's price has the same bits as in a pass over
-    that tuple alone: nothing of it is formed or summed across tuples.
+    is discounted at its own rate.  Each thread that runs blocks allocates
+    its scratch once per call.  A tuple's price has the same bits as in a
+    pass over that tuple alone: nothing of it is formed or summed across
+    tuples.
     Returns the (models, specs) arrays of weight-combined prices and of
     their standard errors; the error is that of the per-path weighted
     payoff, which is the honest error bar of the convex combination under
@@ -320,7 +321,7 @@ def _tuple_mc_prices(
     local = threading.local()
 
     def run_block(b: int, start: int, stop: int) -> None:
-        if not hasattr(local, "scratch"):  # per pool thread, once per call
+        if not hasattr(local, "scratch"):  # per block-running thread, once per call
             local.z = np.empty((width, n * loadings.shape[1]))
             local.scratch = {name: np.empty(size * width) for name, size in sizes.items()}
         gen = substream(seed, b)

@@ -5,12 +5,19 @@ draws from a Philox counter-based generator keyed by (seed, b), so the
 numbers attached to a given path never depend on how many workers run or
 in which order blocks complete.  Workers only change scheduling; output
 arrays are filled positionally.
+
+With w > 1 workers, `run_blocks` runs the blocks on the calling thread and
+w - 1 helper threads, all taking blocks from one shared cursor.  The helper
+threads belong to one process-wide pool that is started on first use,
+grows to the largest helper count asked for and is reused by every later
+call; a child made by `os.fork` starts with no pool.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,13 +75,67 @@ def run_blocks(
     """Run fn(block_index, start, stop) over all blocks, possibly threaded.
 
     fn must write only to its own [start, stop) slice of any shared output.
+    With more than one worker the caller takes blocks from a shared cursor
+    beside up to workers - 1 reused helper threads.  Once the cursor is empty
+    the caller withdraws the helper requests no thread has picked up yet and
+    waits only for the helpers already running, so a block may itself call
+    run_blocks.  The first error a block raises stops the hand-out of further
+    blocks and is re-raised here.
     """
     nworkers = worker_count(workers)
     if nworkers == 1 or len(blocks) == 1:
         for b, start, stop in blocks:
             fn(b, start, stop)
         return
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        futures = [pool.submit(fn, b, start, stop) for b, start, stop in blocks]
-        for fut in futures:
-            fut.result()
+    cursor = iter(blocks)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def drain() -> None:  # records its error for the caller to re-raise
+        while True:
+            with lock:
+                block = None if errors else next(cursor, None)
+            if block is None:
+                return
+            try:
+                fn(*block)
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+
+    requests = _request_helpers(min(nworkers, len(blocks)) - 1, drain)
+    drain()
+    # Wait only for the requests a helper has taken (cancel() fails for those): wait() would
+    # also block on a cancelled one until a helper dequeued it, and with every helper inside
+    # a block that itself calls run_blocks, none would.
+    wait([request for request in requests if not request.cancel()])
+    if errors:
+        raise errors[0]
+
+
+# The helper pool every call shares, and the thread count it was made with.
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
+
+
+def _request_helpers(count: int, drain: Callable[[], None]) -> list[Future]:
+    """Submit `count` runs of drain to the helper pool, first growing it to `count` threads."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool_size < count:
+            if _pool is not None:
+                _pool.shutdown(wait=False)  # its threads finish what they have taken, then exit
+            _pool, _pool_size = ThreadPoolExecutor(count, thread_name_prefix="mvmix-block"), count
+        return [_pool.submit(drain) for _ in range(count)]
+
+
+def _forget_helpers() -> None:
+    """In a forked child: the parent's helper threads do not exist here."""
+    global _pool, _pool_size, _pool_lock
+    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)

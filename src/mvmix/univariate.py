@@ -259,14 +259,19 @@ def _nu2(y: np.ndarray, coefs: tuple, bufs: np.ndarray) -> np.ndarray:
     """
     ref, terms = coefs
     out, den, e = bufs
-    out.fill(0.0)
-    den.fill(1.0)
-    for gk, bk, ak, dk in zip(*terms):
+    if terms.shape[1] == 0:  # one component per asset: nu^2 is sigma_r^2
+        out.fill(0.0)
+        den.fill(1.0)
+    for k, (gk, bk, ak, dk) in enumerate(zip(*terms)):
         np.multiply(gk, y, out=e)
         e += bk
         e *= y
         e += ak
         np.exp(e, out=e)
+        if k == 0:  # nu^2 keeps the bits of adding to a zero numerator and a unit denominator
+            np.add(e, 1.0, out=den)
+            np.multiply(e, dk, out=out)
+            continue
         den += e
         e *= dk
         out += e

@@ -193,6 +193,10 @@ def test_mvn_rejects_invalid_correlation_argument():
         multivariate_normal_cdf([0.1, 0.2, 0.3], 2.0 * np.eye(3))
     with pytest.raises(ValueError, match="symmetric"):
         multivariate_normal_cdf([0.1, 0.2], [[1.0, 0.3], [0.5, 1.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        multivariate_normal_cdf([0.1, 0.2, np.inf], [[1.0, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.4, 1.0]])
+    with pytest.raises(ValueError, match="unit diagonal"):
+        multivariate_normal_cdf([0.1, 0.2, np.inf], [[1.0, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 1.5]])
 
 
 def test_mvn_trivariate_against_mc_oracle():

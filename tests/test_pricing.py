@@ -234,7 +234,7 @@ def test_wide_pass_is_the_same_at_one_and_two_workers():
 
 
 def test_kernel_scratch_stays_with_its_worker_under_thread_switching(vanilla_model):
-    # Each pool thread owns its scratch; four workers on fewer cores, switching
+    # Each block-running thread owns its scratch; four workers on fewer cores, switching
     # threads every microsecond, would mix the blocks of a shared buffer.
     specs = tuple(BasketSpec((0.5, 0.5), kind, 1.0, 1.0, rate=0.05) for kind in ("arithmetic", "geometric"))
     tuple_set = truncate(vanilla_model, 0.0)

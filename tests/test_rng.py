@@ -1,0 +1,142 @@
+"""The block scheduler: positional output, errors, nesting, thread reuse and fork."""
+
+import multiprocessing
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from mvmix import rng
+from mvmix.montecarlo import SimulationConfig, simulate_scmd
+from mvmix.rng import run_blocks
+
+
+def _blocks(count: int, size: int = 7) -> list[tuple[int, int, int]]:
+    return [(b, b * size, (b + 1) * size) for b in range(count)]
+
+
+def _fill(out: np.ndarray):
+    def fn(b: int, start: int, stop: int) -> None:
+        out[start:stop] = 1000 * b + np.arange(start, stop)
+
+    return fn
+
+
+def _in_thread(target, timeout: float = 60.0) -> None:
+    """Run target on a daemon thread; a deadlock fails the test instead of hanging it."""
+    errors = []
+
+    def run():
+        try:
+            target()
+        except BaseException as exc:  # handed to the test thread below
+            errors.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "run_blocks did not return"
+    if errors:
+        raise errors[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("count", range(1, 10))
+def test_positional_fill_is_independent_of_workers_and_blocks(count, workers):
+    expected = np.concatenate([1000 * b + np.arange(b * 7, (b + 1) * 7) for b in range(count)])
+    out = np.full(7 * count, -1.0)
+    run_blocks(_fill(out), _blocks(count), workers)
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_error_on_the_caller_stops_the_hand_out_and_propagates(workers):
+    caller, ran, helper_started = threading.current_thread(), [], threading.Event()
+
+    def fn(b, start, stop):
+        ran.append(b)
+        if threading.current_thread() is caller:
+            helper_started.wait(30.0)  # fail only while helpers are taking blocks
+            raise RuntimeError(f"block {b} failed")
+        helper_started.set()
+        time.sleep(0.005)
+
+    with pytest.raises(RuntimeError, match="failed"):
+        run_blocks(fn, _blocks(40), workers)
+    assert len(ran) < 40  # no block is handed out once one has failed
+    out = np.zeros(7 * 5)
+    run_blocks(_fill(out), _blocks(5), workers)
+    assert out[-1] == 4034.0
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_error_on_a_helper_propagates(workers):
+    caller, helper_failed = [], threading.Event()
+
+    def fn(b, start, stop):
+        if threading.current_thread() is caller[0]:
+            helper_failed.wait(30.0)  # hold the caller until a helper has taken a block
+        else:
+            helper_failed.set()
+            raise KeyError("helper block")
+
+    def call():
+        caller.append(threading.current_thread())
+        with pytest.raises(KeyError, match="helper block"):
+            run_blocks(fn, _blocks(8), workers)
+
+    _in_thread(call)
+    assert helper_failed.is_set()
+    out = np.zeros(7 * 5)
+    run_blocks(_fill(out), _blocks(5), workers)
+    assert out[-1] == 4034.0
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_block_may_call_run_blocks(workers, monkeypatch):
+    monkeypatch.setattr(rng, "_pool", None)  # a pool of exactly workers - 1 helpers, all of them busy below
+    monkeypatch.setattr(rng, "_pool_size", 0)
+    inner, together = np.zeros((6, 7 * 5)), threading.Barrier(workers)
+
+    def outer(b, start, stop):
+        together.wait(30.0)  # every thread is in an outer block, so no helper is free for the inner calls
+        run_blocks(_fill(inner[b]), _blocks(5), workers)
+
+    _in_thread(lambda: run_blocks(outer, _blocks(6), workers))
+    expected = np.concatenate([1000 * b + np.arange(b * 7, (b + 1) * 7) for b in range(5)])
+    assert all(np.array_equal(row, expected) for row in inner)
+
+
+def test_repeated_calls_reuse_their_helper_threads():
+    baseline = threading.active_count()
+    out = np.zeros(7 * 6)
+    for workers in (2, 3):
+        for _ in range(50):
+            run_blocks(_fill(out), _blocks(6), workers)
+    assert threading.active_count() <= baseline + 2
+
+
+def _scmd_child(conn, model, config):
+    conn.send_bytes(simulate_scmd(model, config, workers=2).values.tobytes())
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs os.fork")
+def test_forked_child_runs_blocks_with_its_own_helpers(vanilla_model):
+    config = SimulationConfig(paths=40_000, steps=8, maturity=1.0, seed=5)
+    expected = simulate_scmd(vanilla_model, config, workers=2).values  # the parent's helpers exist now
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_scmd_child, args=(send, vanilla_model, config))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60.0), "the forked child returned nothing"
+        got = np.frombuffer(receive.recv_bytes(), dtype=float).reshape(expected.shape)
+    finally:
+        child.join(60.0)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert np.array_equal(got, expected)

@@ -18,6 +18,7 @@ from mvmix import (
     mixture_pdf,
     simulate_md_euler,
 )
+from mvmix.univariate import _nu2, _nu2_schedule
 
 # Lognormal mixture densities evaluated from first principles, kept separate
 # from the package code so the tests stay an independent oracle.
@@ -187,6 +188,40 @@ def local_vol_assets():
     # the zero-weight component has the largest vol and must stay inert
     zero_weight = AssetMixture.from_arrays(1.0, 0.05, [0.5, 0.0, 0.5], [0.2, 0.5, 0.3])
     return {"vanilla": vanilla, "switching": switching, "zero-weight": zero_weight}
+
+
+def _nu2_with_fills(y, coefs, bufs):
+    """Reference nu^2: every component added to a zeroed numerator and a unit denominator."""
+    ref, terms = coefs
+    out, den, e = bufs
+    out.fill(0.0)
+    den.fill(1.0)
+    for gk, bk, ak, dk in zip(*terms):
+        np.multiply(gk, y, out=e)
+        e += bk
+        e *= y
+        e += ak
+        np.exp(e, out=e)
+        den += e
+        e *= dk
+        out += e
+    out /= den
+    out += ref
+    return out
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("single",), ("vanilla",), ("switching",), ("zero-weight",), ("single", "vanilla", "switching", "zero-weight")],
+)
+def test_nu2_kernel_keeps_the_bits_of_the_filled_form(names):
+    assets = dict(local_vol_assets(), single=AssetMixture.from_arrays(2.0, 0.01, [1.0], [0.3]))
+    assets = [assets[name] for name in names]
+    y = np.random.default_rng(8).normal(0.0, 0.8, (len(assets), 501))
+    y[:, :3] = [-40.0, 0.0, 40.0]
+    for coefs in _nu2_schedule(assets, (0.0,) + LOCAL_VOL_TIMES):
+        got = _nu2(y, coefs, np.full((3,) + y.shape, np.nan))
+        assert np.array_equal(got, _nu2_with_fills(y, coefs, np.full((3,) + y.shape, np.nan)))
 
 
 def test_switching_asset_changes_its_largest_variance_component():
