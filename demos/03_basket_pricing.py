@@ -42,12 +42,13 @@ for strike in (0.0, 1.0):
     est = price_mvmd_mc(spread, BasketSpec((-1.0, 1.0), "arithmetic", strike, maturity, 1, rate),
                         paths=100_000, seed=2)
     print(f"  K={strike}: {est.price:.4f} (se {est.std_error:.4f})")
+full = truncate(spread, 0.0)
 exch = sum(
     w * margrabe(0.7, 1.7,
-                 spread.assets[0].components[tp.indices[0]].vol.value(0.0),
-                 spread.assets[1].components[tp.indices[1]].vol.value(0.0),
+                 spread.assets[0].components[k0].vol.value(0.0),
+                 spread.assets[1].components[k1].vol.value(0.0),
                  0.6, maturity, 1)
-    for tp, w in truncate(spread, 0.0)
+    for (k0, k1), w in zip(full.index_array, full.weights)
 )
 print(f"  K=0 closed form (weighted exchange options): {exch:.4f}")
 

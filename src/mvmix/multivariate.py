@@ -7,6 +7,11 @@ diffusion matrix C C^T at (t, x) is the density-weighted average of the
 per-tuple instantaneous covariance matrices, which keeps each asset's
 marginal law exactly equal to its univariate mixture.
 
+Kept tuples are read as the (K, n) `index_array` and (K,) `weight_array`
+of a `TupleSet`, whose laws `tuple_laws` stacks for one batched pass.
+`ComponentTuple` and `model.tuples()` stay only because the benchmark pins
+how many tuple objects `truncate` builds (ROADMAP item 1).
+
 Read as the Markovian projection of an uncertain-volatility model, every
 tuple's terminal law is one set of correlated Brownian motions seen
 through each asset's own curve, so the samplers and the pricing kernel
@@ -24,10 +29,8 @@ from functools import lru_cache, reduce
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .univariate import AssetMixture, _local_vols
-from .volcurve import VolCurve
 
 __all__ = [
     "CorrelationMatrix",
@@ -61,7 +64,7 @@ class SingularCovarianceError(ValueError):
         )
 
 
-def psd_factor(matrix: np.ndarray, eig_floor: float = _EIG_FLOOR) -> np.ndarray:
+def psd_factor(matrix: np.ndarray) -> np.ndarray:
     """Factor L with L @ L.T = matrix for a (possibly rank-deficient) PSD matrix.
 
     Positive-definite input gets the Cholesky factor; rank-deficient input
@@ -69,8 +72,8 @@ def psd_factor(matrix: np.ndarray, eig_floor: float = _EIG_FLOOR) -> np.ndarray:
     zero columns for the dropped directions.  Both orientations are
     canonical, so factors of nearby matrices map the same normal draws to
     price moves of the same sign (common-random-number coherence).
-    Eigenvalues below `eig_floor` are rejected; small negatives above it are
-    rounding noise and get clipped to zero.
+    Eigenvalues below `_EIG_FLOOR` times the largest are rejected; small
+    negatives above it are rounding noise and get clipped to zero.
     """
     m = np.asarray(matrix, dtype=float)
     try:
@@ -78,7 +81,7 @@ def psd_factor(matrix: np.ndarray, eig_floor: float = _EIG_FLOOR) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     w, v = np.linalg.eigh(m)
-    if w.min() < eig_floor * max(1.0, w.max()):
+    if w.min() < _EIG_FLOOR * max(1.0, w.max()):
         raise ValueError(f"matrix is not positive semi-definite (min eigenvalue {w.min():g})")
     # descending eigenvalues; orient each column so its largest entry is positive
     order = np.argsort(w)[::-1]
@@ -170,9 +173,6 @@ class MultiAssetModel:
         for indices in itertools.product(*(range(a.n_components) for a in self.assets)):
             yield ComponentTuple(self, indices)
 
-    def tuple_at(self, indices) -> "ComponentTuple":
-        return ComponentTuple(self, tuple(int(k) for k in indices))
-
     def vol_bounds(self) -> tuple[float, float]:
         """Global (lo, hi) over every component volatility curve."""
         los = [c.vol.lo for a in self.assets for c in a.components]
@@ -182,10 +182,9 @@ class MultiAssetModel:
 
 @dataclass(frozen=True, eq=False)
 class ComponentTuple:
-    """One multivariate mixture component: indices (k_1, ..., k_n).
+    """One multivariate mixture component: validated indices (k_1, ..., k_n).
 
-    Its law at t is jointly lognormal with log-means `log_means(t)` and log
-    covariance `integrated_covariance(t)`, the one-row case of `tuple_laws`.
+    Its jointly lognormal law at t is the `tuple_laws` row of its indices.
     """
 
     model: MultiAssetModel
@@ -198,31 +197,6 @@ class ComponentTuple:
         for asset, k in zip(self.model.assets, self.indices):
             if not 0 <= k < asset.n_components:
                 raise ValueError(f"component index {k} out of range")
-
-    @property
-    def weight(self) -> float:
-        """Product of the per-asset component weights."""
-        return float(
-            np.prod([a.components[k].weight for a, k in zip(self.model.assets, self.indices)])
-        )
-
-    def vols(self) -> tuple[VolCurve, ...]:
-        return tuple(a.components[k].vol for a, k in zip(self.model.assets, self.indices))
-
-    def spot_vols(self, t: float) -> np.ndarray:
-        return np.array([v.value(t) for v in self.vols()])
-
-    def integrated_covariance(self, t: float) -> np.ndarray:
-        return integrated_covariance(self.model, self.indices, t)
-
-    def log_means(self, t: float) -> np.ndarray:
-        """Log-space means: ln x_i(0) + mu_i t - Xi_ii(t) / 2."""
-        return tuple_laws(self.model, [self.indices], t)[0][0]
-
-    def instantaneous_covariance(self, t: float) -> np.ndarray:
-        """V(t) = [sigma_i(t) rho_ij sigma_j(t)] for this tuple's vols."""
-        s = self.spot_vols(t)
-        return np.outer(s, s) * self.model.corr.values
 
 
 def tuple_laws(model: MultiAssetModel, indices, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -319,18 +293,6 @@ def _column_log_prices(model: MultiAssetModel, loadings: np.ndarray, means: np.n
     return out
 
 
-def _chol_or_singular(xi: np.ndarray, indices, t: float):
-    """Cholesky of Xi; tiny/singular pivots flag the tuple as singular."""
-    try:
-        c, low = cho_factor(xi, lower=True)
-    except np.linalg.LinAlgError:
-        raise SingularCovarianceError(tuple(indices), t) from None
-    diag = np.diag(c)
-    if np.min(diag) <= 1e-9 * np.max(diag):
-        raise SingularCovarianceError(tuple(indices), t)
-    return c, low
-
-
 def component_mvln_logpdf(model: MultiAssetModel, indices, t: float, x) -> np.ndarray | float:
     """Log density of the multivariate lognormal component at price vector x.
 
@@ -342,23 +304,33 @@ def component_mvln_logpdf(model: MultiAssetModel, indices, t: float, x) -> np.nd
     return float(out[0]) if single else out
 
 
-def _tuple_logpdfs(model: MultiAssetModel, indices, t: float, pts: np.ndarray) -> list[np.ndarray]:
-    """Log densities of the tuples in the rows of `indices` at (m, n) points, one array per tuple."""
+def _tuple_logpdfs(model: MultiAssetModel, indices, t: float, pts: np.ndarray) -> np.ndarray:
+    """(K, m) log densities of the tuples in the rows of `indices` at (m, n) points.
+
+    One column-at-a-time Cholesky pass over the (K, n, n) Xi stack also
+    solves L y = log x - mean; the first row with a pivot that is not above
+    1e-9 of its largest is reported singular.
+    """
     if pts.shape[1] != model.n:
         raise ValueError("price vector dimension must match the model")
     if np.any(pts <= 0):
         raise ValueError("prices must be positive")
     means, xi = tuple_laws(model, indices, t)
     logx = np.log(pts)
-    out = []
-    for row, mean, cov in zip(indices, means, xi):
-        c, low = _chol_or_singular(cov, [int(k) for k in row], t)
-        logdet = 2.0 * np.sum(np.log(np.diag(c)))
-        centered = logx - mean[None, :]
-        sol = cho_solve((c, low), centered.T)
-        quad = np.sum(centered.T * sol, axis=0)
-        out.append(-0.5 * quad - 0.5 * logdet - 0.5 * model.n * np.log(2.0 * np.pi) - np.sum(logx, axis=1))
-    return out
+    centered = logx.T - means[:, :, None]  # (K, n, m)
+    chol = np.zeros_like(xi)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a failed pivot leaves nan or inf, caught below
+        for j in range(model.n):
+            col = xi[:, j:, j] - (chol[:, j:, :j] @ chol[:, j, :j, None])[:, :, 0]
+            chol[:, j:, j] = col / np.sqrt(col[:, :1])
+            centered[:, j] = (centered[:, j] - (chol[:, j, None, :j] @ centered[:, :j])[:, 0]) / chol[:, j, j, None]
+    pivots = np.diagonal(chol, axis1=1, axis2=2)
+    singular = ~(pivots.min(axis=1) > 1e-9 * pivots.max(axis=1))
+    if singular.any():
+        raise SingularCovarianceError(tuple(int(k) for k in np.asarray(indices)[singular.argmax()]), t)
+    logdet = 2.0 * np.log(pivots).sum(axis=1)
+    quad = (centered**2).sum(axis=1)
+    return -0.5 * quad - 0.5 * logdet[:, None] - 0.5 * model.n * np.log(2.0 * np.pi) - logx.sum(axis=1)
 
 
 def component_mvln_pdf(model: MultiAssetModel, indices, t: float, x) -> np.ndarray | float:
@@ -375,9 +347,6 @@ class TupleSet:
 
     def __len__(self) -> int:
         return len(self.tuples)
-
-    def __iter__(self):
-        return zip(self.tuples, self.weights)
 
     @property
     def weight_array(self) -> np.ndarray:
@@ -403,8 +372,7 @@ def truncate(model: MultiAssetModel, kappa: float = 0.0) -> TupleSet:
     heaviest = float(np.prod([max(c.weight for c in a.components) for a in model.assets]))
     if kappa > 0.0 and not heaviest > kappa:
         raise ValueError(f"cutoff {kappa} removed all components")
-    # Every tuple's weight, in itertools.product order: one running product
-    # over the assets, left to right like ComponentTuple.weight, so equal to it.
+    # Every tuple's weight in itertools.product order: one running product over the assets.
     raw = reduce(np.multiply.outer, [a.weights for a in model.assets]).ravel()
     if kappa == 0.0:
         return TupleSet(tuple(model.tuples()), tuple(raw.tolist()))
@@ -419,7 +387,7 @@ def _tuple_logweights(
     """log(weight * density) per kept tuple at points x, shape (K, m)."""
     logpdfs = _tuple_logpdfs(model, tuple_set.index_array, t, x)
     with np.errstate(divide="ignore"):  # zero weights belong at -inf
-        return np.vstack([np.log(w) + logpdf for w, logpdf in zip(tuple_set.weights, logpdfs)])
+        return np.log(tuple_set.weight_array)[:, None] + logpdfs
 
 
 def mixture_pdf(model: MultiAssetModel, t: float, x, kappa: float = 0.0) -> np.ndarray | float:
@@ -439,9 +407,9 @@ def mvmd_diffusion_squared(
     """State-dependent squared diffusion matrix C C^T (t, x).
 
     Density-weighted convex combination of the per-tuple instantaneous
-    covariance matrices V(t); weights are computed in log space with the
-    dominant exponent factored out, so in deep tails the matrix converges
-    to the V of the dominating tuple.
+    covariances V_k(t) = R * s_k s_k^T of tuple k's vols s_k at t, weighted
+    in log space with the dominant exponent factored out, so in deep tails
+    the matrix converges to the V of the dominating tuple.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != model.n:
@@ -450,10 +418,9 @@ def mvmd_diffusion_squared(
     logw = _tuple_logweights(model, tuple_set, t, x[None, :])[:, 0]
     w = np.exp(logw - logw.max())
     w /= w.sum()
-    out = np.zeros((model.n, model.n))
-    for wk, (tp, _) in zip(w, tuple_set):
-        out += wk * tp.instantaneous_covariance(t)
-    return out
+    vols = np.array([c.vol.value(t) for a in model.assets for c in a.components])
+    s = vols[np.cumsum((0, *model.component_counts()[:-1])) + tuple_set.index_array]  # (K, n)
+    return (w * s.T) @ s * model.corr.values
 
 
 def scmd_covariance(model: MultiAssetModel, t: float, x) -> np.ndarray:
@@ -497,10 +464,8 @@ def marginal_moment(model: MultiAssetModel, i: int, t: float, order: int = 1) ->
 
     Marginal consistency makes this equal the univariate mixture moment.
     """
+    if not 0 <= i < model.n:
+        raise ValueError(f"asset index {i} out of range for {model.n} assets")
     tuple_set = truncate(model, 0.0)
-    means = tuple_laws(model, tuple_set.index_array, t)[0]
-    total = 0.0
-    for (tp, w), m in zip(tuple_set, means[:, i]):
-        v2 = tp.vols()[i].integral_sq(t)
-        total += w * np.exp(order * m + 0.5 * order**2 * v2)
-    return float(total)
+    means, xi = tuple_laws(model, tuple_set.index_array, t)
+    return float(tuple_set.weight_array @ np.exp(order * means[:, i] + 0.5 * order**2 * xi[:, i, i]))

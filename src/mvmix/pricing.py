@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .multivariate import MultiAssetModel, TupleSet, _column_log_prices, _component_columns, _shared_laws, truncate, tuple_laws
+from .multivariate import ComponentTuple, MultiAssetModel, TupleSet, _column_log_prices, _component_columns, _shared_laws, truncate, tuple_laws
 from .rng import BLOCK_SIZE, path_blocks, run_blocks, substream
 
 __all__ = [
@@ -128,6 +128,8 @@ def black_scholes(
         raise ValueError("strike must be nonnegative")
     if not spot > 0:
         raise ValueError("spot must be positive")
+    if not 0.0 <= total_vol < np.inf:
+        raise ValueError(f"total volatility must be finite and nonnegative, got {total_vol}")
     disc = np.exp(-rate * maturity)
     forward = spot / disc
     if total_vol == 0.0 or strike == 0.0:
@@ -150,6 +152,8 @@ def margrabe(
     """
     if not (x1 > 0 and x2 > 0):
         raise ValueError("spots must be positive")
+    if not 0.0 <= maturity < np.inf:
+        raise ValueError(f"maturity must be finite and nonnegative, got {maturity}")
     sig = np.sqrt(max(vol1**2 - 2.0 * rho * vol1 * vol2 + vol2**2, 0.0))
     stv = sig * np.sqrt(maturity)
     if stv == 0.0:
@@ -173,6 +177,8 @@ def geometric_pair_k0(
     """Zero-strike call on the weighted geometric average of two lognormals."""
     if not (w1 > 0 and w2 > 0):
         raise ValueError("geometric weights must be positive")
+    if not 0.0 <= maturity < np.inf:
+        raise ValueError(f"maturity must be finite and nonnegative, got {maturity}")
     p = 1.0 / (w1 + w2)
     gamma2 = (vol1**2 * w1**2 + vol2**2 * w2**2 + 2.0 * rho * vol1 * vol2 * w1 * w2) * p**2 * maturity
     drift_term = ((rate - 0.5 * vol1**2) * w1 + (rate - 0.5 * vol2**2) * w2) * p * maturity
@@ -181,35 +187,30 @@ def geometric_pair_k0(
     )
 
 
-def _lognormal_option(log_mean: float, log_sd: float, strike: float, rate: float, maturity: float, omega: int) -> float:
-    """Discounted E[(omega(G - K))^+] for ln G ~ N(log_mean, log_sd^2)."""
-    disc = np.exp(-rate * maturity)
-    mean = np.exp(log_mean + 0.5 * log_sd**2)
-    if strike == 0.0:
-        return float(disc * mean) if omega == 1 else 0.0
-    if log_sd == 0.0:
-        return float(disc * max(omega * (np.exp(log_mean) - strike), 0.0))
-    d2 = (log_mean - np.log(strike)) / log_sd
-    d1 = d2 + log_sd
-    return float(omega * disc * (mean * ndtr(omega * d1) - strike * ndtr(omega * d2)))
-
-
 def _geometric_mixture(means, xi: np.ndarray, weights: np.ndarray, spec: BasketSpec) -> np.ndarray:
     """Closed-form geometric-basket mixture price of each model's (K, n) log-means.
 
     The weighted geometric average of a tuple's jointly lognormal prices is
     lognormal, and its log-variance depends only on the tuple's covariance
-    `xi[k]`, so models that differ only in spots share it.  Each model's
-    price is the `weights` combination of its tuple prices.
+    `xi[k]`, so models that differ only in spots share it.  One array formula
+    prices every (model, tuple) pair; `weights` combines each model's row.
     """
     w = np.asarray(spec.weights)
     p = 1.0 / w.sum()
-    log_sds = [np.sqrt(max(float(p**2 * (w @ x @ w)), 0.0)) for x in xi]
-
-    def option(log_means: np.ndarray, log_sd: float) -> float:
-        return _lognormal_option(float(p * (w @ log_means)), log_sd, spec.strike, spec.rate, spec.maturity, spec.omega)
-
-    return np.array([float(weights @ np.array([option(m, sd) for m, sd in zip(rows, log_sds)])) for rows in means])
+    # one dot product per tuple and model, not one matrix product: these sums keep their bits
+    sds = np.array([np.sqrt(max(float(p**2 * (w @ x @ w)), 0.0)) for x in xi])
+    lms = np.array([[float(p * (w @ m)) for m in rows] for rows in means])  # (M, K) log-means of the average
+    disc, strike, omega = np.exp(-spec.rate * spec.maturity), spec.strike, spec.omega
+    mean = np.exp(lms + 0.5 * sds**2)
+    if strike == 0.0:
+        prices = disc * mean if omega == 1 else np.zeros_like(mean)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):  # sds == 0 takes the intrinsic value below
+            d2 = (lms - np.log(strike)) / sds
+            d1 = d2 + sds
+            prices = omega * disc * (mean * ndtr(omega * d1) - strike * ndtr(omega * d2))
+        prices = np.where(sds > 0.0, prices, disc * np.maximum(omega * (np.exp(lms) - strike), 0.0))
+    return np.array([float(weights @ row) for row in prices])
 
 
 def geometric_tuple_price(model: MultiAssetModel, indices, spec: BasketSpec) -> float:
@@ -399,7 +400,7 @@ def component_arithmetic_price(
     """Single-step Monte Carlo price of the basket option on one tuple's law."""
     if spec.kind != "arithmetic":
         raise ValueError("spec must be arithmetic")
-    single = TupleSet((model.tuple_at(indices),), (1.0,))
+    single = TupleSet((ComponentTuple(model, indices),), (1.0,))
     price, se = _tuple_mc_prices((model,), single, (spec,), paths, seed, workers)
     return PriceEstimate(float(price[0, 0]), float(se[0, 0]), paths, "mvmd-component")
 

@@ -131,14 +131,15 @@ def test_criterion_4_closed_form_cross_checks():
         assert exact.std_error == 0.0
         assert abs(mc.price - exact.price) < 3 * mc.std_error
         if strike == 0.0:
+            full = truncate(gmodel, 0.0)
             pair = sum(
                 w * geometric_pair_k0(
                     1.0, 1.0,
-                    gmodel.assets[0].components[tp.indices[0]].vol.value(0.0),
-                    gmodel.assets[1].components[tp.indices[1]].vol.value(0.0),
+                    gmodel.assets[0].components[k0].vol.value(0.0),
+                    gmodel.assets[1].components[k1].vol.value(0.0),
                     0.6, 1.0, 1.0, RATE, MATURITY,
                 )
-                for tp, w in truncate(gmodel, 0.0)
+                for (k0, k1), w in zip(full.index_array, full.weights)
             )
             assert exact.price == pytest.approx(pair, rel=1e-13)
 

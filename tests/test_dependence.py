@@ -20,6 +20,7 @@ from mvmix import (
     sample_muvm_terminal,
     sample_mvmd_terminal,
     tau_params,
+    truncate,
 )
 from mvmix.benchmarks import table_configs
 from mvmix.cli import main
@@ -293,11 +294,12 @@ def test_tau_and_copula_match_per_pair_loops(vanilla_model):
     u = np.array([0.3, 0.8])
     x = [inverse_cdf(asset, 1.0, ui) for asset, ui in zip(vanilla_model.assets, u)]
     ref = 0.0
-    for tp in vanilla_model.tuples():
-        comps = [vanilla_model.assets[i].components[k] for i, k in enumerate(tp.indices)]
+    tuple_set = truncate(vanilla_model, 0.0)
+    for row, w in zip(tuple_set.index_array, tuple_set.weights):
+        comps = [vanilla_model.assets[i].components[k] for i, k in enumerate(row)]
         v = [c.vol.total_std(1.0) for c in comps]
         z = [(np.log(xi) - 0.05 + 0.5 * vi**2) / vi for xi, vi in zip(x, v)]
-        ref += tp.weight * multivariate_normal_cdf(z, [[1, 0.6], [0.6, 1]])
+        ref += w * multivariate_normal_cdf(z, [[1, 0.6], [0.6, 1]])
     assert copula_value(vanilla_model, 1.0, u) == pytest.approx(ref, abs=1e-15)
 
 

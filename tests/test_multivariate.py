@@ -100,7 +100,7 @@ def test_tuple_laws_equal_the_per_integral_loop(name):
         loop_means, loop_xi = _laws_by_loop(model, indices, t)
         assert np.array_equal(means, loop_means) and np.array_equal(xi, loop_xi)
         for k, row in enumerate(indices):  # the one-row calls read the same source
-            assert np.array_equal(model.tuple_at(row).log_means(t), means[k])
+            assert np.array_equal(tuple_laws(model, [row], t)[0][0], means[k])
             assert np.array_equal(integrated_covariance(model, row, t), xi[k])
         sub = indices[::-2]  # any subset, in any order
         assert np.array_equal(tuple_laws(model, sub, t)[1], loop_xi[::-2])
@@ -152,7 +152,7 @@ def test_truncate_weights_are_the_product_weights_in_product_order():
         cut = truncate(model, kappa)
         kept = np.array([w for w in expect if w > kappa])
         assert cut.weights == tuple(kept / kept.sum())
-        assert [tp.indices for tp in cut.tuples] == [tp.indices for tp in full.tuples if tp.weight > kappa]
+        assert [tp.indices for tp in cut.tuples] == [tp.indices for tp, w in zip(full.tuples, expect) if w > kappa]
 
 
 def test_perfect_correlation_is_flagged_singular():
@@ -160,6 +160,18 @@ def test_perfect_correlation_is_flagged_singular():
     with pytest.raises(SingularCovarianceError) as err:
         component_mvln_pdf(model, (0, 0), 1.0, np.array([1.0, 1.0]))
     assert err.value.indices == (0, 0)
+
+
+def test_mixture_pdf_names_a_later_singular_tuple():
+    # rho = 1: tuple (0, 0) pairs a piecewise curve with a constant one and is
+    # regular; (1, 0) pairs two equal constants, so its Xi has rank 1.
+    piecewise = VolCurve((0.0, 0.5), (0.2, 0.4))
+    model = make_model((1.0, 1.0), (0.0, 0.0), ((0.6, 0.4), (1.0,)), ((piecewise, 0.3), (0.3,)), 1.0)
+    x = np.array([1.0, 1.1])
+    assert component_mvln_pdf(model, (0, 0), 1.0, x) > 0.0
+    with pytest.raises(SingularCovarianceError) as err:
+        mixture_pdf(model, 1.0, x)
+    assert err.value.indices == (1, 0)
 
 
 def test_mvln_pdf_reduces_to_univariate():
@@ -226,9 +238,15 @@ def test_moments_match_univariate_mixture(vanilla_model):
             assert tuple_sum == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("i", [-1, 2])
+def test_marginal_moment_rejects_an_asset_index_out_of_range(vanilla_model, i):
+    with pytest.raises(ValueError, match=f"asset index {i} out of range"):
+        marginal_moment(vanilla_model, i, 1.0)
+
+
 def test_diffusion_matrix_single_component_is_state_free():
     model = make_model((1.0, 1.0), (0.05, 0.05), ((1.0,), (1.0,)), ((0.3,), (0.25,)), 0.6)
-    v = model.tuple_at((0, 0)).instantaneous_covariance(1.0)
+    v = np.outer([0.3, 0.25], [0.3, 0.25]) * model.corr.values  # V = R * s s^T of the one tuple
     for x in ([0.5, 0.5], [1.0, 2.0], [4.0, 0.2]):
         assert np.allclose(mvmd_diffusion_squared(model, 1.0, np.array(x)), v, atol=1e-14)
 
@@ -264,7 +282,7 @@ def test_diffusion_matrix_tail_limit(vanilla_model):
     x = np.array([1e-9, 1e9])
     got = mvmd_diffusion_squared(vanilla_model, 1.0, x)
     # fattest tails: component 0 (sigma .3) for asset 1, component 1 (.35) for asset 2
-    v = vanilla_model.tuple_at((0, 1)).instantaneous_covariance(1.0)
+    v = np.outer([0.3, 0.35], [0.3, 0.35]) * vanilla_model.corr.values
     assert np.allclose(got, v, rtol=1e-8)
 
 
@@ -318,7 +336,7 @@ def test_truncate_cutoffs(vanilla_model):
     assert sum(full.weights) == pytest.approx(1.0, abs=1e-14)
     # products {0.42, 0.18, 0.28, 0.12}; kappa=0.2 keeps 0.42, 0.28 -> {0.6, 0.4}
     cut = truncate(vanilla_model, 0.2)
-    assert sorted(tp.indices for tp, _ in cut) == [(0, 0), (1, 0)]
+    assert sorted(map(tuple, cut.index_array.tolist())) == [(0, 0), (1, 0)]
     assert sorted(cut.weights) == pytest.approx([0.4, 0.6], abs=1e-14)
     assert sum(cut.weights) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from mvmix import (
     truncate,
 )
 from mvmix import pricing
-from mvmix.multivariate import _column_log_prices, _component_columns
+from mvmix.multivariate import _column_log_prices, _component_columns, tuple_laws
 from mvmix.rng import BLOCK_SIZE, path_blocks, substream
 
 from conftest import make_model
@@ -47,6 +47,20 @@ def test_black_scholes_degenerate_cases():
     assert black_scholes(1.0, 2.0, 0.0, 0.05, 1.0, 1) == 0.0
     with pytest.raises(ValueError):
         black_scholes(1.0, -0.5, 0.2, 0.05, 1.0, 1)
+
+
+@pytest.mark.parametrize("total_vol", [-0.2, np.nan, np.inf])
+def test_black_scholes_rejects_a_negative_or_non_finite_total_vol(total_vol):
+    with pytest.raises(ValueError, match="total volatility must be finite and nonnegative"):
+        black_scholes(1.0, 1.0, total_vol, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("maturity", [-1.0, np.nan, np.inf])
+def test_pair_closed_forms_reject_a_negative_or_non_finite_maturity(maturity):
+    with pytest.raises(ValueError, match="maturity must be finite and nonnegative"):
+        margrabe(1.0, 1.0, 0.2, 0.3, 0.5, maturity)
+    with pytest.raises(ValueError, match="maturity must be finite and nonnegative"):
+        geometric_pair_k0(1.0, 1.0, 0.2, 0.3, 0.5, 1.0, 1.0, 0.05, maturity)
 
 
 def test_black_scholes_put_call_parity():
@@ -172,8 +186,8 @@ def test_convex_combination_identity(vanilla_model):
     tuple_set = truncate(vanilla_model, 0.0)
     comp = np.array(
         [
-            component_arithmetic_price(vanilla_model, tp.indices, spec, 200_000, 5).price
-            for tp, _ in tuple_set
+            component_arithmetic_price(vanilla_model, row, spec, 200_000, 5).price
+            for row in tuple_set.index_array
         ]
     )
     resum = float(tuple_set.weight_array @ comp)
@@ -187,7 +201,7 @@ def test_convex_combination_identity_at_every_seed(vanilla_model, seed):
     spec = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0, 1, 0.05)
     combined = price_mvmd_mc(vanilla_model, spec, paths=200_000, seed=seed)
     tuple_set = truncate(vanilla_model, 0.0)
-    comp = [component_arithmetic_price(vanilla_model, tp.indices, spec, 200_000, seed).price for tp, _ in tuple_set]
+    comp = [component_arithmetic_price(vanilla_model, row, spec, 200_000, seed).price for row in tuple_set.index_array]
     assert combined.price == float(tuple_set.weight_array @ np.array(comp))
 
 
@@ -213,7 +227,7 @@ def test_each_tuple_prices_as_in_its_own_pass(paths):
         for kind in ("arithmetic", "geometric")
         for omega in (1, -1)
     )
-    for k, (tp, _) in enumerate(kept):
+    for k, tp in enumerate(kept.tuples):
         # A one-hot weight reads tuple k's price exactly out of the 23-tuple pass.
         one_hot = TupleSet(kept.tuples, tuple(float(i == k) for i in range(len(kept))))
         in_pass, _ = pricing._tuple_mc_prices((model,), one_hot, specs, paths, 3, 1)
@@ -428,11 +442,11 @@ def test_greeks_geometric_matches_analytic_delta(vanilla_model):
     # analytic delta of the composite lognormal closed form, per tuple
     def analytic_delta(i):
         total = 0.0
-        for tp, w in truncate(vanilla_model, 0.0):
+        tuple_set = truncate(vanilla_model, 0.0)
+        for w, means, xi in zip(tuple_set.weights, *tuple_laws(vanilla_model, tuple_set.index_array, 1.0)):
             xw = np.asarray(spec.weights)
             p = 1.0 / xw.sum()
-            xi = tp.integrated_covariance(1.0)
-            m = float(p * (xw @ tp.log_means(1.0)))
+            m = float(p * (xw @ means))
             s = np.sqrt(float(p**2 * (xw @ xi @ xw)))
             d1 = (m - np.log(spec.strike)) / s + s
             dmdx = p * xw[i] / vanilla_model.assets[i].spot
@@ -465,7 +479,7 @@ def test_greeks_convex_combination_identity(vanilla_model):
         return (up - dn) / (2 * bump)
 
     for i in range(2):
-        resum = sum(w * tuple_delta(tp.indices, i) for tp, w in tuple_set)
+        resum = sum(w * tuple_delta(row, i) for row, w in zip(tuple_set.index_array, tuple_set.weights))
         assert delta[i] == pytest.approx(resum, abs=1e-12)
 
 
