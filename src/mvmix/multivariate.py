@@ -8,9 +8,11 @@ per-tuple instantaneous covariance matrices, which keeps each asset's
 marginal law exactly equal to its univariate mixture.
 
 Kept tuples are read as the (K, n) `index_array` and (K,) `weight_array`
-of a `TupleSet`, whose laws `tuple_laws` stacks for one batched pass.
-`ComponentTuple` and `model.tuples()` stay only because the benchmark pins
-how many tuple objects `truncate` builds (ROADMAP item 1).
+of a `TupleSet`, whose laws `tuple_laws` stacks for one batched pass.  A
+`TupleSet` checks its indices and weights once, as arrays, when it is
+built.  `ComponentTuple` is a bare (model, indices) record; it and
+`model.tuples()` stay only because the benchmark pins how many tuple
+objects `truncate` builds (ROADMAP item 1).
 
 Read as the Markovian projection of an uncertain-volatility model, every
 tuple's terminal law is one set of correlated Brownian motions seen
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Iterator
 
@@ -182,21 +184,29 @@ class MultiAssetModel:
 
 @dataclass(frozen=True, eq=False)
 class ComponentTuple:
-    """One multivariate mixture component: validated indices (k_1, ..., k_n).
+    """One multivariate mixture component: its model and indices (k_1, ..., k_n).
 
-    Its jointly lognormal law at t is the `tuple_laws` row of its indices.
+    The indices are kept as given; a `TupleSet` checks them against the
+    model when it is built.  The tuple's jointly lognormal law at t is the
+    `tuple_laws` row of its indices.
     """
 
     model: MultiAssetModel
     indices: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(k) for k in self.indices))
-        if len(self.indices) != self.model.n:
-            raise ValueError("one component index per asset required")
-        for asset, k in zip(self.model.assets, self.indices):
-            if not 0 <= k < asset.n_components:
-                raise ValueError(f"component index {k} out of range")
+
+def _index_rows(model: MultiAssetModel, indices) -> np.ndarray:
+    """The (K, n) `intp` array of the component-index rows, each index checked against its asset."""
+    try:
+        idx = np.asarray(indices, dtype=np.intp)
+    except ValueError:  # rows of different lengths
+        idx = None
+    if idx is None or idx.ndim != 2 or idx.shape[1] != model.n:
+        raise ValueError("one component index per asset required")
+    bad = (idx < 0) | (idx >= model.component_counts())
+    if bad.any():
+        raise ValueError(f"component index {idx[bad][0]} out of range")
+    return idx
 
 
 def tuple_laws(model: MultiAssetModel, indices, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -224,12 +234,7 @@ def _shared_laws(models, indices, t: float) -> tuple[np.ndarray, np.ndarray]:
     if not t > 0:
         raise ValueError("need t > 0")
     n, counts = model.n, np.array(model.component_counts())
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 2 or idx.shape[1] != n:
-        raise ValueError("one component index per asset required")
-    bad = (idx < 0) | (idx >= counts)
-    if bad.any():
-        raise ValueError(f"component index {idx[bad][0]} out of range")
+    idx = _index_rows(model, indices)
     vols = [[c.vol for c in a.components] for a in model.assets]
     used = [np.unique(idx[:, i]).tolist() for i in range(n)]
     table = np.zeros((n, n, counts.max(), counts.max()))  # [i, j, a, b]: sigma_i^a with sigma_j^b
@@ -340,22 +345,32 @@ def component_mvln_pdf(model: MultiAssetModel, indices, t: float, x) -> np.ndarr
 
 @dataclass(frozen=True)
 class TupleSet:
-    """Component tuples kept after a cutoff, with renormalized weights."""
+    """Component tuples kept after a cutoff, with renormalized weights.
+
+    Building one checks all indices and weights at once and keeps them as
+    the read-only (K, n) `index_array` and (K,) `weight_array`.
+    """
 
     tuples: tuple[ComponentTuple, ...]
     weights: tuple[float, ...]
+    index_array: np.ndarray = field(init=False, repr=False, compare=False)
+    weight_array: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.tuples:
+            raise ValueError("need at least one tuple")
+        weights = np.array(self.weights, dtype=float)
+        if weights.shape != (len(self.tuples),):
+            raise ValueError("need one weight per tuple")
+        if not np.all((weights >= 0.0) & (weights < np.inf)):  # NaN fails both
+            raise ValueError("tuple weights must be finite and nonnegative")
+        idx = _index_rows(self.tuples[0].model, [tp.indices for tp in self.tuples])
+        for name, array in (("index_array", idx), ("weight_array", weights)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.tuples)
-
-    @property
-    def weight_array(self) -> np.ndarray:
-        return np.array(self.weights)
-
-    @property
-    def index_array(self) -> np.ndarray:
-        """(K, n) component indices of the kept tuples, the rows `tuple_laws` takes."""
-        return np.array([tp.indices for tp in self.tuples])
 
 
 def truncate(model: MultiAssetModel, kappa: float = 0.0) -> TupleSet:

@@ -115,6 +115,25 @@ class PriceEstimate:
             raise ValueError("standard error must be nonnegative")
 
 
+def _nonnegative(name: str, value: float) -> None:
+    if not 0.0 <= value < np.inf:  # NaN fails the comparison
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
+def _finite(name: str, value: float) -> None:
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _pair_inputs(vol1: float, vol2: float, rho: float, maturity: float) -> None:
+    """Check the vols, correlation and maturity of a two-asset closed form."""
+    _nonnegative("vol1", vol1)
+    _nonnegative("vol2", vol2)
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError(f"correlation rho must lie in [-1, 1], got {rho}")
+    _nonnegative("maturity", maturity)
+
+
 def black_scholes(
     spot: float, strike: float, total_vol: float, rate: float, maturity: float, omega: int = 1
 ) -> float:
@@ -128,8 +147,9 @@ def black_scholes(
         raise ValueError("strike must be nonnegative")
     if not spot > 0:
         raise ValueError("spot must be positive")
-    if not 0.0 <= total_vol < np.inf:
-        raise ValueError(f"total volatility must be finite and nonnegative, got {total_vol}")
+    _nonnegative("total volatility", total_vol)
+    _finite("rate", rate)
+    _nonnegative("maturity", maturity)
     disc = np.exp(-rate * maturity)
     forward = spot / disc
     if total_vol == 0.0 or strike == 0.0:
@@ -152,8 +172,7 @@ def margrabe(
     """
     if not (x1 > 0 and x2 > 0):
         raise ValueError("spots must be positive")
-    if not 0.0 <= maturity < np.inf:
-        raise ValueError(f"maturity must be finite and nonnegative, got {maturity}")
+    _pair_inputs(vol1, vol2, rho, maturity)
     sig = np.sqrt(max(vol1**2 - 2.0 * rho * vol1 * vol2 + vol2**2, 0.0))
     stv = sig * np.sqrt(maturity)
     if stv == 0.0:
@@ -177,8 +196,8 @@ def geometric_pair_k0(
     """Zero-strike call on the weighted geometric average of two lognormals."""
     if not (w1 > 0 and w2 > 0):
         raise ValueError("geometric weights must be positive")
-    if not 0.0 <= maturity < np.inf:
-        raise ValueError(f"maturity must be finite and nonnegative, got {maturity}")
+    _pair_inputs(vol1, vol2, rho, maturity)
+    _finite("rate", rate)
     p = 1.0 / (w1 + w2)
     gamma2 = (vol1**2 * w1**2 + vol2**2 * w2**2 + 2.0 * rho * vol1 * vol2 * w1 * w2) * p**2 * maturity
     drift_term = ((rate - 0.5 * vol1**2) * w1 + (rate - 0.5 * vol2**2) * w2) * p * maturity

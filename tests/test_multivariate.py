@@ -8,10 +8,13 @@ from scipy.integrate import quad
 from mvmix import (
     AssetMixture,
     BasketSpec,
+    ComponentTuple,
     CorrelationMatrix,
     MultiAssetModel,
     SingularCovarianceError,
+    TupleSet,
     VolCurve,
+    component_arithmetic_price,
     component_pdf,
     component_mvln_pdf,
     density_count,
@@ -153,6 +156,43 @@ def test_truncate_weights_are_the_product_weights_in_product_order():
         kept = np.array([w for w in expect if w > kappa])
         assert cut.weights == tuple(kept / kept.sum())
         assert [tp.indices for tp in cut.tuples] == [tp.indices for tp, w in zip(full.tuples, expect) if w > kappa]
+        rows = np.array(list(itertools.product(*map(range, counts))))
+        assert np.array_equal(full.index_array, rows)
+        assert np.array_equal(cut.index_array, rows[np.array(expect) > kappa])
+
+
+def test_tuple_set_checks_its_rows_once_for_the_set(vanilla_model):
+    def tuple_set(rows, weights=None):
+        tuples = tuple(ComponentTuple(vanilla_model, row) for row in rows)
+        return TupleSet(tuples, weights if weights is not None else (1.0 / len(rows),) * len(rows))
+
+    with pytest.raises(ValueError, match="component index 2 out of range"):
+        tuple_set([(0, 0), (0, 2)])
+    with pytest.raises(ValueError, match="component index -1 out of range"):
+        tuple_set([(-1, 0)])
+    spec = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0)
+    with pytest.raises(ValueError, match="component index 2 out of range"):
+        component_arithmetic_price(vanilla_model, (2, 0), spec, 1000, 0)
+    with pytest.raises(ValueError, match="one component index per asset"):
+        tuple_set([(0, 0), (0, 1, 0)])
+    with pytest.raises(ValueError, match="one component index per asset"):
+        tuple_set([(0,), (1,)])
+    with pytest.raises(ValueError, match="one weight per tuple"):
+        tuple_set([(0, 0), (1, 1)], (1.0,))
+    for bad in (np.nan, -0.25, np.inf):
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            tuple_set([(0, 0), (1, 1)], (0.5, bad))
+    with pytest.raises(ValueError, match="at least one tuple"):
+        TupleSet((), ())
+
+    kept = tuple_set([(1, 0), (0, 1)], (0.25, 0.75))
+    for name in ("index_array", "weight_array"):
+        array = getattr(kept, name)
+        assert getattr(kept, name) is array and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert kept.index_array.dtype == np.intp
+    assert np.array_equal(kept.index_array, [[1, 0], [0, 1]]) and kept.weight_array.tolist() == [0.25, 0.75]
 
 
 def test_perfect_correlation_is_flagged_singular():

@@ -60,7 +60,37 @@ def test_pair_closed_forms_reject_a_negative_or_non_finite_maturity(maturity):
     with pytest.raises(ValueError, match="maturity must be finite and nonnegative"):
         margrabe(1.0, 1.0, 0.2, 0.3, 0.5, maturity)
     with pytest.raises(ValueError, match="maturity must be finite and nonnegative"):
+        black_scholes(1.0, 1.0, 0.2, 0.05, maturity)
+    with pytest.raises(ValueError, match="maturity must be finite and nonnegative"):
         geometric_pair_k0(1.0, 1.0, 0.2, 0.3, 0.5, 1.0, 1.0, 0.05, maturity)
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
+def test_black_scholes_and_geometric_pair_reject_a_non_finite_rate(rate):
+    with pytest.raises(ValueError, match="rate must be finite"):
+        black_scholes(1.0, 1.0, 0.2, rate, 1.0)
+    with pytest.raises(ValueError, match="rate must be finite"):
+        geometric_pair_k0(1.0, 1.0, 0.2, 0.3, 0.5, 1.0, 1.0, rate, 1.0)
+
+
+@pytest.mark.parametrize("rho", [np.nan, 1.5, -1.0 - 1e-12])
+def test_pair_closed_forms_reject_a_correlation_outside_minus_one_one(rho):
+    with pytest.raises(ValueError, match=r"correlation rho must lie in \[-1, 1\]"):
+        margrabe(1.0, 1.0, 0.2, 0.3, rho, 1.0)
+    with pytest.raises(ValueError, match=r"correlation rho must lie in \[-1, 1\]"):
+        geometric_pair_k0(1.0, 1.0, 0.2, 0.3, rho, 1.0, 1.0, 0.05, 1.0)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("vol", [-0.2, np.nan, np.inf])
+def test_pair_closed_forms_reject_a_negative_or_non_finite_vol(which, vol):
+    vols = [0.2, 0.3]
+    vols[which] = vol
+    name = f"vol{which + 1} must be finite and nonnegative"
+    with pytest.raises(ValueError, match=name):
+        margrabe(1.0, 1.0, *vols, 0.5, 1.0)
+    with pytest.raises(ValueError, match=name):
+        geometric_pair_k0(1.0, 1.0, *vols, 0.5, 1.0, 1.0, 0.05, 1.0)
 
 
 def test_black_scholes_put_call_parity():
