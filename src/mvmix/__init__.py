@@ -17,7 +17,6 @@ from .univariate import (
     local_vol,
     mixture_cdf,
     mixture_pdf,
-    simulate_md_euler,
 )
 from .multivariate import (
     ComponentTuple,
@@ -51,6 +50,7 @@ from .montecarlo import (
     estimate,
     sample_muvm_terminal,
     sample_mvmd_terminal,
+    simulate_md_euler,
     simulate_scmd,
 )
 from .dependence import (

@@ -281,6 +281,8 @@ def tau_params(model: MultiAssetModel, maturity: float) -> TauParams:
     """
     if model.n != 2 or any(c > 2 for c in model.component_counts()):
         raise ValueError("closed-form tau needs exactly 2 assets with at most 2 components each")
+    if not 0 < maturity < np.inf:
+        raise ValueError(f"maturity must be positive and finite, got {maturity}")
     a1, a2 = model.assets
     for asset in (a1, a2):
         if not all(c.vol.is_constant for c in asset.components):
@@ -428,6 +430,8 @@ def empirical_copula(samples: np.ndarray, u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     if samples.ndim != 2 or u.shape != (samples.shape[1],):
         raise ValueError("need a (paths, n) sample and one uniform coordinate per column")
+    if np.isnan(samples).any():
+        raise ValueError("samples must not contain NaN")
     if not np.all((u >= 0.0) & (u <= 1.0)):  # NaN fails too
         raise ValueError("coordinates must lie in [0, 1]")
     m = samples.shape[0]

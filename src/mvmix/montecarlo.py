@@ -3,7 +3,8 @@
 Two ways to reach the maturity-T joint law:
 
 * ``simulate_scmd`` — path-wise log-Euler on each asset's own univariate
-  mixture dynamics, with instantaneously correlated Brownian shocks.
+  mixture dynamics, with instantaneously correlated Brownian shocks.  It
+  is the one Euler driver; ``simulate_md_euler`` is its one-asset case.
 * one single-step terminal sampler: pick a component per asset and path,
   then read the picked columns of the block's log-price matrix, which holds
   every (asset, component) column of the terminal law at once
@@ -35,13 +36,14 @@ from . import pricing
 from .multivariate import MultiAssetModel, _column_log_prices, _component_columns, truncate
 from .pricing import PriceEstimate
 from .rng import path_blocks, run_blocks, substream
-from .univariate import _log_euler, _nu2_schedule
+from .univariate import AssetMixture, _nu2, _nu2_schedule
 
 __all__ = [
     "SCHEMES",
     "SimulationConfig",
     "TerminalSample",
     "simulate_scmd",
+    "simulate_md_euler",
     "sample_mvmd_terminal",
     "sample_muvm_terminal",
     "estimate",
@@ -58,12 +60,12 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
-        if self.paths < 1:
-            raise ValueError("need at least one path")
-        if self.steps < 1:
-            raise ValueError("path-wise scheme needs steps >= 1")
-        if not self.maturity > 0:
-            raise ValueError("maturity must be positive")
+        if not (isinstance(self.paths, (int, np.integer)) and self.paths >= 1):
+            raise ValueError(f"need a whole number of paths >= 1, got {self.paths!r}")
+        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):  # 2.5 steps would run 3
+            raise ValueError(f"path-wise scheme needs a whole number of steps >= 1, got {self.steps!r}")
+        if not 0 < self.maturity < np.inf:
+            raise ValueError(f"maturity must be positive and finite, got {self.maturity}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,25 +84,48 @@ class TerminalSample:
 def simulate_scmd(
     model: MultiAssetModel, config: SimulationConfig, workers: int | None = None
 ) -> TerminalSample:
-    """Path-wise Euler simulation of the simply correlated mixture dynamics.
+    """Path-wise log-Euler simulation of the simply correlated mixture dynamics.
 
-    Log-Euler on each asset with its own state-dependent mixture vol; the
-    Brownian shocks are correlated through a factorization of R, so the
-    per-step covariance is nu_i nu_j rho_ij.
+    Each asset's log price moves with drift mu - nu^2/2 and its own mixture
+    vol nu; each step's (m, n) standard normals are correlated through a
+    factorization of R, so the per-step covariance is nu_i nu_j rho_ij.
     """
     n, dt = model.n, config.maturity / config.steps
     shock_factor = model.corr.factor() * np.sqrt(dt)  # shock_factor @ z.T: correlated, scaled shocks
     schedule = _nu2_schedule(model.assets, np.arange(config.steps) * dt)
+    drift_dt = model.drifts[:, None] * dt
     out = np.empty((config.paths, n))
 
     def run_block(b: int, start: int, stop: int) -> None:
-        gen = substream(config.seed, b)
-        eps = np.empty((n, stop - start))
-        shocks = lambda step: np.matmul(shock_factor, gen.standard_normal((stop - start, n)).T, out=eps)
-        out[start:stop] = _log_euler(model.assets, schedule, dt, stop - start, shocks).T
+        gen, m = substream(config.seed, b), stop - start
+        logs = np.zeros((n, m))  # log(S / S(0))
+        bufs, shocks = np.empty((3, n, m)), np.empty((n, m))
+        nu2, _, diffusion = bufs
+        for coefs in schedule:
+            _nu2(logs, coefs, bufs)
+            np.sqrt(nu2, out=diffusion)
+            diffusion *= np.matmul(shock_factor, gen.standard_normal((m, n)).T, out=shocks)
+            nu2 *= -0.5 * dt
+            nu2 += drift_dt
+            nu2 += diffusion
+            logs += nu2
+        out[start:stop] = (model.spots[:, None] * np.exp(logs)).T
 
     run_blocks(run_block, path_blocks(config.paths), workers)
     return TerminalSample(out, "scmd-euler", config.seed)
+
+
+def simulate_md_euler(
+    asset: AssetMixture,
+    maturity: float,
+    steps: int,
+    paths: int,
+    seed: int,
+    workers: int | None = None,
+) -> np.ndarray:
+    """Terminal samples of one asset's mixture dynamics: the one-asset `simulate_scmd`."""
+    config = SimulationConfig(paths, steps, maturity, seed)
+    return simulate_scmd(MultiAssetModel((asset,), [[1.0]]), config, workers).values[:, 0]
 
 
 def _terminal_sample(model: MultiAssetModel, pick, maturity: float, paths: int, seed: int, workers: int | None) -> np.ndarray:

@@ -198,11 +198,16 @@ class ComponentTuple:
 def _index_rows(model: MultiAssetModel, indices) -> np.ndarray:
     """The (K, n) `intp` array of the component-index rows, each index checked against its asset."""
     try:
-        idx = np.asarray(indices, dtype=np.intp)
-    except ValueError:  # rows of different lengths
+        rows = np.asarray(indices)
+        with np.errstate(invalid="ignore"):  # NaN and inf are reported as not integral below
+            idx = rows.astype(np.intp, copy=False)
+    except (TypeError, ValueError):  # rows of different lengths, or not numbers
         idx = None
     if idx is None or idx.ndim != 2 or idx.shape[1] != model.n:
         raise ValueError("one component index per asset required")
+    fractional = idx != rows
+    if fractional.any():
+        raise ValueError(f"component index {rows[fractional][0]} is not an integer")
     bad = (idx < 0) | (idx >= model.component_counts())
     if bad.any():
         raise ValueError(f"component index {idx[bad][0]} out of range")
@@ -231,8 +236,8 @@ def _shared_laws(models, indices, t: float) -> tuple[np.ndarray, np.ndarray]:
     (M, K, n) log-means and the one (K, n, n) covariance stack they share.
     """
     model = models[0]
-    if not t > 0:
-        raise ValueError("need t > 0")
+    if not 0 < t < np.inf:
+        raise ValueError(f"need finite t > 0, got t = {t}")
     n, counts = model.n, np.array(model.component_counts())
     idx = _index_rows(model, indices)
     vols = [[c.vol for c in a.components] for a in model.assets]
@@ -268,8 +273,8 @@ def _component_columns(model: MultiAssetModel, t: float) -> tuple[np.ndarray, np
     Xi = sum_p u u^T * R of `tuple_laws`.  Returns the (C, P) loadings, the
     (C,) log-means and the (n,) offsets, C being the total component count.
     """
-    if not t > 0:
-        raise ValueError("need t > 0")
+    if not 0 < t < np.inf:
+        raise ValueError(f"need finite t > 0, got t = {t}")
     curves = [c.vol for a in model.assets for c in a.components]
     knots = sorted({b for v in curves for b in v.times if b < t})  # starts at 0
     loadings = np.array([[v.value(s) for s in knots] for v in curves]) * np.sqrt(np.diff([*knots, t]))

@@ -3,8 +3,10 @@
 The asset follows dS = mu*S dt + nu(t,S)*S dW where nu is chosen so that the
 marginal density of S(t) is, at every time, the fixed convex combination of
 the lognormal densities of N instrumental constant-vol processes.  This
-module provides those densities, the state-dependent volatility nu, the
-quantile function and a log-Euler path simulator.
+module provides those densities, the state-dependent volatility nu and the
+quantile function; the one log-Euler path driver is
+`montecarlo.simulate_scmd`, whose one-asset case is
+`montecarlo.simulate_md_euler`.
 
 nu^2 = sum_k lambda_k sigma_k^2 p_k / sum_k lambda_k p_k is evaluated in
 quadratic form: each log(lambda_k p_k) is quadratic in log S with
@@ -12,9 +14,9 @@ coefficients that depend only on t, so relative to a reference component
 r (the positive-weight one with the largest integrated variance)
 nu^2 = sigma_r^2 + sum_k (sigma_k^2 - sigma_r^2) e^{d_k} / (1 + sum_k e^{d_k})
 with every d_k concave or constant in log S.  The coefficients are built
-once per simulation; `local_vol` and the log-Euler loop shared by
-`simulate_md_euler` and `montecarlo.simulate_scmd` evaluate the same
-kernel, the loop for all assets of an (assets, paths) block at once.
+once per simulation; `local_vol` and the log-Euler loop of
+`montecarlo.simulate_scmd` evaluate the same kernel, the loop for all
+assets of an (assets, paths) block at once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .rng import path_blocks, run_blocks, substream
 from .volcurve import VolCurve
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "mixture_cdf",
     "inverse_cdf",
     "local_vol",
-    "simulate_md_euler",
     "analytic_moment",
 ]
 
@@ -124,8 +124,8 @@ class AssetMixture:
 
 
 def _require_positive_time(t: float) -> None:
-    if not t > 0:
-        raise ValueError("density is degenerate at t = 0; need t > 0")
+    if not 0 < t < np.inf:
+        raise ValueError(f"density needs finite t > 0, got t = {t}")
 
 
 def component_pdf(asset: AssetMixture, k: int, t: float, x) -> np.ndarray | float:
@@ -280,29 +280,6 @@ def _nu2(y: np.ndarray, coefs: tuple, bufs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_euler(assets, schedule, dt: float, paths: int, shocks) -> np.ndarray:
-    """Log-Euler terminal prices of `paths` paths of the assets, shape (n, paths).
-
-    Step i evaluates nu^2 for every asset from `schedule[i]`; `shocks(i)`
-    gives that step's (n, paths) normal increments, already scaled by
-    sqrt(dt).
-    """
-    spots = np.array([a.spot for a in assets])[:, None]
-    drift_dt = np.array([a.drift for a in assets])[:, None] * dt
-    logs = np.zeros((len(assets), paths))  # log(S / S(0))
-    bufs = np.empty((3,) + logs.shape)
-    nu2, _, diffusion = bufs
-    for step, coefs in enumerate(schedule):
-        _nu2(logs, coefs, bufs)
-        np.sqrt(nu2, out=diffusion)
-        diffusion *= shocks(step)
-        nu2 *= -0.5 * dt
-        nu2 += drift_dt
-        nu2 += diffusion
-        logs += nu2
-    return spots * np.exp(logs)
-
-
 def local_vol(asset: AssetMixture, t: float, x) -> np.ndarray | float:
     """State-dependent diffusion coefficient nu(t, x).
 
@@ -312,7 +289,7 @@ def local_vol(asset: AssetMixture, t: float, x) -> np.ndarray | float:
     the quadratic form of the module docstring, relative to the
     positive-weight component with the largest integrated variance, so
     nothing overflows and the deep tails go to that fattest component.  The
-    Euler simulators evaluate the same kernel.
+    Euler driver evaluates the same kernel.
 
     At t = 0 the ratio is indeterminate (all components collapse to the same
     point mass); we return the aggregate short-time limit
@@ -331,40 +308,6 @@ def _local_vols(assets, t: float, x: np.ndarray) -> np.ndarray:
     spots = np.array([a.spot for a in assets])[:, None]
     y = np.log(x / spots) if t > 0 else np.zeros_like(x)
     return np.sqrt(_nu2(y, _nu2_schedule(assets, [t])[0], np.empty((3,) + x.shape)))
-
-
-def simulate_md_euler(
-    asset: AssetMixture,
-    maturity: float,
-    steps: int,
-    paths: int,
-    seed: int,
-    workers: int | None = None,
-) -> np.ndarray:
-    """Terminal samples of the mixture dynamics via log-Euler.
-
-    Euler discretization of ln S with drift mu - nu^2/2 and diffusion
-    nu(t, S); paths stay strictly positive.  Randomness is drawn per path
-    block from counter-based substreams of `seed`, so the output is
-    identical for any worker count.
-    """
-    if not maturity > 0:
-        raise ValueError("maturity must be positive")
-    if steps < 1 or paths < 1:
-        raise ValueError("need at least one step and one path")
-    dt = maturity / steps
-    schedule = _nu2_schedule((asset,), np.arange(steps) * dt)
-    out = np.empty(paths)
-
-    def run_block(b: int, start: int, stop: int) -> None:
-        gen = substream(seed, b)
-        z = gen.standard_normal((stop - start, steps))
-        z *= np.sqrt(dt)
-        shocks = lambda step: z.T[step]  # the step's column of z, a row of z.T
-        out[start:stop] = _log_euler((asset,), schedule, dt, stop - start, shocks)[0]
-
-    run_blocks(run_block, path_blocks(paths), workers)
-    return out
 
 
 def analytic_moment(asset: AssetMixture, t: float, order: int = 1) -> float:

@@ -61,8 +61,8 @@ class VolCurve:
 
     def value(self, t: float) -> float:
         """Volatility level at time t (t may sit on a breakpoint; right-continuous)."""
-        if t < 0:
-            raise ValueError("time must be nonnegative")
+        if not 0 <= t < np.inf:  # NaN fails too
+            raise ValueError(f"time must be finite and nonnegative, got {t}")
         return self.values[bisect_right(self.times, t) - 1]
 
     def integral_sq(self, t: float) -> float:
@@ -71,10 +71,8 @@ class VolCurve:
 
     def integral_with(self, other: "VolCurve", t: float) -> float:
         """Exact integral of sigma_self(s) * sigma_other(s) over [0, t]."""
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        if t == 0:
-            return 0.0
+        if not 0 <= t < np.inf:  # NaN fails too
+            raise ValueError(f"time must be finite and nonnegative, got {t}")
         knots = sorted({*self.times, *other.times, t})
         total = 0.0
         for a, b in zip(knots, knots[1:]):

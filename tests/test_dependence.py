@@ -361,6 +361,18 @@ def test_copula_rejects_nan(vanilla_model):
         copula_value(vanilla_model, 1.0, [np.nan, 0.5])
 
 
+def test_empirical_copula_rejects_nan_samples():
+    samples = np.array([[0.1, 0.2], [np.nan, 0.5], [0.3, 0.4]])
+    with pytest.raises(ValueError, match="samples must not contain NaN"):
+        empirical_copula(samples, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, np.inf, np.nan])
+def test_closed_form_tau_names_a_bad_maturity(vanilla_model, t):
+    with pytest.raises(ValueError, match=f"maturity must be positive and finite, got {t}"):
+        kendall_tau_mvmd(vanilla_model, t)
+
+
 @pytest.mark.parametrize("u", [[0.5], [0.5, 0.5, 0.5], [np.nan, 0.5], [1.2, 0.5], [0.5, -0.1]])
 def test_empirical_copula_rejects_bad_coordinates(u):
     sample = np.random.default_rng(3).random((50, 2))

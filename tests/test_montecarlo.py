@@ -10,6 +10,7 @@ from mvmix import (
     mixture_cdf,
     sample_muvm_terminal,
     sample_mvmd_terminal,
+    simulate_md_euler,
     simulate_scmd,
 )
 
@@ -27,6 +28,31 @@ def test_config_validation():
         SimulationConfig(10, 0, 1.0, 1)
     with pytest.raises(ValueError):
         SimulationConfig(10, 10, -1.0, 1)
+
+
+@pytest.mark.parametrize("paths, steps, named", [(2.5, 10, "paths"), (10, 2.5, "steps"), (10, 3.0, "steps")])
+def test_config_wants_whole_paths_and_steps(vanilla_asset1, paths, steps, named):
+    with pytest.raises(ValueError, match=f"whole number of {named}"):
+        SimulationConfig(paths, steps, 1.0, 1)
+    with pytest.raises(ValueError, match=f"whole number of {named}"):
+        simulate_md_euler(vanilla_asset1, 1.0, steps, paths, 1)
+
+
+def test_samplers_reject_an_infinite_maturity(vanilla_model):
+    with pytest.raises(ValueError, match="maturity must be positive and finite, got inf"):
+        SimulationConfig(10, 10, np.inf, 1)
+    with pytest.raises(ValueError, match="maturity must be positive and finite, got inf"):
+        simulate_md_euler(vanilla_model.assets[0], np.inf, 10, 10, 1)
+    with pytest.raises(ValueError, match="need finite t > 0, got t = inf"):
+        sample_mvmd_terminal(vanilla_model, np.inf, 10, 1)
+    with pytest.raises(ValueError, match="need finite t > 0, got t = inf"):
+        sample_muvm_terminal(vanilla_model, np.inf, 10, 1)
+
+
+def test_md_euler_is_the_one_asset_scmd(vanilla_asset1):
+    model = make_model((1.0,), (0.05,), ((0.6, 0.4),), ((0.3, 0.2),), 1.0)
+    scmd = simulate_scmd(model, SimulationConfig(20_000, 30, 1.0, 15)).values
+    assert np.array_equal(simulate_md_euler(vanilla_asset1, 1.0, 30, 20_000, 15), scmd[:, 0])
 
 
 def test_scmd_single_component_is_exact_gbm():

@@ -118,6 +118,26 @@ def test_tuple_laws_reject_bad_indices_and_times(vanilla_model):
         tuple_laws(vanilla_model, [(0, 0, 0)], 1.0)
     with pytest.raises(ValueError, match="t > 0"):
         tuple_laws(vanilla_model, [(0, 0)], 0.0)
+    with pytest.raises(ValueError, match="need finite t > 0, got t = inf"):
+        tuple_laws(vanilla_model, [(0, 0)], np.inf)
+
+
+@pytest.mark.parametrize("rows, named", [([(0.7, 1.9)], "0.7"), ([(0, 0), (1, 1.5)], "1.5"), ([(0, np.nan)], "nan")])
+def test_tuple_laws_and_tuple_sets_reject_indices_that_are_not_integers(vanilla_model, rows, named):
+    with pytest.raises(ValueError, match=f"component index {named} is not an integer"):
+        tuple_laws(vanilla_model, rows, 1.0)
+    tuples = tuple(ComponentTuple(vanilla_model, row) for row in rows)
+    with pytest.raises(ValueError, match=f"component index {named} is not an integer"):
+        TupleSet(tuples, (1.0 / len(rows),) * len(rows))
+    whole = tuple_laws(vanilla_model, [(1.0, 0.0)], 1.0)  # integral floats name their tuple
+    assert all(np.array_equal(a, b) for a, b in zip(whole, tuple_laws(vanilla_model, [(1, 0)], 1.0)))
+
+
+def test_local_vols_reject_a_nan_time(vanilla_model):
+    with pytest.raises(ValueError, match="time must be finite and nonnegative, got nan"):
+        local_vol(vanilla_model.assets[0], np.nan, [0.9, 1.1])
+    with pytest.raises(ValueError, match="time must be finite and nonnegative, got nan"):
+        scmd_covariance(vanilla_model, np.nan, [0.9, 1.1])
 
 
 @pytest.mark.parametrize("name", sorted(_law_models()))

@@ -130,13 +130,16 @@ SAMPLERS = _samplers() | _greek_pins()
 # rounding level, and the *-three entries other than greeks-geometric-put-three
 # were re-rolled: the three-asset model has a piecewise vol, so its paths now
 # draw one normal n-vector per piece.
+# md-euler-spread and md-euler-three were re-rolled when simulate_md_euler
+# became the one-asset simulate_scmd: an asset's normals are now drawn per
+# step, (paths, 1) at a time, instead of per path block as (paths, steps).
 EXPECTED = {
     "greeks-geometric": "19cd0bdd5bf9cdea1b2368088f6aca4f38883c4a8df2922b5e4258644fbdbd0c",
     "greeks-geometric-put-three": "6af031777b22a5f7eded454148b494aac8ff94739d11ae71e4e1a7eebe75ebfd",
     "greeks-kappa-put-three": "90af0370ff0d9c5c402913be4c161929cef70adbd5478bee749dd7358bedef01",
     "greeks-spread": "80cdefd60a3e735e6f097744a1df3456c2c37565763267bdad0d3a3e07be7205",
-    "md-euler-spread": "059a6daf11e5fdbfd4ff245b6150043b1551818c6674200b42dbd3fd37ed2d0a",
-    "md-euler-three": "a72537b510086451ef09b704916ec8c57dce94bb75639138f1edb5de6e1924af",
+    "md-euler-spread": "ff9d5f262a0459ff08af64f3a8de10cf363cc1083b10086346197f6e5de34941",
+    "md-euler-three": "255dcbabce11bfc06ccd80332c472ce45d72fc714e753cad31f76a51c66e1bbc",
     "muvm-spread": "d3e0aeeec5a35220e5ef8bbc81a6d81d6243812d57aba417d6f2e391b537e9ae",
     "muvm-three": "0726ee13f08e09cee408e942f99a93af7887a2db4ff02b5660cecec9f3118f8d",
     "price-component-spread": "a3379e3e8d4184b42e0d8b555e890816de1a3d6116b668b1c9648dbd2257f42b",

@@ -33,6 +33,21 @@ def oracle_pdf(x, spot, drift, lams, sigs, t):
     return total
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, t: mixture_pdf(a, t, 1.0),
+        lambda a, t: component_pdf(a, 0, t, 1.0),
+        lambda a, t: mixture_cdf(a, t, 1.0),
+        lambda a, t: inverse_cdf(a, t, 0.5),
+    ],
+    ids=["mixture_pdf", "component_pdf", "mixture_cdf", "inverse_cdf"],
+)
+def test_laws_reject_an_infinite_time(vanilla_asset1, call):
+    with pytest.raises(ValueError, match="density needs finite t > 0, got t = inf"):
+        call(vanilla_asset1, np.inf)
+
+
 def test_component_pdf_at_log_mean_point():
     # S0=1, mu=0, sigma=0.2, t=1: density at x=exp(m) is 1/(sqrt(2pi)*V*x)
     asset = AssetMixture.from_arrays(1.0, 0.0, [1.0], [0.2])

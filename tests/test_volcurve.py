@@ -71,3 +71,12 @@ def test_bounds():
     curve = VolCurve((0.0, 1.0, 2.0), (0.3, 0.1, 0.2))
     assert curve.lo == 0.1
     assert curve.hi == 0.3
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_curve_rejects_a_time_that_is_not_finite(t):
+    curve = VolCurve((0.0, 0.5), (0.2, 0.3))
+    with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+        curve.value(t)
+    with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+        curve.integral_with(curve, t)
