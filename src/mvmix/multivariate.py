@@ -224,18 +224,6 @@ def tuple_laws(model: MultiAssetModel, indices, t: float) -> tuple[np.ndarray, n
     Each integral is evaluated once per pair of (asset, component) the rows
     use and gathered into every row that holds the pair.
     """
-    means, xi = _shared_laws((model,), indices, t)
-    return means[0], xi
-
-
-def _shared_laws(models, indices, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """`tuple_laws` of models that differ from models[0] only in spots and drifts.
-
-    The integrals come from models[0], once; each model's (K, n) log-means
-    are formed from the same integrated variances, so the result is the
-    (M, K, n) log-means and the one (K, n, n) covariance stack they share.
-    """
-    model = models[0]
     if not 0 < t < np.inf:
         raise ValueError(f"need finite t > 0, got t = {t}")
     n, counts = model.n, np.array(model.component_counts())
@@ -251,7 +239,7 @@ def _shared_laws(models, indices, t: float) -> tuple[np.ndarray, np.ndarray]:
     assets = np.arange(n)
     xi = model.corr.values * table[assets[:, None], assets, idx[:, :, None], idx[:, None, :]]
     v2 = table[assets, assets, idx, idx]
-    return np.stack([np.log(m.spots) + m.drifts * t - 0.5 * v2 for m in models]), xi
+    return np.log(model.spots) + model.drifts * t - 0.5 * v2, xi
 
 
 def integrated_covariance(model: MultiAssetModel, indices, t: float) -> np.ndarray:

@@ -8,19 +8,19 @@ exchange option, any geometric average) or from a single-step Monte Carlo
 draw of the terminal law, with no time discretization.
 
 A tuple's terminal law does not depend on the basket, the strike, the
-direction or the rate, and a spot bump moves only its log-means, so one
-kernel prices many specs and spot bumps off the same draws: the experiments
-of a run that share a draw key (model, kappa, paths, seed, maturity; see
-`montecarlo.SCHEMES`) are priced in one pass, with one basket level per
-distinct basket, and so are the bumped models of the Greeks.  The kernel
-reads every tuple's law from the model's component columns
+direction or the rate, so one kernel prices many specs of one model off the
+same draws: the experiments of a run that share a draw key (model, kappa,
+paths, seed, maturity; see `montecarlo.SCHEMES`) are priced in one pass,
+with one basket level per distinct basket.  A spot bump on an arithmetic
+basket only rescales a basket weight (S e^X -> (S'/S) S e^X), so the
+Greeks' bumps are specs on the one model too.  The kernel reads every
+tuple's law from the model's component columns
 (`multivariate._component_columns`): asset i under component c is one
 log-price column that every tuple holding c shares, so one normal draw per
 path gives the (C, paths) log-price matrix X, and a tuple's draw is its n
 rows of X.  Basket levels are linear in X: a geometric log level is a
 weighted sum of the tuple's rows of X, and an arithmetic level the same sum
-of exp(X), taken once, with weights that carry the spot ratios of bumped
-models, so the levels of a few tuples and every model are one product of a
+of exp(X), taken once, so the levels of a few tuples are one product of a
 selection matrix with X or exp(X).  The kernel's time goes to memory
 traffic, so it takes a block a cache-sized tile of paths at a time, and
 each thread that runs blocks allocates its scratch once per call.  A
@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .multivariate import ComponentTuple, MultiAssetModel, TupleSet, _column_log_prices, _component_columns, _shared_laws, truncate, tuple_laws
+from .multivariate import ComponentTuple, MultiAssetModel, TupleSet, _column_log_prices, _component_columns, truncate, tuple_laws
 from .rng import BLOCK_SIZE, path_blocks, run_blocks, substream
 
 __all__ = [
@@ -87,8 +87,7 @@ class BasketSpec:
             raise ValueError("strike must be nonnegative")
         if not self.maturity > 0:
             raise ValueError("maturity must be positive")
-        if self.omega not in (1, -1):
-            raise ValueError("omega must be +1 (call) or -1 (put)")
+        _direction(self.omega)
 
     def basket_value(self, prices: np.ndarray) -> np.ndarray:
         """Basket level per row of a (paths, n) terminal price matrix."""
@@ -113,6 +112,16 @@ class PriceEstimate:
     def __post_init__(self):
         if self.std_error < 0:
             raise ValueError("standard error must be nonnegative")
+
+
+def _direction(omega: int) -> None:
+    if omega not in (1, -1):
+        raise ValueError(f"omega must be +1 (call) or -1 (put), got {omega!r}")
+
+
+def _one_weight_per_asset(spec: BasketSpec, n: int) -> None:
+    if len(spec.weights) != n:
+        raise ValueError(f"need one basket weight per asset, got {len(spec.weights)} for {n} assets")
 
 
 def _nonnegative(name: str, value: float) -> None:
@@ -150,6 +159,7 @@ def black_scholes(
     _nonnegative("total volatility", total_vol)
     _finite("rate", rate)
     _nonnegative("maturity", maturity)
+    _direction(omega)
     disc = np.exp(-rate * maturity)
     forward = spot / disc
     if total_vol == 0.0 or strike == 0.0:
@@ -173,6 +183,7 @@ def margrabe(
     if not (x1 > 0 and x2 > 0):
         raise ValueError("spots must be positive")
     _pair_inputs(vol1, vol2, rho, maturity)
+    _direction(omega)
     sig = np.sqrt(max(vol1**2 - 2.0 * rho * vol1 * vol2 + vol2**2, 0.0))
     stv = sig * np.sqrt(maturity)
     if stv == 0.0:
@@ -207,16 +218,18 @@ def geometric_pair_k0(
 
 
 def _geometric_mixture(means, xi: np.ndarray, weights: np.ndarray, spec: BasketSpec) -> np.ndarray:
-    """Closed-form geometric-basket mixture price of each model's (K, n) log-means.
+    """Closed-form geometric-basket mixture price of each (K, n) stack of log-means.
 
     The weighted geometric average of a tuple's jointly lognormal prices is
     lognormal, and its log-variance depends only on the tuple's covariance
-    `xi[k]`, so models that differ only in spots share it.  One array formula
-    prices every (model, tuple) pair; `weights` combines each model's row.
+    `xi[k]`, so spot bumps, which move only the log-means, share it.  One
+    array formula prices every (stack, tuple) pair; `weights` combines each
+    stack's row.
     """
+    _one_weight_per_asset(spec, xi.shape[-1])
     w = np.asarray(spec.weights)
     p = 1.0 / w.sum()
-    # one dot product per tuple and model, not one matrix product: these sums keep their bits
+    # one dot product per tuple and stack, not one matrix product: these sums keep their bits
     sds = np.array([np.sqrt(max(float(p**2 * (w @ x @ w)), 0.0)) for x in xi])
     lms = np.array([[float(p * (w @ m)) for m in rows] for rows in means])  # (M, K) log-means of the average
     disc, strike, omega = np.exp(-spec.rate * spec.maturity), spec.strike, spec.omega
@@ -262,82 +275,71 @@ _ROWS = 8  # level rows per selection product; >= 2, since numpy sends a one-row
 
 
 def _tuple_mc_prices(
-    models: tuple[MultiAssetModel, ...],
+    model: MultiAssetModel,
     tuple_set: TupleSet,
     specs: tuple[BasketSpec, ...],
     paths: int,
     seed: int,
     workers: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-step Monte Carlo mixture prices of every (model, spec) pair on one draw.
+    """Single-step Monte Carlo mixture prices of every spec on one draw.
 
-    The models differ only in their spots: the kept tuples of `tuple_set`
-    belong to models[0], whose component columns at maturity (see
-    `multivariate._component_columns`) carry every tuple's law.  The specs
-    share a maturity and may differ in everything else: basket kind and
-    weights, strike, direction and rate.  Per tile of a path block one
-    standard normal draw z becomes the (C, tile) log-price matrix X of the
-    columns, which feeds every tuple, model, basket and strike, so they all
+    The kept tuples of `tuple_set` belong to `model`, whose component
+    columns at maturity (see `multivariate._component_columns`) carry every
+    tuple's law.  The specs share a maturity and may differ in everything
+    else: basket kind and weights (a spot bump is a weight; see
+    `greeks_mvmd`), strike, direction and rate.  Per tile of a path block
+    one standard normal draw z becomes the (C, tile) log-price matrix X of
+    the columns, which feeds every tuple, basket and strike, so they all
     share common random numbers, and basket levels are linear in it: a
-    tuple's level rows are one product of a (rows, C) selection matrix,
-    whose row holds a basket's weights at the tuple's columns, with
+    tuple's level is one row of the product of a selection matrix, whose
+    row holds a basket's weights at the tuple's columns, with
 
-    * geometric, g = w / sum(w): X itself, giving the log level, to which
-      model i adds g . log(S_i / S_0);
+    * geometric, g = w / sum(w): X itself, giving the log level;
     * arithmetic: exp(X), taken once per tile in X's own buffer after the
-      geometric levels are read, with w times S_i / S_0 in model i's row.
+      geometric levels are read.
 
-    Tuples are taken a chunk of about 8 level rows at a time, and each spec
-    is discounted at its own rate.  Each thread that runs blocks allocates
-    its scratch once per call.  A tuple's price has the same bits as in a
-    pass over that tuple alone: nothing of it is formed or summed across
-    tuples.
-    Returns the (models, specs) arrays of weight-combined prices and of
-    their standard errors; the error is that of the per-path weighted
-    payoff, which is the honest error bar of the convex combination under
-    shared draws.
+    Tuples are taken up to 8 at a time, and each spec is discounted at its
+    own rate.  Each thread that runs blocks allocates its scratch once per
+    call.  A tuple's price has the same bits as in a pass over that tuple
+    alone: nothing of it is formed or summed across tuples.
+    Returns the (specs,) arrays of weight-combined prices and of their
+    standard errors; the error is that of the per-path weighted payoff,
+    which is the honest error bar of the convex combination under shared
+    draws.
     """
-    n, t = models[0].n, specs[0].maturity
+    n, t = model.n, specs[0].maturity
     if any(s.maturity != t for s in specs):
         raise ValueError("specs priced on one draw must share a maturity")
-    base = models[0]
-    for m in models[1:]:  # models[1:] read models[0]'s columns, moved by their spot ratios
-        same = [(a.drift, a.components) == (b.drift, b.components) for a, b in zip(m.assets, base.assets)]
-        if m.n != n or not all(same) or not np.array_equal(m.corr.values, base.corr.values):
-            raise ValueError("models priced on one draw may differ only in their spots")
-    loadings, means, offsets = _component_columns(base, t)
+    loadings, means, offsets = _component_columns(model, t)
     cols = offsets + tuple_set.index_array  # (K, n): each tuple's columns
-    ratios = np.array([m.spots for m in models]) / base.spots
-    nmodels, ntuples, ncols = len(models), len(tuple_set), len(means)
-    chunk = max(1, min(_ROWS // nmodels, ntuples))  # tuples per selection product
-    nchunks, rows = -(-ntuples // chunk), max(2, chunk * nmodels)
+    ntuples, ncols = len(tuple_set), len(means)
+    chunk = min(_ROWS, ntuples)  # tuples per selection product
+    nchunks, rows = -(-ntuples // chunk), max(2, chunk)
 
     def selection(entries: np.ndarray) -> np.ndarray:
-        """(chunks, rows, C): row r * models + i of chunk q holds model i's entries at tuple q * chunk + r's columns."""
-        sel, k = np.zeros((nchunks, rows, ncols)), np.arange(ntuples)[:, None, None]
-        sel[k // chunk, k % chunk * nmodels + np.arange(nmodels)[:, None], cols[:, None, :]] = entries
+        """(chunks, rows, C): row r of chunk q holds the entries at tuple q * chunk + r's columns."""
+        sel, k = np.zeros((nchunks, rows, ncols)), np.arange(ntuples)[:, None]
+        sel[k // chunk, k % chunk, cols] = entries
         return sel
 
-    baskets = {}  # (kind, weights) -> (selection, log-level shifts or None, spec indices)
+    baskets = {}  # (kind, weights) -> (selection, spec indices)
     for j, s in enumerate(specs):
         if (s.kind, s.weights) not in baskets:
+            _one_weight_per_asset(s, n)
             w = np.asarray(s.weights)
-            if s.kind == "arithmetic":
-                baskets[s.kind, s.weights] = (selection(w * ratios), None, [])
-            else:
-                g = w / w.sum()
-                baskets[s.kind, s.weights] = (selection(np.broadcast_to(g, ratios.shape)), np.log(ratios) @ g, [])
-        baskets[s.kind, s.weights][2].append(j)
+            baskets[s.kind, s.weights] = (selection(w if s.kind == "arithmetic" else w / w.sum()), [])
+        baskets[s.kind, s.weights][1].append(j)
     order = sorted(baskets, key=lambda key: key[0] == "arithmetic")  # X is exponentiated in place after the geometric levels
     w = tuple_set.weight_array
     nblocks = len(path_blocks(paths))
-    sums = np.zeros((nmodels, len(specs), ntuples, nblocks))
-    comb_sq = np.zeros((nmodels, len(specs), nblocks))
+    sums = np.zeros((len(specs), ntuples, nblocks))
+    comb_sq = np.zeros((len(specs), nblocks))
     # paths per tile: a power of two, so tiles split blocks evenly; set by the model alone, so a
     # tuple's sums are grouped alike whatever else is priced
     tile = min(BLOCK_SIZE, 2 ** int(math.log2(max(1, _TILE_BYTES // (8 * ncols)))))
     width = min(tile, paths)
-    sizes = {"x": ncols, "levels": rows, "pay": rows, "term": nmodels, "combined": len(specs) * nmodels}
+    sizes = {"x": ncols, "levels": rows, "pay": rows, "term": 1, "combined": len(specs)}
     local = threading.local()
 
     def run_block(b: int, start: int, stop: int) -> None:
@@ -352,22 +354,19 @@ def _tuple_mc_prices(
                 return local.scratch[name][: m * math.prod(shape)].reshape(*shape, m)
 
             z = gen.standard_normal(out=local.z[:m])  # the block's draw, a tile at a time
-            x = _column_log_prices(base, loadings, means, z, view("x", ncols))
-            combined, term, logs = view("combined", len(specs), nmodels), view("term", nmodels), True
+            x = _column_log_prices(model, loadings, means, z, view("x", ncols))
+            combined, term, logs = view("combined", len(specs)), view("term"), True
             for key in order:
-                sel, shifts, members = baskets[key]
+                sel, members = baskets[key]
                 if key[0] == "arithmetic" and logs:
                     np.exp(x, out=x)
                     logs = False
                 for q, k0 in enumerate(range(0, ntuples, chunk)):
                     k1 = min(k0 + chunk, ntuples)  # the last chunk may hold fewer tuples
-                    levels = np.matmul(sel[q], x, out=view("levels", rows))[: (k1 - k0) * nmodels]
-                    levels = levels.reshape(k1 - k0, nmodels, m)
-                    if shifts is not None:
-                        if nmodels > 1:
-                            levels += shifts[:, None]
+                    levels = np.matmul(sel[q], x, out=view("levels", rows))[: k1 - k0]
+                    if key[0] == "geometric":
                         np.exp(levels, out=levels)
-                    pay = view("pay", k1 - k0, nmodels)
+                    pay = view("pay", k1 - k0)
                     for j in members:
                         s = specs[j]
                         if s.omega == 1:  # the operand order gives the direction: L - K or K - L
@@ -375,23 +374,22 @@ def _tuple_mc_prices(
                         else:
                             np.subtract(s.strike, levels, out=pay)
                         np.maximum(pay, 0.0, out=pay)
-                        sums[:, j, k0:k1, b] += pay.sum(axis=-1).T  # a 1-D pairwise sum per tuple, model and tile
+                        sums[j, k0:k1, b] += pay.sum(axis=-1)  # a 1-D pairwise sum per tuple and tile
                         # the weighted payoff of each path: the first chunk writes it, later ones add
-                        np.dot(w[k0:k1], pay.reshape(k1 - k0, -1), out=(term if k0 else combined[j]).reshape(-1))
+                        np.dot(w[k0:k1], pay, out=term if k0 else combined[j])
                         if k0:
                             combined[j] += term
-            for i, j in np.ndindex(comb_sq.shape[:2]):
-                comb_sq[i, j, b] += (combined[j, i] ** 2).sum()
+            comb_sq[:, b] += np.square(combined, out=combined).sum(axis=1)  # one pairwise sum per spec
 
     run_blocks(run_block, path_blocks(paths), workers)
-    price, se = np.empty(comb_sq.shape[:2]), np.zeros(comb_sq.shape[:2])
-    for i, j in np.ndindex(price.shape):
-        disc = np.exp(-specs[j].rate * t)
-        mean = sums[i, j].sum(axis=1) / paths  # each tuple's blocks in one row: the order is K-independent
-        price[i, j] = w @ (disc * mean)
+    price, se = np.empty(len(specs)), np.zeros(len(specs))
+    for j, s in enumerate(specs):
+        disc = np.exp(-s.rate * t)
+        mean = sums[j].sum(axis=1) / paths  # each tuple's blocks in one row: the order is K-independent
+        price[j] = w @ (disc * mean)
         if paths > 1:
-            comb_var = (comb_sq[i, j].sum() / paths - float(w @ mean) ** 2) * (paths / (paths - 1))
-            se[i, j] = disc * np.sqrt(max(comb_var, 0.0) / paths)
+            comb_var = (comb_sq[j].sum() / paths - float(w @ mean) ** 2) * (paths / (paths - 1))
+            se[j] = disc * np.sqrt(max(comb_var, 0.0) / paths)
     return price, se
 
 
@@ -404,8 +402,8 @@ def _mvmd_estimates(
     workers: int | None,
 ) -> list[PriceEstimate]:
     """`price_mvmd_mc` of every spec, all priced from the same draws."""
-    price, se = _tuple_mc_prices((model,), truncate(model, kappa), specs, paths, seed, workers)
-    return [PriceEstimate(float(p), float(e), paths, "mvmd-semianalytic") for p, e in zip(price[0], se[0])]
+    price, se = _tuple_mc_prices(model, truncate(model, kappa), specs, paths, seed, workers)
+    return [PriceEstimate(float(p), float(e), paths, "mvmd-semianalytic") for p, e in zip(price, se)]
 
 
 def component_arithmetic_price(
@@ -420,8 +418,8 @@ def component_arithmetic_price(
     if spec.kind != "arithmetic":
         raise ValueError("spec must be arithmetic")
     single = TupleSet((ComponentTuple(model, indices),), (1.0,))
-    price, se = _tuple_mc_prices((model,), single, (spec,), paths, seed, workers)
-    return PriceEstimate(float(price[0, 0]), float(se[0, 0]), paths, "mvmd-component")
+    price, se = _tuple_mc_prices(model, single, (spec,), paths, seed, workers)
+    return PriceEstimate(float(price[0]), float(se[0]), paths, "mvmd-component")
 
 
 def price_mvmd_mc(
@@ -445,13 +443,6 @@ def price_mvmd_mc(
     return _mvmd_estimates(model, (spec,), kappa, paths, seed, workers)[0]
 
 
-def _bumped_model(model: MultiAssetModel, bumps: np.ndarray) -> MultiAssetModel:
-    assets = tuple(
-        replace(a, spot=a.spot + h) for a, h in zip(model.assets, bumps)
-    )
-    return MultiAssetModel(assets, model.corr)
-
-
 def greeks_mvmd(
     model: MultiAssetModel,
     spec: BasketSpec,
@@ -463,13 +454,16 @@ def greeks_mvmd(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Delta vector and gamma matrix by central differences on the spots.
 
-    All 1 + 2n + 2n(n-1) bumped models are priced in one pass on the same
-    draws (a bump moves only the tuples' log-means), so the random draws
+    A spot bump only rescales a basket weight (S e^X -> (S'/S) S e^X), so
+    the 1 + 2n + 2n(n-1) bumps of an arithmetic basket are priced as specs
+    on the one model, in one pass on the same draws: the random draws
     cancel in the differences and the convex-combination structure carries
-    over to the Greeks; geometric baskets use the closed form.  `bump` is an
-    absolute spot bump, scalar or per asset, below each asset's spot.
+    over to the Greeks.  Geometric baskets use the closed form, each bump
+    moving only the tuples' log-means.  `bump` is an absolute spot bump,
+    scalar or per asset, below each asset's spot.
     """
     n = model.n
+    _one_weight_per_asset(spec, n)
     bumps = np.broadcast_to(np.asarray(bump, dtype=float), (n,)).copy()
     if not np.all(np.isfinite(bumps)):
         raise ValueError("bump must be finite")
@@ -478,20 +472,21 @@ def greeks_mvmd(
     if np.any(bumps >= model.spots):
         raise ValueError("bump must be smaller than the spot it moves")
     eye = np.diag(bumps)
-    shifts = [s * eye[i] for i in range(n) for s in (1, -1)]
-    shifts += [
-        si * eye[i] + sj * eye[j]
-        for i in range(n)
-        for j in range(i + 1, n)
-        for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    ]
-    models = (model, *(_bumped_model(model, shift) for shift in shifts))
+    shifts = [0.0 * bumps, *(s * eye[i] for i in range(n) for s in (1, -1))]  # the base, then one asset up and down
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    shifts += [si * eye[i] + sj * eye[j] for i in range(n) for j in range(i + 1, n) for si, sj in signs]  # asset pairs
+    spots = model.spots
+    bumped = [spots + shift for shift in shifts]
     tuple_set = truncate(model, kappa)
     if spec.kind == "geometric":
-        means, xi = _shared_laws(models, tuple_set.index_array, spec.maturity)
+        xi = tuple_laws(model, tuple_set.index_array, spec.maturity)[1]
+        v2 = np.diagonal(xi, axis1=1, axis2=2)  # the integrated variances
+        means = [np.log(s) + model.drifts * spec.maturity - 0.5 * v2 for s in bumped]
         values = _geometric_mixture(means, xi, tuple_set.weight_array, spec)
     else:
-        values = _tuple_mc_prices(models, tuple_set, (spec,), paths, seed, workers)[0][:, 0]
+        w = np.asarray(spec.weights)
+        specs = tuple(replace(spec, weights=tuple(w * (s / spots))) for s in bumped)
+        values = _tuple_mc_prices(model, tuple_set, specs, paths, seed, workers)[0]
     base, up, down = values[0], values[1 : 2 * n + 1 : 2], values[2 : 2 * n + 1 : 2]
     cross = iter(values[2 * n + 1 :].reshape(-1, 4))
     delta = (up - down) / (2.0 * bumps)

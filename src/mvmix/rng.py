@@ -30,13 +30,20 @@ BLOCK_SIZE = 16384
 WORKERS_ENV_VAR = "MVMIX_WORKERS"
 
 
+def _whole(name: str, value) -> int:
+    """value as an int, if it is a Python or numpy integer (int(1.5) would quietly give 1)."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Generator for block `index` of the stream identified by `seed`, both in [0, 2**64).
+    """Generator for block `index` of the stream identified by `seed`, both integers in [0, 2**64).
 
     The pair is Philox's 128-bit key as two unsigned 64-bit words, so
     distinct pairs give distinct streams.
     """
-    seed, index = int(seed), int(index)
+    seed, index = _whole("seed", seed), _whole("block index", index)
     if not (0 <= seed < 2**64 and 0 <= index < 2**64):
         raise ValueError(f"seed and block index must lie in [0, 2**64), got {seed} and {index}")
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
@@ -44,7 +51,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 def path_blocks(paths: int) -> list[tuple[int, int, int]]:
     """Partition of range(paths) into (block_index, start, stop) triples."""
-    if paths < 1:
+    if _whole("paths", paths) < 1:
         raise ValueError("need at least one path")
     return [
         (b, start, min(start + BLOCK_SIZE, paths))

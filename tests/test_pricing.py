@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.stats import norm
 
 from mvmix import (
     BasketSpec,
+    MultiAssetModel,
     TupleSet,
     black_scholes,
     component_arithmetic_price,
@@ -63,6 +65,14 @@ def test_pair_closed_forms_reject_a_negative_or_non_finite_maturity(maturity):
         black_scholes(1.0, 1.0, 0.2, 0.05, maturity)
     with pytest.raises(ValueError, match="maturity must be finite and nonnegative"):
         geometric_pair_k0(1.0, 1.0, 0.2, 0.3, 0.5, 1.0, 1.0, 0.05, maturity)
+
+
+@pytest.mark.parametrize("omega", [0, 2, 3, -2, 0.5])
+def test_closed_forms_take_only_a_call_or_a_put(omega):
+    with pytest.raises(ValueError, match=r"omega must be \+1 \(call\) or -1 \(put\)"):
+        black_scholes(1.0, 1.0, 0.2, 0.05, 1.0, omega=omega)
+    with pytest.raises(ValueError, match=r"omega must be \+1 \(call\) or -1 \(put\)"):
+        margrabe(1.0, 1.0, 0.2, 0.3, 0.5, 1.0, omega=omega)
 
 
 @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
@@ -260,8 +270,8 @@ def test_each_tuple_prices_as_in_its_own_pass(paths):
     for k, tp in enumerate(kept.tuples):
         # A one-hot weight reads tuple k's price exactly out of the 23-tuple pass.
         one_hot = TupleSet(kept.tuples, tuple(float(i == k) for i in range(len(kept))))
-        in_pass, _ = pricing._tuple_mc_prices((model,), one_hot, specs, paths, 3, 1)
-        alone, _ = pricing._tuple_mc_prices((model,), TupleSet((tp,), (1.0,)), specs, paths, 3, 1)
+        in_pass, _ = pricing._tuple_mc_prices(model, one_hot, specs, paths, 3, 1)
+        alone, _ = pricing._tuple_mc_prices(model, TupleSet((tp,), (1.0,)), specs, paths, 3, 1)
         assert np.array_equal(in_pass, alone), (k, in_pass - alone)
 
 
@@ -272,8 +282,8 @@ def test_wide_pass_is_the_same_at_one_and_two_workers():
     tuple_set = truncate(wide, 1e-3)
     assert len(tuple_set) == 314
     specs = tuple(BasketSpec((1 / 6,) * 6, kind, 1.0, 1.0, rate=0.05) for kind in ("arithmetic", "geometric"))
-    one = pricing._tuple_mc_prices((wide,), tuple_set, specs, 20_000, 21, 1)
-    two = pricing._tuple_mc_prices((wide,), tuple_set, specs, 20_000, 21, 2)
+    one = pricing._tuple_mc_prices(wide, tuple_set, specs, 20_000, 21, 1)
+    two = pricing._tuple_mc_prices(wide, tuple_set, specs, 20_000, 21, 2)
     assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
 
 
@@ -283,11 +293,11 @@ def test_kernel_scratch_stays_with_its_worker_under_thread_switching(vanilla_mod
     specs = tuple(BasketSpec((0.5, 0.5), kind, 1.0, 1.0, rate=0.05) for kind in ("arithmetic", "geometric"))
     tuple_set = truncate(vanilla_model, 0.0)
     paths = 8 * BLOCK_SIZE
-    one = pricing._tuple_mc_prices((vanilla_model,), tuple_set, specs, paths, 31, 1)
+    one = pricing._tuple_mc_prices(vanilla_model, tuple_set, specs, paths, 31, 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        four = pricing._tuple_mc_prices((vanilla_model,), tuple_set, specs, paths, 31, 4)
+        four = pricing._tuple_mc_prices(vanilla_model, tuple_set, specs, paths, 31, 4)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(one[0], four[0]) and np.array_equal(one[1], four[1])
@@ -341,19 +351,7 @@ def test_kernel_refuses_specs_of_different_maturities(vanilla_model):
 
     specs = (BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0), BasketSpec((0.5, 0.5), "arithmetic", 1.0, 0.5))
     with pytest.raises(ValueError, match="share a maturity"):
-        _tuple_mc_prices((vanilla_model,), truncate(vanilla_model, 0.0), specs, 100, 0, 1)
-
-
-def test_kernel_refuses_models_that_differ_beyond_their_spots(vanilla_model):
-    from dataclasses import replace
-
-    spec = (BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0),)
-    tuple_set = truncate(vanilla_model, 0.0)
-    carry = replace(vanilla_model, assets=(replace(vanilla_model.assets[0], drift=0.07), vanilla_model.assets[1]))
-    with pytest.raises(ValueError, match="differ only in their spots"):
-        pricing._tuple_mc_prices((vanilla_model, carry), tuple_set, spec, 100, 0, 1)
-    bumped = pricing._bumped_model(vanilla_model, np.array([0.01, 0.0]))
-    pricing._tuple_mc_prices((vanilla_model, bumped), tuple_set, spec, 100, 0, 1)
+        _tuple_mc_prices(vanilla_model, truncate(vanilla_model, 0.0), specs, 100, 0, 1)
 
 
 def three_asset_model():
@@ -387,43 +385,66 @@ def test_geometric_kernel_reads_levels_from_the_draw(vanilla_model, n, omega):
     assert price == pytest.approx(geometric_price_from_price_matrix(model, spec, 20_000, 12), rel=1e-12)
 
 
-def test_bumped_models_price_as_if_alone():
+def test_spot_bumps_price_as_rescaled_basket_weights():
+    # The identity greeks_mvmd prices its arithmetic bumps by: weights w * S'/S on the base
+    # model give the price and error of the bumped model priced alone.
     model = three_asset_model()
     tuple_set = truncate(model, 0.0)
-    bumps = ((0.01, 0, 0), (0, -0.02, 0.01), (-0.05, 0, 0))
-    models = (model, *(pricing._bumped_model(model, np.array(bump)) for bump in bumps))
-    specs = tuple(
-        BasketSpec((0.5, 0.3, 0.2), kind, strike, 1.0, omega, 0.05)
-        for kind in ("arithmetic", "geometric") for strike in (0.9, 1.1) for omega in (1, -1)
-    )
-    price, se = pricing._tuple_mc_prices(models, tuple_set, specs, 20_000, 13, None)
-    for i, alone in enumerate(models):
-        price_alone, se_alone = pricing._tuple_mc_prices((alone,), tuple_set, specs, 20_000, 13, None)
-        assert price[i] == pytest.approx(price_alone[0], rel=1e-12)
-        assert se[i] == pytest.approx(se_alone[0], rel=1e-12)
+    specs = tuple(BasketSpec((0.5, 0.3, 0.2), "arithmetic", k, 1.0, o, 0.05) for k in (0.9, 1.1) for o in (1, -1))
+    for bump in ((0.01, 0, 0), (0, -0.02, 0.01), (-0.05, 0, 0)):
+        spots = model.spots + bump
+        alone = MultiAssetModel(tuple(replace(a, spot=x) for a, x in zip(model.assets, spots)), model.corr)
+        rescaled = tuple(replace(s, weights=tuple(np.asarray(s.weights) * spots / model.spots)) for s in specs)
+        price, se = pricing._tuple_mc_prices(model, tuple_set, rescaled, 20_000, 13, None)
+        price_alone, se_alone = pricing._tuple_mc_prices(alone, tuple_set, specs, 20_000, 13, None)
+        assert price == pytest.approx(price_alone, rel=1e-12)
+        assert se == pytest.approx(se_alone, rel=1e-12)
 
 
 def test_geometric_only_draw_forms_no_price_matrix(vanilla_model, monkeypatch):
-    # The price matrix is exp of the (C, paths) log-price matrix, the only 2-D array the kernel exponentiates.
-    shapes = []
+    # The price matrix is exp of the (C, paths) log-price matrix, taken in that matrix's own buffer.
+    log_prices, shapes = [], []
+    column_log_prices = pricing._column_log_prices
+
+    def recording(*args):
+        log_prices.append(column_log_prices(*args))
+        return log_prices[-1]
 
     class CountingNumpy:
         def __getattr__(self, name):
             return getattr(np, name)
 
         def exp(self, x, *args, **kwargs):
-            shapes.append(np.shape(x))
+            if any(x is log_price for log_price in log_prices):
+                shapes.append(np.shape(x))
             return np.exp(x, *args, **kwargs)
 
+    monkeypatch.setattr(pricing, "_column_log_prices", recording)
     monkeypatch.setattr(pricing, "np", CountingNumpy())
     geometric = tuple(BasketSpec((0.5, 0.5), "geometric", k, 1.0, o) for k in (0.9, 1.1) for o in (1, -1))
     pricing._mvmd_estimates(vanilla_model, geometric, 0.0, 20_000, 14, None)
-    assert shapes and all(len(shape) != 2 for shape in shapes)
-    shapes.clear()
+    assert log_prices and not shapes
     arithmetic = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0)
     pricing._mvmd_estimates(vanilla_model, (*geometric, arithmetic), 0.0, 20_000, 14, None)
-    matrices = [shape for shape in shapes if len(shape) == 2]
-    assert {rows for rows, _ in matrices} == {4} and sum(paths for _, paths in matrices) == 20_000
+    assert {rows for rows, _ in shapes} == {4} and sum(paths for _, paths in shapes) == 20_000
+
+
+ENTRY_POINTS = {
+    "component": lambda model, w: component_arithmetic_price(model, (0, 1), BasketSpec(w, "arithmetic", 1.0, 1.0), 100),
+    "mc": lambda model, w: price_mvmd_mc(model, BasketSpec(w, "arithmetic", 1.0, 1.0), paths=100),
+    "greeks": lambda model, w: greeks_mvmd(model, BasketSpec(w, "arithmetic", 1.0, 1.0), 0.01, paths=100),
+    "greeks-geometric": lambda model, w: greeks_mvmd(model, BasketSpec(w, "geometric", 1.0, 1.0), 0.01),
+    "geometric": lambda model, w: price_geometric_mvmd(model, BasketSpec(w, "geometric", 1.0, 1.0)),
+    "geometric-tuple": lambda model, w: geometric_tuple_price(model, (0, 1), BasketSpec(w, "geometric", 1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (0.4, 0.3, 0.3)], ids=["one", "three"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_basket_needs_one_weight_per_asset(vanilla_model, entry, weights):
+    # one weight used to be broadcast over both assets; three failed inside numpy
+    with pytest.raises(ValueError, match=f"one basket weight per asset, got {len(weights)} for 2 assets"):
+        ENTRY_POINTS[entry](vanilla_model, weights)
 
 
 def test_geometric_closed_form_checks_the_spec_before_enumerating(vanilla_model):

@@ -1,4 +1,4 @@
-"""The block scheduler: positional output, errors, nesting, thread reuse and fork."""
+"""The block scheduler: positional output, errors, nesting, thread reuse and fork; integer stream keys and path counts."""
 
 import multiprocessing
 import threading
@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from mvmix import rng
+from mvmix import BasketSpec, price_mvmd_mc, rng
 from mvmix.montecarlo import SimulationConfig, simulate_scmd
 from mvmix.rng import run_blocks
 
@@ -140,3 +140,25 @@ def test_forked_child_runs_blocks_with_its_own_helpers(vanilla_model):
             child.kill()
     assert child.exitcode == 0
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("seed, index, named", [(1.5, 0, "seed"), (np.float64(2.0), 0, "seed"), ("3", 0, "seed"), (0, 1.0, "block index")])
+def test_substream_takes_only_integer_keys(seed, index, named):
+    with pytest.raises(ValueError, match=f"{named} must be an integer"):
+        rng.substream(seed, index)
+
+
+@pytest.mark.parametrize("paths", [2.5, 100.0, "100"])
+def test_path_blocks_take_only_a_whole_number_of_paths(paths):
+    with pytest.raises(ValueError, match="paths must be an integer"):
+        rng.path_blocks(paths)
+
+
+def test_pricer_refuses_a_fractional_seed_or_path_count(vanilla_model):
+    spec = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        price_mvmd_mc(vanilla_model, spec, paths=100, seed=1.5)  # used to price seed 1
+    with pytest.raises(ValueError, match="paths must be an integer"):
+        price_mvmd_mc(vanilla_model, spec, paths=2.5)
+    numpy_ints = price_mvmd_mc(vanilla_model, spec, paths=np.int32(100), seed=np.uint64(1))
+    assert numpy_ints == price_mvmd_mc(vanilla_model, spec, paths=100, seed=1)

@@ -108,6 +108,8 @@ def _greek_pins():
         "greeks-kappa-put-three": lambda: _greeks(models["three"], put, (0.01, 0.02, 0.015), 0.07, 19),
         "greeks-geometric": lambda: _greeks(_wide_model(), _wide_spec("geometric"), 0.01, WIDE_KAPPA, 0),
         "greeks-geometric-put-three": lambda: _greeks(models["three"], geo_put, (0.01, 0.02, 0.015), 0.07, 0),
+        # 73 bumps of the n=6 wide basket, each priced as a spec on the base model
+        "greeks-wide6": lambda: _greeks(_wide_model(), _wide_spec("arithmetic"), 0.01, WIDE_KAPPA, 22),
     }
 
 
@@ -133,11 +135,14 @@ SAMPLERS = _samplers() | _greek_pins()
 # md-euler-spread and md-euler-three were re-rolled when simulate_md_euler
 # became the one-asset simulate_scmd: an asset's normals are now drawn per
 # step, (paths, 1) at a time, instead of per path block as (paths, steps).
+# greeks-wide6 was computed while the kernel priced each bumped model on its
+# own row of a models axis, before the bumps became basket weights.
 EXPECTED = {
     "greeks-geometric": "19cd0bdd5bf9cdea1b2368088f6aca4f38883c4a8df2922b5e4258644fbdbd0c",
     "greeks-geometric-put-three": "6af031777b22a5f7eded454148b494aac8ff94739d11ae71e4e1a7eebe75ebfd",
     "greeks-kappa-put-three": "90af0370ff0d9c5c402913be4c161929cef70adbd5478bee749dd7358bedef01",
     "greeks-spread": "80cdefd60a3e735e6f097744a1df3456c2c37565763267bdad0d3a3e07be7205",
+    "greeks-wide6": "3b04384f93a83b24c0d09047f226eb376c09bc2130aefca63862b91da59698bb",
     "md-euler-spread": "ff9d5f262a0459ff08af64f3a8de10cf363cc1083b10086346197f6e5de34941",
     "md-euler-three": "255dcbabce11bfc06ccd80332c472ce45d72fc714e753cad31f76a51c66e1bbc",
     "muvm-spread": "d3e0aeeec5a35220e5ef8bbc81a6d81d6243812d57aba417d6f2e391b537e9ae",
