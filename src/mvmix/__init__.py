@@ -24,9 +24,7 @@ from .multivariate import (
     MultiAssetModel,
     SingularCovarianceError,
     TupleSet,
-    component_mvln_pdf,
     density_count,
-    integrated_covariance,
     mvmd_diffusion_squared,
     scmd_covariance,
     truncate,
@@ -36,9 +34,7 @@ from .pricing import (
     BasketSpec,
     PriceEstimate,
     black_scholes,
-    component_arithmetic_price,
     geometric_pair_k0,
-    geometric_tuple_price,
     greeks_mvmd,
     margrabe,
     price_geometric_mvmd,
@@ -54,14 +50,12 @@ from .montecarlo import (
     simulate_scmd,
 )
 from .dependence import (
-    TauParams,
     bivariate_normal_cdf,
     copula_value,
     empirical_copula,
     kendall_tau_empirical,
     kendall_tau_mvmd,
     multivariate_normal_cdf,
-    tau_params,
 )
 from .config import ConfigError, ExperimentConfig, dump_config, load_config
 
@@ -81,9 +75,7 @@ __all__ = [
     "MultiAssetModel",
     "SingularCovarianceError",
     "TupleSet",
-    "component_mvln_pdf",
     "density_count",
-    "integrated_covariance",
     "mvmd_diffusion_squared",
     "scmd_covariance",
     "truncate",
@@ -91,9 +83,7 @@ __all__ = [
     "BasketSpec",
     "PriceEstimate",
     "black_scholes",
-    "component_arithmetic_price",
     "geometric_pair_k0",
-    "geometric_tuple_price",
     "greeks_mvmd",
     "margrabe",
     "price_geometric_mvmd",
@@ -104,14 +94,12 @@ __all__ = [
     "sample_muvm_terminal",
     "sample_mvmd_terminal",
     "simulate_scmd",
-    "TauParams",
     "bivariate_normal_cdf",
     "copula_value",
     "empirical_copula",
     "kendall_tau_empirical",
     "kendall_tau_mvmd",
     "multivariate_normal_cdf",
-    "tau_params",
     "ConfigError",
     "ExperimentConfig",
     "dump_config",

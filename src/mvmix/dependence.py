@@ -2,28 +2,25 @@
 
 The terminal copula of the multivariate mixture is a weighted combination of
 Gaussian copulas: one standardized multivariate normal CDF per component
-tuple, evaluated at transformed mixture quantiles.  For two assets with two
-components each and constant vols, Kendall's tau has a closed form built
-from bivariate normal CDFs of standardized log-mean differences.
+tuple, evaluated at transformed mixture quantiles.  Kendall's tau of assets
+1 and 2 has a closed form for any component counts and piecewise vols, one
+batched bivariate normal CDF over the pairs of the pair's component tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, owens_t
 from scipy.stats import kendalltau, norm, qmc
 
-from .multivariate import MultiAssetModel, truncate, tuple_laws
+from .multivariate import MultiAssetModel, _component_columns, truncate, tuple_laws
 from .univariate import inverse_cdf
 
 __all__ = [
     "bivariate_normal_cdf",
     "multivariate_normal_cdf",
-    "TauParams",
-    "tau_params",
     "kendall_tau_mvmd",
     "kendall_tau_empirical",
     "copula_value",
@@ -248,91 +245,38 @@ def _mvn_cdf(z: np.ndarray, m: np.ndarray, tol: float, full_output: bool) -> flo
     return (value, err) if full_output else value
 
 
-@dataclass(frozen=True)
-class TauParams:
-    """Per-tuple log-space quantities feeding the closed-form Kendall tau.
+def kendall_tau_mvmd(model: MultiAssetModel, maturity: float) -> float:
+    """Closed-form Kendall tau of assets 1 and 2 of the mixture at the given horizon.
 
-    Tuples are ordered (1,1), (1,2), (2,1), (2,2) over the two assets'
-    components; alphas are the product weights, mu/sigma the horizon
-    log-means and log-stdevs per asset, rho the instantaneous correlation.
+    The pair's terminal law mixes, over its component tuples k with weights
+    a_k, the bivariate normal log-laws of `tuple_laws`, so tau = 4 a^T P a - 1
+    with P_kl the chance that a draw of tuple k lies below an independent
+    draw of tuple l in both assets.  For k != l that is a bivariate normal
+    CDF of the standardized log-mean differences, the difference having
+    covariance Xi^k + Xi^l; for k = l it is 1/4 + arcsin(r_k) / (2 pi), with
+    the tuple's log-correlation r_k = rho u_1.u_2 / (|u_1| |u_2|) read from
+    its component-column loadings u, which is exactly rho for constant vols.
+    Any component counts and piecewise vols; other assets marginalize out.
     """
-
-    alphas: tuple[float, float, float, float]
-    mu_x: tuple[float, float, float, float]
-    mu_y: tuple[float, float, float, float]
-    sigma_x: tuple[float, float, float, float]
-    sigma_y: tuple[float, float, float, float]
-    rho: float
-
-    def __post_init__(self):
-        if abs(sum(self.alphas) - 1.0) > 1e-12:
-            raise ValueError("tuple weights must sum to 1")
-        if any(s <= 0 for s in self.sigma_x + self.sigma_y):
-            raise ValueError("log-stdevs must be positive")
-        if not -1.0 <= self.rho <= 1.0:
-            raise ValueError("correlation must lie in [-1, 1]")
-
-
-def tau_params(model: MultiAssetModel, maturity: float) -> TauParams:
-    """Build the closed-form tau inputs from a 2-asset, 2-component model.
-
-    Single-component assets are padded with a zero-weight copy, so the
-    degenerate one-component case reduces to the Gaussian arcsine law.
-    """
-    if model.n != 2 or any(c > 2 for c in model.component_counts()):
-        raise ValueError("closed-form tau needs exactly 2 assets with at most 2 components each")
+    if model.n < 2:
+        raise ValueError("Kendall tau needs at least two assets")
     if not 0 < maturity < np.inf:
         raise ValueError(f"maturity must be positive and finite, got {maturity}")
-    a1, a2 = model.assets
-    for asset in (a1, a2):
-        if not all(c.vol.is_constant for c in asset.components):
-            raise ValueError("closed-form tau needs constant volatilities")
-
-    def padded(asset):
-        sig = [c.vol.value(0.0) for c in asset.components]
-        lam = [c.weight for c in asset.components]
-        if len(sig) == 1:
-            sig = sig * 2
-            lam = [1.0, 0.0]
-        return sig, lam
-
-    t = maturity
-    s1, l1 = padded(a1)
-    s2, l2 = padded(a2)
-    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    alphas = tuple(l1[i] * l2[j] for i, j in pairs)
-    mu_x = tuple(np.log(a1.spot) + (a1.drift - 0.5 * s1[i] ** 2) * t for i, _ in pairs)
-    mu_y = tuple(np.log(a2.spot) + (a2.drift - 0.5 * s2[j] ** 2) * t for _, j in pairs)
-    sigma_x = tuple(s1[i] * np.sqrt(t) for i, _ in pairs)
-    sigma_y = tuple(s2[j] * np.sqrt(t) for _, j in pairs)
-    return TauParams(alphas, mu_x, mu_y, sigma_x, sigma_y, float(model.corr[0, 1]))
-
-
-def kendall_tau_from_params(p: TauParams) -> float:
-    """Closed-form Kendall tau of a 4-component bivariate lognormal mixture.
-
-    Concordance of an independent pair splits over component pairs: same-
-    component pairs contribute arcsin terms, cross pairs bivariate normal
-    CDFs of the standardized log-mean differences.
-    """
-    a = np.asarray(p.alphas)
-    tau = (2.0 / np.pi) * float(a @ a) * np.arcsin(p.rho) + float(a @ a) - 1.0
-    i, j = np.triu_indices(4, 1)
-    mu_x, mu_y = np.asarray(p.mu_x), np.asarray(p.mu_y)
-    sx, sy = np.asarray(p.sigma_x), np.asarray(p.sigma_y)
-    dx = np.sqrt(sx[i] ** 2 + sx[j] ** 2)
-    dy = np.sqrt(sy[i] ** 2 + sy[j] ** 2)
-    m_x = (mu_x[i] - mu_x[j]) / dx
-    m_y = (mu_y[i] - mu_y[j]) / dy
-    r = np.clip(p.rho * (sx[i] * sy[i] + sx[j] * sy[j]) / (dx * dy), -1.0, 1.0)
-    both = bivariate_normal_cdf(np.r_[m_x, -m_x], np.r_[m_y, -m_y], np.r_[r, r])
-    tau += 4.0 * float((a[i] * a[j]) @ (both[:6] + both[6:]))
-    return float(tau)
-
-
-def kendall_tau_mvmd(model: MultiAssetModel, maturity: float) -> float:
-    """Closed-form Kendall tau of the 2-asset mixture at the given horizon."""
-    return kendall_tau_from_params(tau_params(model, maturity))
+    pair = MultiAssetModel(model.assets[:2], model.corr.values[:2, :2])
+    tuples = truncate(pair, 0.0)
+    means, xi = tuple_laws(pair, tuples.index_array, maturity)
+    var = np.diagonal(xi, axis1=1, axis2=2)
+    s = np.sqrt(var[:, None] + var[None])  # (K, K, 2): sd of tuple k's draw minus tuple l's
+    h = (means[None] - means[:, None]) / s
+    r = np.clip((xi[:, None, 0, 1] + xi[None, :, 0, 1]) / (s[..., 0] * s[..., 1]), -1.0, 1.0)
+    p = bivariate_normal_cdf(h[..., 0], h[..., 1], r)
+    loadings, _, offsets = _component_columns(pair, maturity)
+    u = loadings[offsets + tuples.index_array]  # (K, 2, P)
+    norms = np.linalg.norm(u, axis=2)
+    same = np.clip(pair.corr[0, 1] * np.sum(u[:, 0] * u[:, 1], axis=1) / (norms[:, 0] * norms[:, 1]), -1.0, 1.0)
+    np.fill_diagonal(p, 0.25 + np.arcsin(same) / (2.0 * np.pi))
+    a = tuples.weight_array
+    return float(4.0 * (a @ (p @ a)) - 1.0)
 
 
 def _tie_pairs(values: np.ndarray) -> int:

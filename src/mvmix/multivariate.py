@@ -41,8 +41,6 @@ __all__ = [
     "TupleSet",
     "SingularCovarianceError",
     "tuple_laws",
-    "integrated_covariance",
-    "component_mvln_pdf",
     "mixture_pdf",
     "mvmd_diffusion_squared",
     "scmd_covariance",
@@ -96,7 +94,7 @@ def psd_factor(matrix: np.ndarray) -> np.ndarray:
 
 
 class CorrelationMatrix:
-    """Validated instantaneous correlation matrix R."""
+    """Validated instantaneous correlation matrix R, stored symmetric with an exact unit diagonal."""
 
     def __init__(self, entries):
         m = np.array(entries, dtype=float)
@@ -109,6 +107,7 @@ class CorrelationMatrix:
         if np.any(np.abs(m) > 1.0 + 1e-12):
             raise ValueError("correlations must lie in [-1, 1]")
         m = 0.5 * (m + m.T)
+        np.fill_diagonal(m, 1.0)  # exact, so Xi_ii is the integrated variance the log-means use
         self._factor = psd_factor(m)  # validates PSD up to the eigenvalue floor
         self.values = m
         self.values.setflags(write=False)
@@ -242,11 +241,6 @@ def tuple_laws(model: MultiAssetModel, indices, t: float) -> tuple[np.ndarray, n
     return np.log(model.spots) + model.drifts * t - 0.5 * v2, xi
 
 
-def integrated_covariance(model: MultiAssetModel, indices, t: float) -> np.ndarray:
-    """Xi(t) of one component tuple: the one-row case of `tuple_laws`."""
-    return tuple_laws(model, [indices], t)[1][0]
-
-
 def _component_columns(model: MultiAssetModel, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every tuple's terminal law at t as columns shared by the tuples, one per (asset, component).
 
@@ -291,17 +285,6 @@ def _column_log_prices(model: MultiAssetModel, loadings: np.ndarray, means: np.n
     return out
 
 
-def component_mvln_logpdf(model: MultiAssetModel, indices, t: float, x) -> np.ndarray | float:
-    """Log density of the multivariate lognormal component at price vector x.
-
-    x may be a single n-vector or an (m, n) array of points.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    out = _tuple_logpdfs(model, [indices], t, x[None, :] if single else x)[0]
-    return float(out[0]) if single else out
-
-
 def _tuple_logpdfs(model: MultiAssetModel, indices, t: float, pts: np.ndarray) -> np.ndarray:
     """(K, m) log densities of the tuples in the rows of `indices` at (m, n) points.
 
@@ -329,11 +312,6 @@ def _tuple_logpdfs(model: MultiAssetModel, indices, t: float, pts: np.ndarray) -
     logdet = 2.0 * np.log(pivots).sum(axis=1)
     quad = (centered**2).sum(axis=1)
     return -0.5 * quad - 0.5 * logdet[:, None] - 0.5 * model.n * np.log(2.0 * np.pi) - logx.sum(axis=1)
-
-
-def component_mvln_pdf(model: MultiAssetModel, indices, t: float, x) -> np.ndarray | float:
-    """Multivariate lognormal density of one component tuple."""
-    return np.exp(component_mvln_logpdf(model, indices, t, x))
 
 
 @dataclass(frozen=True)

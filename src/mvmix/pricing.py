@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .multivariate import ComponentTuple, MultiAssetModel, TupleSet, _column_log_prices, _component_columns, truncate, tuple_laws
+from .multivariate import MultiAssetModel, TupleSet, _column_log_prices, _component_columns, truncate, tuple_laws
 from .rng import BLOCK_SIZE, path_blocks, run_blocks, substream
 
 __all__ = [
@@ -45,9 +45,7 @@ __all__ = [
     "black_scholes",
     "margrabe",
     "geometric_pair_k0",
-    "component_arithmetic_price",
     "price_mvmd_mc",
-    "geometric_tuple_price",
     "price_geometric_mvmd",
     "greeks_mvmd",
 ]
@@ -245,19 +243,6 @@ def _geometric_mixture(means, xi: np.ndarray, weights: np.ndarray, spec: BasketS
     return np.array([float(weights @ row) for row in prices])
 
 
-def geometric_tuple_price(model: MultiAssetModel, indices, spec: BasketSpec) -> float:
-    """Exact European price on the weighted geometric average for one tuple.
-
-    The weighted geometric average of jointly lognormal prices is itself
-    lognormal, so any strike prices in closed form; strike 0 reduces to the
-    two-asset zero-strike formula.
-    """
-    if spec.kind != "geometric":
-        raise ValueError("spec must be geometric")
-    means, xi = tuple_laws(model, [indices], spec.maturity)
-    return float(_geometric_mixture([means], xi, np.ones(1), spec)[0])
-
-
 def price_geometric_mvmd(
     model: MultiAssetModel, spec: BasketSpec, kappa: float = 0.0
 ) -> PriceEstimate:
@@ -404,22 +389,6 @@ def _mvmd_estimates(
     """`price_mvmd_mc` of every spec, all priced from the same draws."""
     price, se = _tuple_mc_prices(model, truncate(model, kappa), specs, paths, seed, workers)
     return [PriceEstimate(float(p), float(e), paths, "mvmd-semianalytic") for p, e in zip(price, se)]
-
-
-def component_arithmetic_price(
-    model: MultiAssetModel,
-    indices,
-    spec: BasketSpec,
-    paths: int = 1_000_000,
-    seed: int = 0,
-    workers: int | None = None,
-) -> PriceEstimate:
-    """Single-step Monte Carlo price of the basket option on one tuple's law."""
-    if spec.kind != "arithmetic":
-        raise ValueError("spec must be arithmetic")
-    single = TupleSet((ComponentTuple(model, indices),), (1.0,))
-    price, se = _tuple_mc_prices(model, single, (spec,), paths, seed, workers)
-    return PriceEstimate(float(price[0]), float(se[0]), paths, "mvmd-component")
 
 
 def price_mvmd_mc(

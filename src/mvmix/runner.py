@@ -78,18 +78,9 @@ def run_price(experiments: ExperimentConfig | Sequence[ExperimentConfig], worker
 
 
 def run_tau(config: ExperimentConfig, workers: int | None = None) -> list[dict]:
-    """Kendall tau rows: closed form plus empirical estimates per scheme."""
-    if config.model.n < 2:
-        raise ValueError("Kendall tau needs at least two assets")
+    """Kendall tau rows of assets 1 and 2: closed form plus empirical estimates per scheme."""
     t = config.maturity
-    rows = []
-    try:
-        tau_cf = dependence.kendall_tau_mvmd(config.model, t)
-        rows.append(
-            {"method": "mvmd-closed-form", "tau": tau_cf, "paths": 0, "note": ""}
-        )
-    except ValueError as exc:
-        rows.append({"method": "mvmd-closed-form", "tau": "", "paths": 0, "note": f"unsupported: {exc}"})
+    rows = [{"method": "mvmd-closed-form", "tau": dependence.kendall_tau_mvmd(config.model, t), "paths": 0, "note": ""}]
     sim = montecarlo.SimulationConfig(config.paths, config.steps, t, config.seed)
     for sample in (
         montecarlo.sample_mvmd_terminal(config.model, t, config.paths, config.seed, config.kappa, workers),

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mvmix import AssetMixture, CorrelationMatrix, MultiAssetModel
+from mvmix import AssetMixture, ComponentTuple, CorrelationMatrix, MultiAssetModel, TupleSet
+from mvmix.pricing import _tuple_mc_prices
 
 
 def make_model(spots, drifts, weights, vols, rho):
@@ -11,6 +12,13 @@ def make_model(spots, drifts, weights, vols, rho):
     corr = np.full((len(assets), len(assets)), rho)
     np.fill_diagonal(corr, 1.0)
     return MultiAssetModel(assets, CorrelationMatrix(corr))
+
+
+def one_tuple_price(model, indices, spec, paths, seed):
+    """Price and standard error of the mixture kernel on the law of one tuple (a one-tuple `TupleSet`)."""
+    single = TupleSet((ComponentTuple(model, tuple(indices)),), (1.0,))
+    price, se = _tuple_mc_prices(model, single, (spec,), paths, seed, None)
+    return float(price[0]), float(se[0])
 
 
 @pytest.fixture

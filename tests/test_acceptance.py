@@ -15,7 +15,6 @@ from mvmix import (
     SimulationConfig,
     analytic_moment,
     black_scholes,
-    component_arithmetic_price,
     copula_value,
     density_count,
     empirical_copula,
@@ -37,7 +36,7 @@ from mvmix.benchmarks import MATURITY, RATE, STRIKES, TABLES, benchmark_model, b
 from mvmix.multivariate import marginal_moment
 from mvmix.runner import reproduce_tables
 
-from conftest import make_model
+from conftest import make_model, one_tuple_price
 
 PATHS = 100_000
 
@@ -118,9 +117,9 @@ def test_criterion_4_closed_form_cross_checks():
     x1, x2, s1, s2, rho = 0.7, 1.7, 0.2, 0.4, 0.6
     model = make_model((x1, x2), (RATE, RATE), ((1.0,), (1.0,)), ((s1,), (s2,)), rho)
     spec = BasketSpec((-1.0, 1.0), "arithmetic", 0.0, MATURITY, 1, RATE)
-    est = component_arithmetic_price(model, (0, 0), spec, paths=1_000_000, seed=404)
+    price, se = one_tuple_price(model, (0, 0), spec, 1_000_000, 404)
     closed = margrabe(x1, x2, s1, s2, rho, MATURITY, 1)
-    assert abs(est.price - closed) < 3 * est.std_error
+    assert abs(price - closed) < 3 * se
 
     # zero-strike and general-strike geometric closed forms vs MC at 1e6
     gmodel = benchmark_model("geometric", 0.6)

@@ -293,14 +293,15 @@ def test_run_tau_rows():
     methods = [r["method"] for r in rows]
     assert methods == ["mvmd-closed-form", "mvmd-empirical", "scmd-empirical"]
     assert all(isinstance(r["tau"], float) for r in rows)
-    # out-of-scope closed form still emits the empirical rows
+    # three components: the closed form covers it and agrees with the terminal sample
     doc = doc_with(("model", "assets", 0, "weights"), [0.5, 0.3, 0.2])
-    doc = {**doc}
     doc["model"]["assets"][0]["vols"] = [0.3, 0.2, 0.1]
+    doc["engine"]["paths"] = 100_000
     rows = run_tau(ExperimentConfig.from_dict(doc))
-    assert rows[0]["note"].startswith("unsupported")
-    assert rows[0]["tau"] == ""
-    assert len(rows) == 3
+    assert [set(r) for r in rows] == [{"method", "tau", "paths", "note"}] * 3
+    closed, empirical = rows[0], rows[1]
+    assert (closed["method"], empirical["method"]) == ("mvmd-closed-form", "mvmd-empirical")
+    assert isinstance(closed["tau"], float) and abs(closed["tau"] - empirical["tau"]) < 0.01
 
 
 def test_cli_price_roundtrip(tmp_path, capsys):

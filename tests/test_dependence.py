@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from mvmix import (
     AssetMixture,
     CorrelationMatrix,
     MultiAssetModel,
-    TauParams,
     bivariate_normal_cdf,
     copula_value,
     empirical_copula,
@@ -19,7 +19,6 @@ from mvmix import (
     multivariate_normal_cdf,
     sample_muvm_terminal,
     sample_mvmd_terminal,
-    tau_params,
     truncate,
 )
 from mvmix.benchmarks import table_configs
@@ -229,25 +228,6 @@ def test_mvn_deterministic():
     )
 
 
-def test_tau_params_structure(vanilla_model):
-    p = tau_params(vanilla_model, 1.0)
-    assert sum(p.alphas) == pytest.approx(1.0, abs=1e-14)
-    assert p.alphas == pytest.approx((0.42, 0.18, 0.28, 0.12))
-    assert p.sigma_x == pytest.approx((0.3, 0.3, 0.2, 0.2))
-    assert p.sigma_y == pytest.approx((0.25, 0.35, 0.25, 0.35))
-    assert p.rho == 0.6
-
-
-def test_tau_params_scope():
-    three = make_model(
-        (1.0, 1.0), (0.0, 0.0), ((0.5, 0.3, 0.2), (0.6, 0.4)), ((0.3, 0.2, 0.1), (0.25, 0.35)), 0.5
-    )
-    with pytest.raises(ValueError):
-        tau_params(three, 1.0)
-    with pytest.raises(ValueError):
-        TauParams((0.5, 0.2, 0.2, 0.2), (0,) * 4, (0,) * 4, (1,) * 4, (1,) * 4, 0.5)
-
-
 def test_tau_degenerate_mixture_is_gaussian_arcsine():
     for rho in (-0.6, 0.0, 0.6, 0.9):
         model = make_model(
@@ -274,22 +254,37 @@ def test_tau_symmetry_and_range(vanilla_model):
     assert -1.0 <= tau <= 1.0
 
 
+def padded_tau(model, t):
+    """Kendall tau of two assets with at most 2 constant-vol components each, over 4 padded tuples.
+
+    Tuples run (1,1), (1,2), (2,1), (2,2); a one-component asset gets a
+    zero-weight copy.  Same-tuple pairs give arcsin terms, cross pairs
+    bivariate normal CDFs of the standardized log-mean differences.
+    """
+    sig, lam = [], []
+    for asset in model.assets:
+        sig.append([c.vol.value(0.0) for c in asset.components] * (3 - asset.n_components))
+        lam.append([c.weight for c in asset.components] if asset.n_components == 2 else [1.0, 0.0])
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    a = np.array([lam[0][i] * lam[1][j] for i, j in pairs])
+    mu = [np.array([np.log(x.spot) + (x.drift - 0.5 * sig[n][k[n]] ** 2) * t for k in pairs]) for n, x in enumerate(model.assets)]
+    sd = [np.array([sig[n][k[n]] * np.sqrt(t) for k in pairs]) for n in range(2)]
+    rho = model.corr[0, 1]
+    tau = (2.0 / np.pi) * float(a @ a) * np.arcsin(rho) + float(a @ a) - 1.0
+    i, j = np.triu_indices(4, 1)
+    dx, dy = (np.sqrt(s[i] ** 2 + s[j] ** 2) for s in sd)
+    m_x = (mu[0][i] - mu[0][j]) / dx
+    m_y = (mu[1][i] - mu[1][j]) / dy
+    r = np.clip(rho * (sd[0][i] * sd[1][i] + sd[0][j] * sd[1][j]) / (dx * dy), -1.0, 1.0)
+    both = bivariate_normal_cdf(np.r_[m_x, -m_x], np.r_[m_y, -m_y], np.r_[r, r])
+    return float(tau + 4.0 * float((a[i] * a[j]) @ (both[:6] + both[6:])))
+
+
 def test_tau_and_copula_match_per_pair_loops(vanilla_model):
-    # reference: the closed-form sum and the copula sum one scalar CDF at a time
-    p = tau_params(vanilla_model, 1.0)
-    a = np.asarray(p.alphas)
-    tau = (2.0 / np.pi) * float(a @ a) * np.arcsin(p.rho) + float(a @ a) - 1.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            dx = np.hypot(p.sigma_x[i], p.sigma_x[j])
-            dy = np.hypot(p.sigma_y[i], p.sigma_y[j])
-            m_x = (p.mu_x[i] - p.mu_x[j]) / dx
-            m_y = (p.mu_y[i] - p.mu_y[j]) / dy
-            r = p.rho * (p.sigma_x[i] * p.sigma_y[i] + p.sigma_x[j] * p.sigma_y[j]) / (dx * dy)
-            tau += 4.0 * a[i] * a[j] * (
-                bivariate_normal_cdf(m_x, m_y, r) + bivariate_normal_cdf(-m_x, -m_y, r)
-            )
-    assert kendall_tau_mvmd(vanilla_model, 1.0) == pytest.approx(tau, abs=1e-15)
+    # reference: the hand-padded 4-tuple closed form, and the copula sum one scalar CDF at a time
+    configs = [c for t in PIN_TABLES for c in table_configs(t, 2000)]
+    for model, t in [(c.model, c.maturity) for c in configs] + [(vanilla_model, 1.0)]:
+        assert kendall_tau_mvmd(model, t) == pytest.approx(padded_tau(model, t), rel=0.0, abs=2.2e-16)
 
     u = np.array([0.3, 0.8])
     x = [inverse_cdf(asset, 1.0, ui) for asset, ui in zip(vanilla_model.assets, u)]
@@ -437,6 +432,41 @@ def test_tau_closed_form_at_perfect_correlation(vanilla_model):
     assert abs(tau_cf - tau_emp) < 0.01
 
 
+def test_tau_closed_form_covers_three_components_piecewise_vols_and_every_pair():
+    # the closed form is the tau of assets 1 and 2; each other pair is reached
+    # by moving its assets to the front, with the correlation matrix permuted alike
+    from mvmix import VolCurve
+
+    rising, falling = VolCurve((0.0, 0.4), (0.15, 0.35)), VolCurve((0.0, 0.3, 0.8), (0.45, 0.25, 0.2))
+    assets = tuple(
+        AssetMixture.from_arrays(s, d, w, v)
+        for s, d, w, v in (
+            (1.0, 0.05, (0.5, 0.3, 0.2), (0.2, rising, 0.4)),
+            (0.8, 0.02, (0.6, 0.25, 0.15), (falling, 0.3, 0.1)),
+            (1.3, 0.04, (0.4, 0.4, 0.2), (0.25, 0.15, rising)),
+        )
+    )
+    corr = np.array([[1.0, 0.7, -0.4], [0.7, 1.0, -0.2], [-0.4, -0.2, 1.0]])
+    model = MultiAssetModel(assets, CorrelationMatrix(corr))
+    paths = 400_000
+    sample = sample_mvmd_terminal(model, 1.0, paths, seed=91).values
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        order = [i, j, k]
+        front = MultiAssetModel(tuple(assets[m] for m in order), CorrelationMatrix(corr[np.ix_(order, order)]))
+        tau = kendall_tau_mvmd(front, 1.0)
+        assert abs(tau - kendall_tau_empirical(sample[:, i], sample[:, j])) < 5.0 * np.sqrt(2.0 * (1.0 - tau**2) / paths)
+
+
+def test_tau_of_one_component_assets_at_perfect_correlation_is_exact():
+    # with vols (0.2, 0.35) the correlation read from Xi rounds to 1 - 2e-16, which moves tau by 1.3e-8
+    for vols, rho in itertools.product((((0.3,), (0.25,)), ((0.2,), (0.35,))), (1.0, -1.0)):
+        model = make_model((1.0, 0.7), (0.05, 0.02), ((1.0,), (1.0,)), vols, rho)
+        assert kendall_tau_mvmd(model, 1.0) == rho
+    one = make_model((1.0,), (0.05,), ((1.0,),), ((0.3,),), 1.0)
+    with pytest.raises(ValueError, match="at least two assets"):
+        kendall_tau_mvmd(one, 1.0)
+
+
 def test_copula_piecewise_vols_time_averaged_correlation():
     # single-component assets with different step curves: the copula is the
     # Gaussian copula at the integral-averaged correlation, not at rho
@@ -500,7 +530,9 @@ def test_tie_pairs_match_a_unique_count(values):
 
 # Bit pins of the dependence outputs.  Values are hashed through float.hex, so
 # any change in the last bit shows; the CLI copula CSVs are hashed as printed.
-# A change to a pin is a change to the numbers the analytics return.
+# A change to a pin is a change to the numbers the analytics return.  tau-tables
+# was re-pinned when the closed-form tau moved onto tuple_laws: three of its
+# seven values moved by 1.1e-16 (test_tau_and_copula_match_per_pair_loops).
 PIN_TABLES = (2, 3, 4, 5, 6)
 PIN_MVN3_PANEL = (
     ((0.0, 0.0, 0.0), ((1.0, 0.2, 0.2), (0.2, 1.0, 0.2), (0.2, 0.2, 1.0))),
@@ -516,7 +548,7 @@ DEPENDENCE_PINS = {
     "copula-csv-table5": "4172238f7b602fef840f0e0e85f6c66441315c32243a60e2d485bf779cdf5c9e",
     "copula-csv-table6": "535165aec5b3243534910a0404702a32a4def1f138b55933af8c2818042de34b",
     "copula-values": "b32ac9eb767d3924830a6140640e8952ee8edaced31f5b3a4a15d40afe36a538",
-    "tau-tables": "7f356f7f79c1cffdc66845d7451b0821bb68b055d032b956377699e50721415a",
+    "tau-tables": "908f9c4c011ffe607394fab23f5505b812488816c827a5cf8b247e24a93cdf72",
     "mvn3-panel": "9e7e82565d7ebb82bd796595132e19e24b22c8a8ea3e97652b6e62ee6da07a80",
     "bvn-scalar": "cf496384c97e40433a4245c0da438bba8a2dd3933497c7ad95b4c9975b73b00a",
 }

@@ -14,11 +14,8 @@ from mvmix import (
     SingularCovarianceError,
     TupleSet,
     VolCurve,
-    component_arithmetic_price,
     component_pdf,
-    component_mvln_pdf,
     density_count,
-    integrated_covariance,
     local_vol,
     mvmd_diffusion_squared,
     price_mvmd_mc,
@@ -27,10 +24,15 @@ from mvmix import (
     volume_estimate,
 )
 from mvmix import analytic_moment
-from mvmix.multivariate import _component_columns, marginal_moment, mixture_pdf, tuple_laws
+from mvmix.multivariate import _component_columns, _tuple_logpdfs, marginal_moment, mixture_pdf, tuple_laws
 from mvmix.univariate import mixture_pdf as mixture_pdf_1d
 
 from conftest import make_model
+
+
+def tuple_pdf(model, indices, t, x):
+    """One tuple's multivariate lognormal density at one price vector x, from the batched log densities."""
+    return float(np.exp(_tuple_logpdfs(model, [indices], t, np.asarray(x, dtype=float)[None, :])[0, 0]))
 
 
 def test_correlation_matrix_validation():
@@ -50,14 +52,28 @@ def test_correlation_matrix_validation():
     assert np.allclose(f @ f.T, cm.values, atol=1e-12)
 
 
+def test_correlation_matrix_stores_an_exact_unit_diagonal():
+    # a diagonal within 1e-12 of 1 is accepted, and stored as exact 1s, so the
+    # covariance diagonal is the integrated variance that the log-means use
+    entries = [[1.0 - 5e-13, 0.5], [0.5, 1.0]]
+    corr = CorrelationMatrix(entries)
+    assert np.diag(corr.values).tolist() == [1.0, 1.0] and corr[0, 1] == 0.5
+    piecewise = VolCurve((0.0, 0.25, 0.5), (0.2, 0.4, 0.3))
+    assets = tuple(AssetMixture.from_arrays(s, 0.04, [0.6, 0.4], [piecewise, 0.25]) for s in (1.0, 1.3))
+    model = MultiAssetModel(assets, entries)
+    for t in (0.3, 1.0):
+        means, xi = tuple_laws(model, [tp.indices for tp in model.tuples()], t)
+        assert np.array_equal(means, np.log(model.spots) + model.drifts * t - 0.5 * np.diagonal(xi, axis1=1, axis2=2))
+
+
 def test_integrated_covariance_uncorrelated_constants(vanilla_model):
     model = make_model((1.0, 1.0), (0.05, 0.05), ((0.6, 0.4), (0.7, 0.3)), ((0.3, 0.2), (0.25, 0.35)), 0.0)
-    xi = integrated_covariance(model, (0, 0), 1.0)
+    xi = tuple_laws(model, [(0, 0)], 1.0)[1][0]
     assert np.allclose(xi, np.diag([0.09, 0.0625]), atol=1e-15)
 
 
 def test_integrated_covariance_off_diagonal(vanilla_model):
-    xi = integrated_covariance(vanilla_model, (0, 0), 1.0)
+    xi = tuple_laws(vanilla_model, [(0, 0)], 1.0)[1][0]
     assert xi[0, 1] == pytest.approx(0.6 * 0.3 * 0.25, abs=1e-15)
     assert xi[0, 1] == xi[1, 0]
     assert np.allclose(np.diag(xi), [0.09, 0.0625], atol=1e-15)
@@ -103,8 +119,8 @@ def test_tuple_laws_equal_the_per_integral_loop(name):
         loop_means, loop_xi = _laws_by_loop(model, indices, t)
         assert np.array_equal(means, loop_means) and np.array_equal(xi, loop_xi)
         for k, row in enumerate(indices):  # the one-row calls read the same source
-            assert np.array_equal(tuple_laws(model, [row], t)[0][0], means[k])
-            assert np.array_equal(integrated_covariance(model, row, t), xi[k])
+            one_means, one_xi = tuple_laws(model, [row], t)
+            assert np.array_equal(one_means[0], means[k]) and np.array_equal(one_xi[0], xi[k])
         sub = indices[::-2]  # any subset, in any order
         assert np.array_equal(tuple_laws(model, sub, t)[1], loop_xi[::-2])
 
@@ -190,9 +206,6 @@ def test_tuple_set_checks_its_rows_once_for_the_set(vanilla_model):
         tuple_set([(0, 0), (0, 2)])
     with pytest.raises(ValueError, match="component index -1 out of range"):
         tuple_set([(-1, 0)])
-    spec = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0)
-    with pytest.raises(ValueError, match="component index 2 out of range"):
-        component_arithmetic_price(vanilla_model, (2, 0), spec, 1000, 0)
     with pytest.raises(ValueError, match="one component index per asset"):
         tuple_set([(0, 0), (0, 1, 0)])
     with pytest.raises(ValueError, match="one component index per asset"):
@@ -218,7 +231,7 @@ def test_tuple_set_checks_its_rows_once_for_the_set(vanilla_model):
 def test_perfect_correlation_is_flagged_singular():
     model = make_model((1.0, 1.0), (0.0, 0.0), ((1.0,), (1.0,)), ((0.3,), (0.3,)), 1.0)
     with pytest.raises(SingularCovarianceError) as err:
-        component_mvln_pdf(model, (0, 0), 1.0, np.array([1.0, 1.0]))
+        tuple_pdf(model, (0, 0), 1.0, np.array([1.0, 1.0]))
     assert err.value.indices == (0, 0)
 
 
@@ -228,7 +241,7 @@ def test_mixture_pdf_names_a_later_singular_tuple():
     piecewise = VolCurve((0.0, 0.5), (0.2, 0.4))
     model = make_model((1.0, 1.0), (0.0, 0.0), ((0.6, 0.4), (1.0,)), ((piecewise, 0.3), (0.3,)), 1.0)
     x = np.array([1.0, 1.1])
-    assert component_mvln_pdf(model, (0, 0), 1.0, x) > 0.0
+    assert tuple_pdf(model, (0, 0), 1.0, x) > 0.0
     with pytest.raises(SingularCovarianceError) as err:
         mixture_pdf(model, 1.0, x)
     assert err.value.indices == (1, 0)
@@ -238,7 +251,7 @@ def test_mvln_pdf_reduces_to_univariate():
     asset = AssetMixture.from_arrays(1.0, 0.05, [1.0], [0.3])
     model = MultiAssetModel((asset,), CorrelationMatrix([[1.0]]))
     for x in (0.5, 1.0, 2.0):
-        assert component_mvln_pdf(model, (0,), 1.0, np.array([x])) == pytest.approx(
+        assert tuple_pdf(model, (0,), 1.0, np.array([x])) == pytest.approx(
             component_pdf(asset, 0, 1.0, x), rel=1e-13
         )
 
@@ -246,7 +259,7 @@ def test_mvln_pdf_reduces_to_univariate():
 def test_mvln_pdf_independence_factorizes(vanilla_model):
     model = make_model((1.0, 1.0), (0.05, 0.05), ((0.6, 0.4), (0.7, 0.3)), ((0.3, 0.2), (0.25, 0.35)), 0.0)
     x = np.array([0.9, 1.2])
-    joint = component_mvln_pdf(model, (1, 0), 1.0, x)
+    joint = tuple_pdf(model, (1, 0), 1.0, x)
     assert joint == pytest.approx(
         component_pdf(model.assets[0], 1, 1.0, 0.9) * component_pdf(model.assets[1], 0, 1.0, 1.2),
         rel=1e-12,
@@ -255,7 +268,7 @@ def test_mvln_pdf_independence_factorizes(vanilla_model):
 
 def test_mvln_pdf_hand_quadratic_form(vanilla_model):
     # frozen: 2-D Gaussian in log coordinates, tuple (0,0), rho=0.6, x=(1,1)
-    assert component_mvln_pdf(vanilla_model, (0, 0), 1.0, np.array([1.0, 1.0])) == pytest.approx(
+    assert tuple_pdf(vanilla_model, (0, 0), 1.0, np.array([1.0, 1.0])) == pytest.approx(
         2.643474050258349, rel=1e-12
     )
 
@@ -271,7 +284,7 @@ def test_single_tuple_mixture(vanilla_model):
     model = make_model((1.0, 1.0), (0.05, 0.05), ((1.0,), (1.0,)), ((0.3,), (0.25,)), 0.6)
     x = np.array([1.1, 0.8])
     assert mixture_pdf(model, 1.0, x) == pytest.approx(
-        component_mvln_pdf(model, (0, 0), 1.0, x), rel=1e-14
+        tuple_pdf(model, (0, 0), 1.0, x), rel=1e-14
     )
 
 

@@ -10,9 +10,7 @@ from mvmix import (
     MultiAssetModel,
     TupleSet,
     black_scholes,
-    component_arithmetic_price,
     geometric_pair_k0,
-    geometric_tuple_price,
     greeks_mvmd,
     margrabe,
     price_geometric_mvmd,
@@ -23,7 +21,13 @@ from mvmix import pricing
 from mvmix.multivariate import _column_log_prices, _component_columns, tuple_laws
 from mvmix.rng import BLOCK_SIZE, path_blocks, substream
 
-from conftest import make_model
+from conftest import make_model, one_tuple_price
+
+
+def tuple_geometric_price(model, indices, spec):
+    """The geometric closed form on one tuple's law."""
+    means, xi = tuple_laws(model, [indices], spec.maturity)
+    return float(pricing._geometric_mixture([means], xi, np.ones(1), spec)[0])
 
 
 def single_step_mc(log_means, cov, payoff, rate, maturity, paths, seed):
@@ -154,8 +158,8 @@ def test_margrabe_rate_invariance_via_component_pricer():
     for rate in (0.0, 0.05):
         model = make_model((x1, x2), (rate, rate), ((1.0,), (1.0,)), ((s1,), (s2,)), rho)
         spec = BasketSpec((-1.0, 1.0), "arithmetic", 0.0, t, 1, rate)
-        est = component_arithmetic_price(model, (0, 0), spec, paths=400_000, seed=2)
-        assert abs(est.price - closed) < 3 * est.std_error
+        price, se = one_tuple_price(model, (0, 0), spec, 400_000, 2)
+        assert abs(price - closed) < 3 * se
 
 
 def test_geometric_pair_k0_deterministic_limit():
@@ -189,7 +193,7 @@ def test_geometric_tuple_price_reduces_to_pair_formula(vanilla_model):
         s1 = vanilla_model.assets[0].components[indices[0]].vol.value(0.0)
         s2 = vanilla_model.assets[1].components[indices[1]].vol.value(0.0)
         pair = geometric_pair_k0(1.0, 1.0, s1, s2, 0.6, 1.0, 1.0, 0.05, 1.0)
-        assert geometric_tuple_price(vanilla_model, indices, spec) == pytest.approx(
+        assert tuple_geometric_price(vanilla_model, indices, spec) == pytest.approx(
             pair, rel=1e-13
         )
 
@@ -205,31 +209,23 @@ def test_geometric_closed_form_matches_mc(vanilla_model):
 def test_component_price_collapses_to_black_scholes():
     model = make_model((1.0,), (0.05,), ((1.0,),), ((0.3,),), 1.0)
     spec = BasketSpec((1.0,), "arithmetic", 1.0, 1.0, 1, 0.05)
-    est = component_arithmetic_price(model, (0,), spec, paths=400_000, seed=4)
+    price, se = one_tuple_price(model, (0,), spec, 400_000, 4)
     closed = black_scholes(1.0, 1.0, 0.3, 0.05, 1.0, 1)
-    assert abs(est.price - closed) < 3 * est.std_error
+    assert abs(price - closed) < 3 * se
 
 
 def test_component_price_regression_fixture(vanilla_model):
     # deterministic fixture: tuple (0,0), K=1, 1e6 paths, seed 0
-    est = component_arithmetic_price(
-        vanilla_model, (0, 0), BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0, 1, 0.05),
-        paths=1_000_000, seed=0,
-    )
-    assert est.price == pytest.approx(0.12202137320811604, abs=1e-15)
-    assert est.std_error == pytest.approx(0.0001826307315831716, abs=1e-15)
+    price, se = one_tuple_price(vanilla_model, (0, 0), BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0, 1, 0.05), 1_000_000, 0)
+    assert price == pytest.approx(0.12202137320811604, abs=1e-15)
+    assert se == pytest.approx(0.0001826307315831716, abs=1e-15)
 
 
 def test_convex_combination_identity(vanilla_model):
     spec = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0, 1, 0.05)
     combined = price_mvmd_mc(vanilla_model, spec, paths=200_000, seed=5)
     tuple_set = truncate(vanilla_model, 0.0)
-    comp = np.array(
-        [
-            component_arithmetic_price(vanilla_model, row, spec, 200_000, 5).price
-            for row in tuple_set.index_array
-        ]
-    )
+    comp = np.array([one_tuple_price(vanilla_model, row, spec, 200_000, 5)[0] for row in tuple_set.index_array])
     resum = float(tuple_set.weight_array @ comp)
     assert combined.price == resum
 
@@ -241,7 +237,7 @@ def test_convex_combination_identity_at_every_seed(vanilla_model, seed):
     spec = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0, 1, 0.05)
     combined = price_mvmd_mc(vanilla_model, spec, paths=200_000, seed=seed)
     tuple_set = truncate(vanilla_model, 0.0)
-    comp = [component_arithmetic_price(vanilla_model, row, spec, 200_000, seed).price for row in tuple_set.index_array]
+    comp = [one_tuple_price(vanilla_model, row, spec, 200_000, seed)[0] for row in tuple_set.index_array]
     assert combined.price == float(tuple_set.weight_array @ np.array(comp))
 
 
@@ -430,12 +426,12 @@ def test_geometric_only_draw_forms_no_price_matrix(vanilla_model, monkeypatch):
 
 
 ENTRY_POINTS = {
-    "component": lambda model, w: component_arithmetic_price(model, (0, 1), BasketSpec(w, "arithmetic", 1.0, 1.0), 100),
+    "component": lambda model, w: one_tuple_price(model, (0, 1), BasketSpec(w, "arithmetic", 1.0, 1.0), 100, 0),
     "mc": lambda model, w: price_mvmd_mc(model, BasketSpec(w, "arithmetic", 1.0, 1.0), paths=100),
     "greeks": lambda model, w: greeks_mvmd(model, BasketSpec(w, "arithmetic", 1.0, 1.0), 0.01, paths=100),
     "greeks-geometric": lambda model, w: greeks_mvmd(model, BasketSpec(w, "geometric", 1.0, 1.0), 0.01),
     "geometric": lambda model, w: price_geometric_mvmd(model, BasketSpec(w, "geometric", 1.0, 1.0)),
-    "geometric-tuple": lambda model, w: geometric_tuple_price(model, (0, 1), BasketSpec(w, "geometric", 1.0, 1.0)),
+    "geometric-tuple": lambda model, w: tuple_geometric_price(model, (0, 1), BasketSpec(w, "geometric", 1.0, 1.0)),
 }
 
 
@@ -521,12 +517,8 @@ def test_greeks_convex_combination_identity(vanilla_model):
         spots_up[i] = dataclasses.replace(spots_up[i], spot=spots_up[i].spot + bump)
         spots_dn[i] = dataclasses.replace(spots_dn[i], spot=spots_dn[i].spot - bump)
         from mvmix import MultiAssetModel
-        up = component_arithmetic_price(
-            MultiAssetModel(tuple(spots_up), vanilla_model.corr), indices, spec, 50_000, 10
-        ).price
-        dn = component_arithmetic_price(
-            MultiAssetModel(tuple(spots_dn), vanilla_model.corr), indices, spec, 50_000, 10
-        ).price
+        up = one_tuple_price(MultiAssetModel(tuple(spots_up), vanilla_model.corr), indices, spec, 50_000, 10)[0]
+        dn = one_tuple_price(MultiAssetModel(tuple(spots_dn), vanilla_model.corr), indices, spec, 50_000, 10)[0]
         return (up - dn) / (2 * bump)
 
     for i in range(2):

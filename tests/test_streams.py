@@ -24,10 +24,10 @@ from mvmix import (
     simulate_scmd,
 )
 from mvmix.benchmarks import RATE, benchmark_model, benchmark_spec
-from mvmix.pricing import component_arithmetic_price, greeks_mvmd, price_mvmd_mc
+from mvmix.pricing import greeks_mvmd, price_mvmd_mc
 from mvmix.rng import substream
 
-from conftest import make_model
+from conftest import make_model, one_tuple_price
 
 PATHS = 20_000  # two path blocks, the second one partial
 STEPS = 30
@@ -78,9 +78,7 @@ def _samplers():
         out[f"md-euler-{name}"] = lambda m=model: simulate_md_euler(m.assets[1], 1.0, STEPS, PATHS, 15)
         spec, indices = SPECS[name]
         out[f"price-mvmd-{name}"] = lambda m=model, s=spec: _estimate(price_mvmd_mc(m, s, paths=PATHS, seed=16))
-        out[f"price-component-{name}"] = lambda m=model, s=spec, k=indices: _estimate(
-            component_arithmetic_price(m, k, s, paths=PATHS, seed=17)
-        )
+        out[f"price-component-{name}"] = lambda m=model, s=spec, k=indices: np.array(one_tuple_price(m, k, s, PATHS, 17))
     wide = _wide_model()
     out["mvmd-wide"] = lambda: sample_mvmd_terminal(wide, 1.0, PATHS, 20, kappa=WIDE_KAPPA).values
     # 20,000 paths end in a 3,616-path block and 16,385 in a 1-path block.
