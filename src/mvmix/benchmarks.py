@@ -9,7 +9,7 @@ Euler stepping for the path-wise scheme) annotate the reproduced output.
 
 from __future__ import annotations
 
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig, check_engine
 
 __all__ = [
     "PRODUCTS",
@@ -169,7 +169,6 @@ def benchmark_spec(product: str, strike: float):
 
 def table_configs(table: int, paths: int = 100_000) -> list[ExperimentConfig]:
     """The experiments of one paper table, one per product, at its documented seed."""
-    if paths < 1:
-        raise ConfigError(f"paths: must be >= 1, got {paths}")
+    check_engine("paths", paths, "paths")
     info = TABLES[table]
     return [benchmark_config(product, info["rho"], info["seed"], paths) for product in info["products"]]

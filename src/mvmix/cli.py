@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import TABLES, table_configs
-from .config import ConfigError, load_config
+from .config import ConfigError, check_engine, load_config
 from .multivariate import SingularCovarianceError
 from .runner import _check_finite, reproduce_tables, rows_to_csv, rows_to_json, run_copula, run_price, run_tau
 
@@ -36,14 +36,10 @@ def _load(args) -> list:
         configs = table_configs(table)
     else:
         configs = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        if not 0 <= args.seed < 2**64:  # the rule of a config's engine.seed
-            raise ConfigError(f"--seed: must lie in [0, 2**64), got {args.seed}")
-        configs = [replace(c, seed=args.seed) for c in configs]
-    if getattr(args, "kappa", None) is not None:
-        if not 0.0 <= args.kappa < 1.0:  # the rule of a config's engine.kappa
-            raise ConfigError(f"--kappa: must lie in [0, 1), got {args.kappa}")
-        configs = [replace(c, kappa=args.kappa) for c in configs]
+    for key in ("seed", "kappa"):
+        if getattr(args, key, None) is not None:
+            value = check_engine(key, getattr(args, key), f"--{key}")
+            configs = [replace(c, **{key: value}) for c in configs]
     return configs
 
 
@@ -63,19 +59,19 @@ def main(argv=None) -> int:
     price.add_argument("--config", required=True, help="config file path or bundled name")
     price.add_argument("--seed", type=int, default=None, help="override the engine seed")
     price.add_argument("--kappa", type=float, default=None, help="override the weight cutoff")
-    price.add_argument("--out", choices=("csv", "json"), default=None)
+    price.add_argument("--out", choices=("csv", "json"), default="csv")
     price.add_argument("--out-path", default=None, help="write output here instead of stdout")
 
     tau = sub.add_parser("tau", help="closed-form and empirical Kendall tau of a config")
     tau.add_argument("--config", required=True)
     tau.add_argument("--seed", type=int, default=None)
-    tau.add_argument("--out", choices=("csv", "json"), default=None)
+    tau.add_argument("--out", choices=("csv", "json"), default="csv")
     tau.add_argument("--out-path", default=None)
 
     copula = sub.add_parser("copula", help="terminal copula values on a uniform grid")
     copula.add_argument("--config", required=True)
     copula.add_argument("--grid", type=int, required=True, help="points per axis")
-    copula.add_argument("--out", choices=("csv", "json"), default=None)
+    copula.add_argument("--out", choices=("csv", "json"), default="csv")
     copula.add_argument("--out-path", default=None)
 
     repro = sub.add_parser("reproduce-tables", help="regenerate the benchmark table CSVs")
@@ -105,9 +101,7 @@ def main(argv=None) -> int:
                 for row in run_copula(config, args.grid):
                     rows.append({"product": config.name, **row})
         _check_finite(rows)
-        fmt = args.out or configs[0].output_format
-        path = args.out_path or configs[0].output_path
-        _emit(rows, fmt, path)
+        _emit(rows, args.out, args.out_path)
         return EXIT_OK
     except (SingularCovarianceError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

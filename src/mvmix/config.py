@@ -69,6 +69,22 @@ def _number(value, where: str, many: bool = False):
     return float(value)
 
 
+_ENGINE_RULES = {
+    "paths": (lambda v: v >= 1, "must be >= 1"),
+    "steps": (lambda v: v >= 1, "must be >= 1"),
+    "seed": (lambda v: 0 <= v < 2**64, "must lie in [0, 2**64)"),
+    "kappa": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+}
+
+
+def check_engine(key: str, value, where: str):
+    """`value` if it obeys the rule of engine `key`; else a ConfigError naming `where` and the value."""
+    holds, rule = _ENGINE_RULES[key]
+    if not holds(value):
+        raise ConfigError(f"{where}: {rule}, got {value}")
+    return value
+
+
 def _vol_to_json(vol: VolCurve):
     if vol.is_constant:
         return vol.values[0]
@@ -77,7 +93,7 @@ def _vol_to_json(vol: VolCurve):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One pricing/dependence experiment: model + product + engine (+ output)."""
+    """One pricing/dependence experiment: model + product + engine."""
 
     name: str
     model: MultiAssetModel
@@ -92,8 +108,6 @@ class ExperimentConfig:
     steps: int
     seed: int
     kappa: float
-    output_format: str = "csv"
-    output_path: str | None = None
 
     def spec(self, strike: float) -> BasketSpec:
         omega = 1 if self.direction == "call" else -1
@@ -106,7 +120,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, where: str = "config") -> "ExperimentConfig":
-        _require_keys(doc, where, ("model", "product", "engine"), ("name", "output"))
+        _require_keys(doc, where, ("model", "product", "engine"), ("name",))
         name = doc.get("name", "experiment")
         if not isinstance(name, str):
             raise ConfigError(f"{where}.name: expected a string")
@@ -152,40 +166,18 @@ class ExperimentConfig:
             raise ConfigError(f"{where}.product.weights: need one weight per asset")
 
         eblock = doc["engine"]
-        _require_keys(
-            eblock, f"{where}.engine", (), ("scheme", "schemes", "paths", "steps", "seed", "kappa")
-        )
-        if "scheme" in eblock and "schemes" in eblock:
-            raise ConfigError(f"{where}.engine.scheme: give either scheme or schemes, not both")
-        raw_schemes = eblock.get("schemes", eblock.get("scheme", ["mvmd-terminal"]))
-        if isinstance(raw_schemes, str):
-            raw_schemes = [raw_schemes]
+        ewhere = f"{where}.engine"
+        _require_keys(eblock, ewhere, (), ("schemes", "paths", "steps", "seed", "kappa"))
+        raw_schemes = eblock.get("schemes", ["mvmd-terminal"])
         if not isinstance(raw_schemes, list):
-            raise ConfigError(f"{where}.engine.schemes: expected a list of scheme names")
+            raise ConfigError(f"{ewhere}.schemes: expected a list of scheme names")
         for s in raw_schemes:
             if not isinstance(s, str) or s not in SCHEMES:
-                raise ConfigError(f"{where}.engine.schemes: unknown scheme {s!r}")
-        paths = _integer(eblock, "paths", 100_000, f"{where}.engine")
-        steps = _integer(eblock, "steps", 360, f"{where}.engine")
-        seed = _integer(eblock, "seed", 0, f"{where}.engine")
-        kappa = _number(eblock.get("kappa", 0.0), f"{where}.engine.kappa")
-        if paths < 1:
-            raise ConfigError(f"{where}.engine.paths: must be >= 1")
-        if steps < 1:
-            raise ConfigError(f"{where}.engine.steps: must be >= 1")
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"{where}.engine.seed: must lie in [0, 2**64)")
-        if not 0.0 <= kappa < 1.0:
-            raise ConfigError(f"{where}.engine.kappa: must lie in [0, 1)")
-
-        oblock = doc.get("output", {})
-        _require_keys(oblock, f"{where}.output", (), ("format", "path"))
-        ofmt = oblock.get("format", "csv")
-        if ofmt not in ("csv", "json"):
-            raise ConfigError(f"{where}.output.format: expected 'csv' or 'json'")
-        opath = oblock.get("path")
-        if opath is not None and not isinstance(opath, str):
-            raise ConfigError(f"{where}.output.path: expected a string or null")
+                raise ConfigError(f"{ewhere}.schemes: unknown scheme {s!r}")
+        paths = check_engine("paths", _integer(eblock, "paths", 100_000, ewhere), f"{ewhere}.paths")
+        steps = check_engine("steps", _integer(eblock, "steps", 360, ewhere), f"{ewhere}.steps")
+        seed = check_engine("seed", _integer(eblock, "seed", 0, ewhere), f"{ewhere}.seed")
+        kappa = check_engine("kappa", _number(eblock.get("kappa", 0.0), f"{ewhere}.kappa"), f"{ewhere}.kappa")
 
         cfg = cls(
             name=name,
@@ -201,8 +193,6 @@ class ExperimentConfig:
             steps=steps,
             seed=seed,
             kappa=kappa,
-            output_format=ofmt,
-            output_path=opath,
         )
         try:
             for strike in strikes:  # validates the product block against BasketSpec
@@ -242,7 +232,6 @@ class ExperimentConfig:
                 "seed": self.seed,
                 "kappa": self.kappa,
             },
-            "output": {"format": self.output_format, "path": self.output_path},
         }
 
 

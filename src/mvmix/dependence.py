@@ -151,18 +151,17 @@ def _trivariate_normal_cdf(z: np.ndarray, m: np.ndarray) -> tuple[float, float]:
 
 _QMC_SEED = 202306  # fixed: multivariate CDF values are deterministic
 _QMC_RANDOMIZATIONS = 24
+_QMC_TOL = 1e-6  # target of the 3-sigma error estimate over randomizations
 
 
-def multivariate_normal_cdf(
-    z, corr, tol: float = 1e-6, full_output: bool = False
-) -> float | tuple[float, float]:
+def multivariate_normal_cdf(z, corr, full_output: bool = False) -> float | tuple[float, float]:
     """P(Z <= z) for a standardized n-variate normal, n <= 6.
 
     n <= 2 uses the exact routines and n = 3 a deterministic Gauss-Legendre
     rule for Plackett's one-dimensional integral.  n = 4..6 integrate the
-    separation-of-variables transform with a randomized Sobol rule, doubling
-    the point count until the error estimate (3 sigma over randomizations)
-    drops below `tol`; `tol` is used only there.  With `full_output` the
+    separation-of-variables transform with a randomized Sobol rule,
+    quadrupling the point count (up to 2**17) until the error estimate
+    (3 sigma over randomizations) drops to 1e-6.  With `full_output` the
     error estimate is returned too.  Coordinates at +inf marginalize out;
     any coordinate at -inf gives 0.
     """
@@ -175,10 +174,10 @@ def multivariate_normal_cdf(
         raise ValueError("correlation matrix must be symmetric")
     if not np.allclose(np.diag(m), 1.0, rtol=0.0, atol=1e-12):
         raise ValueError("correlation matrix must have unit diagonal")
-    return _mvn_cdf(z, m, tol, full_output)
+    return _mvn_cdf(z, m, full_output)
 
 
-def _mvn_cdf(z: np.ndarray, m: np.ndarray, tol: float, full_output: bool) -> float | tuple[float, float]:
+def _mvn_cdf(z: np.ndarray, m: np.ndarray, full_output: bool) -> float | tuple[float, float]:
     """`multivariate_normal_cdf` without its matrix checks: m is symmetric with a unit diagonal."""
     n = z.shape[0]
     if n > 6:
@@ -192,7 +191,7 @@ def _mvn_cdf(z: np.ndarray, m: np.ndarray, tol: float, full_output: bool) -> flo
         idx = np.where(finite)[0]
         if idx.size == 0:
             return (1.0, 0.0) if full_output else 1.0
-        return _mvn_cdf(z[idx], m[np.ix_(idx, idx)], tol, full_output)
+        return _mvn_cdf(z[idx], m[np.ix_(idx, idx)], full_output)
     if n == 1:
         value = float(ndtr(z[0]))
         return (value, 0.0) if full_output else value
@@ -238,7 +237,7 @@ def _mvn_cdf(z: np.ndarray, m: np.ndarray, tol: float, full_output: bool) -> flo
             estimates.append(float(np.mean(genz_values(u))))
         value = float(np.mean(estimates))
         err = 3.0 * float(np.std(estimates)) / np.sqrt(_QMC_RANDOMIZATIONS)
-        if err <= tol or npts >= 2**17:
+        if err <= _QMC_TOL or npts >= 2**17:
             break
         npts *= 4
     value = float(min(max(value, 0.0), 1.0))
@@ -345,7 +344,7 @@ def _copula_values(model: MultiAssetModel, t: float, points: np.ndarray, kappa: 
         values = bivariate_normal_cdf(z[..., 0], z[..., 1], corrs[:, 0, 1])
     else:
         # tuple_laws builds symmetric covariances, so corrs pass the public checks by construction
-        values = np.array([[_mvn_cdf(zk, c, 1e-6, False) for zk, c in zip(row, corrs)] for row in z])
+        values = np.array([[_mvn_cdf(zk, c, False) for zk, c in zip(row, corrs)] for row in z])
     out[live] = [min(max(tuples.weight_array @ row, 0.0), 1.0) for row in values]
     return out
 

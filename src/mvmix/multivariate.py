@@ -12,7 +12,7 @@ of a `TupleSet`, whose laws `tuple_laws` stacks for one batched pass.  A
 `TupleSet` checks its indices and weights once, as arrays, when it is
 built.  `ComponentTuple` is a bare (model, indices) record; it and
 `model.tuples()` stay only because the benchmark pins how many tuple
-objects `truncate` builds (ROADMAP item 1).
+objects `truncate` builds (ROADMAP item 1a).
 
 Read as the Markovian projection of an uncertain-volatility model, every
 tuple's terminal law is one set of correlated Brownian motions seen

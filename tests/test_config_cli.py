@@ -1,8 +1,11 @@
 import copy
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 from argparse import Namespace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +66,28 @@ def test_unknown_keys_rejected():
     doc = doc_with(("engine", "pathz"), 10)
     with pytest.raises(ConfigError, match="pathz"):
         ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("output",), {"format": "csv"}, "config[0].output: unknown key"),
+        (("engine", "scheme"), "mvmd-terminal", "config[0].engine.scheme: unknown key"),
+        (("engine", "schemes"), "mvmd-terminal", "config[0].engine.schemes: expected a list of scheme names"),
+    ],
+    ids=["output-block", "scheme-alias", "bare-scheme-string"],
+)
+def test_removed_spellings_are_refused_by_key(path, value, message):
+    with pytest.raises(ConfigError) as info:
+        load_config(doc_with(path, value))
+    assert str(info.value) == message
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    (cfg,) = load_config(json.loads(example))
+    assert cfg.name == "vanilla" and cfg.schemes == ("mvmd-terminal", "scmd-euler")
 
 
 def test_invalid_values_name_the_key():
@@ -327,6 +352,18 @@ def test_cli_price_json_and_overrides(tmp_path, capsys):
     assert rows[0]["seed"] == 9
 
 
+def test_cli_output_is_csv_on_stdout_unless_out_and_out_path_say_otherwise(tmp_path, capsys):
+    cfg_path = tmp_path / "toy.json"
+    cfg_path.write_text(json.dumps(BASE_DOC))
+    assert main(["price", "--config", str(cfg_path)]) == 0
+    csv_rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    out_path = tmp_path / "rows.json"
+    assert main(["price", "--config", str(cfg_path), "--out", "json", "--out-path", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    json_rows = json.loads(out_path.read_text())
+    assert [r["price"] for r in csv_rows] == [format(r["price"], ".10g") for r in json_rows]
+
+
 def test_cli_bundled_config(capsys):
     assert main(["tau", "--config", "table2", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -335,14 +372,15 @@ def test_cli_bundled_config(capsys):
 
 
 # sha256 of json.dumps([c.to_dict() for c in configs], sort_keys=True) for each
-# table, computed from the JSON fixture files the package shipped before the
-# tables were built from benchmarks.TABLES
+# table.  The experiments are those of the JSON fixture files the package
+# shipped before the tables were built from benchmarks.TABLES; each digest
+# was taken again when `to_dict` lost its constant "output" block.
 BUNDLED_DIGESTS = {
-    "table2": "7625db395ac437348b356bbac5a6284c05b815f5b2a2858b70e992a3da27488a",
-    "table3": "ce495d3a88c4e4c218d11465ba7daf0ea999643b68053af284793207ddf0a730",
-    "table4": "b4f045f93845734a8e019186f3af4b97d85bc2de304a20540903625163fbfd22",
-    "table5": "566cfc17cdf6a34f43cbd113712e8f24d31f4a29d933a8788a001d57c927370a",
-    "table6": "7eafb69f323c42dd08e5d24e7d6e08fd5988a1bdab0d7f38aa1da77f55552362",
+    "table2": "df09c75d552552daa5c8d31b7aa76c88596c34922f7ebb8e349500882bd9a8ed",
+    "table3": "c87688b2b03448eac7bf5bafb8c260cbec2929d2940a55556fefe6067a5ef9f5",
+    "table4": "5159bb27a9eef71a5a9bbaa52d3680397c23e4fa4ec03bed80233f4a4c908a67",
+    "table5": "015efecbfdfeb772488d4e38208d7bf5adca7ed2b2bbe51b98a4dee463c08b55",
+    "table6": "d04fa8a025c8a5229831dd3ad620bffca0d1a6d4e6c9266f524464aa834c0e18",
 }
 
 
