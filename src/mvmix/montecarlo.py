@@ -16,17 +16,17 @@ Two ways to reach the maturity-T joint law:
   independently and enumerates no tuple.  The two have the same one-time
   law, which the tests exercise.
 
-``SCHEMES`` maps each scheme tag of the experiment configs to the way that
-scheme prices the baskets of a run: one draw per distinct draw key, which
-the experiments that share it price off (for the mixture, in one kernel
-pass).  All samplers consume randomness through
+``SCHEMES`` maps each scheme tag of the experiment configs to a pair
+``(key, price_group)``: ``key(exp)`` is the experiment's draw key, and
+``price_group(group, workers)`` prices every basket spec of the run's
+experiments that share one key off one draw (for the mixture, in one
+kernel pass).  All samplers consume randomness through
 fixed-size path blocks keyed by (seed, block), so results are
 byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -224,60 +224,38 @@ def estimate(
     return PriceEstimate(float(disc * pay.mean()), se, m, method)
 
 
-def _memoized(key, draw, price):
-    """Route that makes one draw per distinct `key(experiment)` of a run, on first use.
+def _sampled(draw):
+    """Group pricer of a sampling scheme: `draw(group[0], workers)` once, then `estimate` per spec."""
 
-    `draw(exp, group, workers)` makes the draw of exp's key, `group` being
-    the run's experiments with that key; `price(drawn, spec)` prices a
-    BasketSpec of any of them off it.  A draw is dropped once its
-    experiments' strikes have all been priced, so a run holds only the
-    draws it still needs.
-    """
+    def price_group(group, workers) -> dict:
+        sample = draw(group[0], workers)
+        specs = dict.fromkeys(e.spec(strike) for e in group for strike in e.strikes)
+        return {spec: estimate(sample, spec.payoff, spec.rate, spec.maturity) for spec in specs}
 
-    def route(experiments, workers):
-        drawn, uses = {}, Counter(key(e) for e in experiments for _ in e.strikes)
-
-        def price_spec(exp, spec):
-            k = key(exp)
-            if k not in drawn:
-                drawn[k] = draw(exp, [e for e in experiments if key(e) == k], workers)
-            result = price(drawn[k], spec)
-            uses[k] -= 1
-            if uses[k] <= 0:
-                del drawn[k]
-            return result
-
-        return price_spec
-
-    return route
+    return price_group
 
 
-def _estimate_spec(sample: TerminalSample, spec) -> PriceEstimate:
-    return estimate(sample, spec.payoff, spec.rate, spec.maturity)
-
-
-def _mvmd_draw(exp, group, workers) -> dict:
-    """Every strike of exp and its group priced in one kernel pass on one draw."""
-    specs = tuple(dict.fromkeys(e.spec(strike) for e in (exp, *group) for strike in e.strikes))
+def _mvmd_group(group, workers) -> dict:
+    """Every spec of the group priced in one kernel pass on one draw."""
+    exp, specs = group[0], tuple(dict.fromkeys(e.spec(strike) for e in group for strike in e.strikes))
     return dict(zip(specs, pricing._mvmd_estimates(exp.model, specs, exp.kappa, exp.paths, exp.seed, workers)))
 
 
-# Scheme tag -> route(experiments, workers), which returns price(exp, spec)
-# for the BasketSpecs of a run's experiments (config.ExperimentConfig).  A
-# draw key holds all that the scheme's draw depends on and nothing of the
-# basket, strike, direction or rate.  The mixture prices semi-analytically.
+# Scheme tag -> (key, price_group).  `key(exp)` is the draw key of an
+# experiment (config.ExperimentConfig): all that the scheme's draw depends
+# on and nothing of the basket, strike, direction or rate.
+# `price_group(group, workers)` takes the run's experiments that share one
+# key, in run order, and returns {BasketSpec: PriceEstimate} for every
+# distinct spec of the group, priced off one draw.  The mixture prices
+# semi-analytically.
 SCHEMES = {
-    "scmd-euler": _memoized(
+    "scmd-euler": (
         lambda e: (e.model, e.maturity, e.paths, e.steps, e.seed),
-        lambda e, _, w: simulate_scmd(e.model, SimulationConfig(e.paths, e.steps, e.maturity, e.seed), w),
-        _estimate_spec,
+        _sampled(lambda e, w: simulate_scmd(e.model, SimulationConfig(e.paths, e.steps, e.maturity, e.seed), w)),
     ),
-    "mvmd-terminal": _memoized(
-        lambda e: (e.model, e.kappa, e.paths, e.seed, e.maturity), _mvmd_draw, lambda estimates, spec: estimates[spec]
-    ),
-    "muvm-terminal": _memoized(
+    "mvmd-terminal": (lambda e: (e.model, e.kappa, e.paths, e.seed, e.maturity), _mvmd_group),
+    "muvm-terminal": (
         lambda e: (e.model, e.maturity, e.paths, e.seed),
-        lambda e, _, w: sample_muvm_terminal(e.model, e.maturity, e.paths, e.seed, w),
-        _estimate_spec,
+        _sampled(lambda e, w: sample_muvm_terminal(e.model, e.maturity, e.paths, e.seed, w)),
     ),
 }

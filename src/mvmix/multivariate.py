@@ -27,10 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterator
 
 import numpy as np
+from scipy.special import gammainc
 
 from .univariate import AssetMixture, _local_vols
 
@@ -422,22 +423,23 @@ def scmd_covariance(model: MultiAssetModel, t: float, x) -> np.ndarray:
     return np.outer(nus, nus) * model.corr.values
 
 
-@lru_cache(maxsize=None)
 def volume_estimate(kappa: float, n: int) -> float:
     """Volume of the region prod(x_i) > kappa inside the unit n-cube.
 
-    Recursion: V_n = V_{n-1} + (-1)^n / (n-1)! * kappa * (ln kappa)^(n-1),
-    with V_0 = 1.  kappa = 0 gives V_n = 1 by continuity.
+    The -ln x_i are unit exponentials, so V_n = P(Gamma(n, 1) < -ln kappa),
+    with V_0 = 1; the incomplete gamma function keeps the digits that the
+    sum 1 - kappa * sum_{j<n} (-ln kappa)^j / j! loses to cancellation.
     """
     kappa = float(kappa)
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("cutoff must lie in [0, 1]")
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"dimension n must be a whole number, got {n!r}")
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    if kappa == 0.0 or n == 0:
+    if n == 0:
         return 1.0
-    prev = volume_estimate(kappa, n - 1)
-    return prev + (-1.0) ** n / math.factorial(n - 1) * kappa * np.log(kappa) ** (n - 1)
+    return float(gammainc(n, -math.log(kappa) if kappa > 0.0 else math.inf))
 
 
 def density_count(kappa: float, n: int, rho_density: float) -> float:

@@ -41,26 +41,32 @@ TABLE_COLUMNS = (
 def run_price(experiments: ExperimentConfig | Sequence[ExperimentConfig], workers: int | None = None) -> list[dict]:
     """Price every (strike, scheme) pair of one experiment or of a run of them.
 
-    Rows come per experiment, then per scheme, then per strike.  Each scheme
-    prices along its route in ``montecarlo.SCHEMES``, which makes one draw
-    per distinct draw key of the run on first use: experiments of the run
-    whose key matches (the same model, maturity, paths and seed, and the
-    same kappa or steps where the scheme uses one) price off one shared
-    draw, whatever their basket, strikes, direction or rate.  Sampling
-    schemes price every strike off one terminal sample, the semi-analytic
-    mixture prices every spec of the key in one kernel pass.  The first row
-    priced from a shared draw carries its cost in ``wall_time_s``.
+    Each ``montecarlo.SCHEMES`` entry is a pair ``(key, price_group)``.  For
+    each scheme, in first-use order, the run's experiments are grouped by
+    draw key and ``price_group`` prices each group once, off one draw,
+    whatever the experiments' basket, strikes, direction or rate.  Rows come
+    per experiment, then per scheme, then per strike; the first row of each
+    (scheme, key) carries its group's wall time in ``wall_time_s``, every
+    other row 0.0.
     """
     if isinstance(experiments, ExperimentConfig):
         experiments = [experiments]
-    schemes = {s for config in experiments for s in config.schemes}
-    routes = {s: montecarlo.SCHEMES[s]([c for c in experiments if s in c.schemes], workers) for s in schemes}
+    priced, wall = {}, {}
+    for scheme in dict.fromkeys(s for config in experiments for s in config.schemes):
+        key, price_group = montecarlo.SCHEMES[scheme]
+        groups = {}
+        for config in (c for c in experiments if scheme in c.schemes):
+            groups.setdefault(key(config), []).append(config)
+        for k, group in groups.items():
+            start = time.perf_counter()
+            priced[scheme, k] = price_group(group, workers)
+            wall[scheme, k] = time.perf_counter() - start
     rows = []
     for config in experiments:
         for scheme in config.schemes:
+            k = (scheme, montecarlo.SCHEMES[scheme][0](config))
             for strike in config.strikes:
-                start = time.perf_counter()
-                est = routes[scheme](config, config.spec(strike))
+                est = priced[k][config.spec(strike)]
                 rows.append(
                     {
                         "product": config.name,
@@ -70,7 +76,7 @@ def run_price(experiments: ExperimentConfig | Sequence[ExperimentConfig], worker
                         "price": est.price,
                         "std_error": est.std_error,
                         "paths": est.samples if est.samples else config.paths,
-                        "wall_time_s": time.perf_counter() - start,
+                        "wall_time_s": wall.pop(k, 0.0),
                         "seed": config.seed,
                     }
                 )

@@ -128,13 +128,20 @@ def _require_positive_time(t: float) -> None:
         raise ValueError(f"density needs finite t > 0, got t = {t}")
 
 
+def _law_args(t: float, x) -> np.ndarray:
+    _require_positive_time(t)
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():  # x > 0 would send NaN to the zero branch
+        raise ValueError("x must not contain NaN")
+    return x
+
+
 def component_pdf(asset: AssetMixture, k: int, t: float, x) -> np.ndarray | float:
     """Lognormal density of instrumental process k at time t, evaluated at x.
 
-    Returns 0 for x <= 0.  t = 0 is rejected (point mass at the spot).
+    Returns 0 for x <= 0; NaN and t = 0 (point mass at the spot) are rejected.
     """
-    _require_positive_time(t)
-    x = np.asarray(x, dtype=float)
+    x = _law_args(t, x)
     m = asset.log_means(t)[k]
     v = asset.total_stds(t)[k]
     out = np.zeros_like(x)
@@ -155,8 +162,7 @@ def _component_logpdfs(asset: AssetMixture, t: float, logx: np.ndarray) -> np.nd
 
 def mixture_pdf(asset: AssetMixture, t: float, x) -> np.ndarray | float:
     """Convex combination of the component lognormal densities."""
-    _require_positive_time(t)
-    x = np.asarray(x, dtype=float)
+    x = _law_args(t, x)
     out = np.zeros_like(x)
     pos = x > 0
     if np.any(pos):
@@ -168,8 +174,7 @@ def mixture_pdf(asset: AssetMixture, t: float, x) -> np.ndarray | float:
 
 def mixture_cdf(asset: AssetMixture, t: float, x) -> np.ndarray | float:
     """Mixture distribution function; defined for all x with cdf(x<=0) = 0."""
-    _require_positive_time(t)
-    x = np.asarray(x, dtype=float)
+    x = _law_args(t, x)
     out = np.zeros_like(x)
     pos = x > 0
     if np.any(pos):

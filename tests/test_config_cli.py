@@ -313,6 +313,18 @@ def test_equal_sampling_experiments_draw_one_sample(monkeypatch, scheme, sampler
     assert len(draws) == (5 if scheme == "scmd-euler" else 4)  # the terminal sampler takes no steps
 
 
+def test_one_row_per_draw_key_carries_its_cost():
+    # "put" shares vanilla's draw key under both schemes and "seed 6" has keys
+    # of its own: the first row of each (scheme, key) carries the cost of
+    # pricing its group, every other row 0.0.
+    cfg = dataclasses.replace(benchmark_config("vanilla", 0.6, 5, 2000), steps=10)  # mvmd and scmd
+    run = [cfg, dataclasses.replace(cfg, name="put", direction="put"), dataclasses.replace(cfg, name="seed 6", seed=6)]
+    rows = run_price(run)
+    costly = [(r["product"], r["scheme"], r["strike"]) for r in rows if r["wall_time_s"] > 0]
+    assert costly == [(name, scheme, cfg.strikes[0]) for name in ("vanilla", "seed 6") for scheme in ("mvmd", "scmd")]
+    assert sum(r["wall_time_s"] == 0.0 for r in rows) == len(rows) - 4
+
+
 def test_run_tau_rows():
     rows = run_tau(ExperimentConfig.from_dict(BASE_DOC))
     methods = [r["method"] for r in rows]
@@ -546,8 +558,9 @@ def test_reproduce_tables_with_a_non_finite_cell_writes_nothing(tmp_path, capsys
     from mvmix import montecarlo
     from mvmix.pricing import PriceEstimate
 
-    nan_route = lambda experiments, workers: lambda exp, spec: PriceEstimate(float("nan"), 0.0, 1, "mvmd")
-    monkeypatch.setitem(montecarlo.SCHEMES, "mvmd-terminal", nan_route)
+    nan = PriceEstimate(float("nan"), 0.0, 1, "mvmd")
+    nan_group = lambda group, workers: {e.spec(strike): nan for e in group for strike in e.strikes}
+    monkeypatch.setitem(montecarlo.SCHEMES, "mvmd-terminal", (montecarlo.SCHEMES["mvmd-terminal"][0], nan_group))
     out = tmp_path / "out"
     assert main(["reproduce-tables", "--out", str(out), "--paths", "100"]) == 2
     assert capsys.readouterr().err.startswith("numerical failure: non-finite price")

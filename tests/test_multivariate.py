@@ -447,6 +447,29 @@ def test_volume_recursion_closed_forms():
     assert volume_estimate(0.0, 7) == 1.0
 
 
+def test_volume_matches_a_high_precision_sum():
+    # In floating point the sum 1 - k * sum_{j<n} (-ln k)^j / j! cancels
+    # (at k = 0.05, n = 30 it gave 1.7e-16 for 4.1e-20); at 200 digits it
+    # is exact.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(200):
+        for k in (1e-3, 0.05, 0.5):
+            log_k = -mpmath.log(k)
+            for n in range(41):
+                exact = 1 - k * mpmath.fsum(log_k**j / mpmath.factorial(j) for j in range(n))
+                assert volume_estimate(k, n) == pytest.approx(float(exact), rel=1e-13)
+
+
+def test_volume_keeps_its_digits_at_large_n():
+    # reference values: the sum above at 200 digits (mpmath 1.3.0)
+    assert volume_estimate(0.05, 30) == pytest.approx(4.1151355036151233e-20, rel=1e-13)
+    assert volume_estimate(0.5, 20) == pytest.approx(1.3928630580808724e-22, rel=1e-13)
+    assert volume_estimate(1e-3, 30) == pytest.approx(7.325879265714211e-11, rel=1e-13)
+    assert volume_estimate(1.0, 3) == 0.0 and volume_estimate(1.0, 0) == 1.0
+    with pytest.raises(ValueError, match="dimension n must be a whole number, got 2.5"):
+        volume_estimate(0.05, 2.5)
+
+
 def test_density_count_peak_location():
     counts = {n: density_count(0.05, n, 3.0) for n in range(1, 13)}
     peak_n = max(counts, key=counts.get)

@@ -48,6 +48,21 @@ def test_laws_reject_an_infinite_time(vanilla_asset1, call):
         call(vanilla_asset1, np.inf)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, x: mixture_pdf(a, 1.0, x),
+        lambda a, x: component_pdf(a, 0, 1.0, x),
+        lambda a, x: mixture_cdf(a, 1.0, x),
+    ],
+    ids=["mixture_pdf", "component_pdf", "mixture_cdf"],
+)
+@pytest.mark.parametrize("x", [np.nan, [1.0, np.nan]], ids=["scalar", "array"])
+def test_laws_reject_a_nan_price(vanilla_asset1, call, x):
+    with pytest.raises(ValueError, match="x must not contain NaN"):
+        call(vanilla_asset1, x)
+
+
 def test_component_pdf_at_log_mean_point():
     # S0=1, mu=0, sigma=0.2, t=1: density at x=exp(m) is 1/(sqrt(2pi)*V*x)
     asset = AssetMixture.from_arrays(1.0, 0.0, [1.0], [0.2])
