@@ -21,7 +21,7 @@ model = MultiAssetModel((a1, a2), CorrelationMatrix([[1.0, 0.6], [0.6, 1.0]]))
 
 print("component tuples (one mixture component per asset):")
 full = truncate(model, 0.0)
-for row, w in zip(full.index_array.tolist(), full.weights):
+for row, w in zip(full.index_array.tolist(), full.weight_array):
     print(f"  indices {tuple(row)}  product weight {w:.2f}")
 
 print("\njoint density at a few points (weighted sum of 4 bivariate lognormals):")
@@ -39,7 +39,7 @@ for x in ([1.0, 1.0], [0.5, 2.0]):
 # Truncation: drop tuples whose product weight is below the cutoff and
 # renormalize; the surviving-count estimate explains why this scales.
 cut = truncate(model, 0.2)
-print(f"\ncutoff 0.2 keeps {list(map(tuple, cut.index_array.tolist()))} with weights {np.round(cut.weights, 3)}")
+print(f"\ncutoff 0.2 keeps {list(map(tuple, cut.index_array.tolist()))} with weights {np.round(cut.weight_array, 3)}")
 print("\nsurviving-tuple estimate N_n(5%) at weight density 3 per asset:")
 for n in (4, 6, 8, 10, 12):
     print(f"  n={n:2d}: V_n={volume_estimate(0.05, n):8.5f}  N_n={density_count(0.05, n, 3.0):6.1f}")

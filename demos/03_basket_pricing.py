@@ -48,7 +48,7 @@ exch = sum(
                  spread.assets[0].components[k0].vol.value(0.0),
                  spread.assets[1].components[k1].vol.value(0.0),
                  0.6, maturity, 1)
-    for (k0, k1), w in zip(full.index_array, full.weights)
+    for (k0, k1), w in zip(full.index_array, full.weight_array)
 )
 print(f"  K=0 closed form (weighted exchange options): {exch:.4f}")
 

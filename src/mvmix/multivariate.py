@@ -7,12 +7,12 @@ diffusion matrix C C^T at (t, x) is the density-weighted average of the
 per-tuple instantaneous covariance matrices, which keeps each asset's
 marginal law exactly equal to its univariate mixture.
 
-Kept tuples are read as the (K, n) `index_array` and (K,) `weight_array`
-of a `TupleSet`, whose laws `tuple_laws` stacks for one batched pass.  A
-`TupleSet` checks its indices and weights once, as arrays, when it is
-built.  `ComponentTuple` is a bare (model, indices) record; it and
-`model.tuples()` stay only because the benchmark pins how many tuple
-objects `truncate` builds (ROADMAP item 1a).
+The kept tuples are a `TupleSet`: two read-only arrays, the (K, n)
+component indices and the (K,) weights, checked once when it is built.
+`tuple_laws` reads each row as its component columns (below) and stacks
+the laws for one batched pass.  `ComponentTuple` is only the record
+`truncate` enumerates through `model.tuples()`; both stay because the
+benchmark counts those records (ROADMAP item 1a).
 
 Read as the Markovian projection of an uncertain-volatility model, every
 tuple's terminal law is one set of correlated Brownian motions seen
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator
 
@@ -186,9 +186,8 @@ class MultiAssetModel:
 class ComponentTuple:
     """One multivariate mixture component: its model and indices (k_1, ..., k_n).
 
-    The indices are kept as given; a `TupleSet` checks them against the
-    model when it is built.  The tuple's jointly lognormal law at t is the
-    `tuple_laws` row of its indices.
+    The record `model.tuples()` yields; `truncate` keeps only its indices,
+    which a `TupleSet` checks against the model.
     """
 
     model: MultiAssetModel
@@ -221,25 +220,16 @@ def tuple_laws(model: MultiAssetModel, indices, t: float) -> tuple[np.ndarray, n
     (K, n, n) integrated covariances Xi_ij(t) = rho_ij * integral of
     sigma_i^{k_i}(s) sigma_j^{k_j}(s) ds, exact for the piecewise-constant
     curves and symmetric with the integrated variances on the diagonal.
-    Each integral is evaluated once per pair of (asset, component) the rows
-    use and gathered into every row that holds the pair.
+    Row k reads its `_component_columns` offsets + indices[k]: their means,
+    and each integral once per pair of columns the rows use.
     """
-    if not 0 < t < np.inf:
-        raise ValueError(f"need finite t > 0, got t = {t}")
-    n, counts = model.n, np.array(model.component_counts())
-    idx = _index_rows(model, indices)
-    vols = [[c.vol for c in a.components] for a in model.assets]
-    used = [np.unique(idx[:, i]).tolist() for i in range(n)]
-    table = np.zeros((n, n, counts.max(), counts.max()))  # [i, j, a, b]: sigma_i^a with sigma_j^b
-    for i in range(n):
-        for j in range(i, n):
-            for a in used[i]:
-                for b in used[j]:
-                    table[i, j, a, b] = table[j, i, b, a] = vols[i][a].integral_with(vols[j][b], t)
-    assets = np.arange(n)
-    xi = model.corr.values * table[assets[:, None], assets, idx[:, :, None], idx[:, None, :]]
-    v2 = table[assets, assets, idx, idx]
-    return np.log(model.spots) + model.drifts * t - 0.5 * v2, xi
+    _, means, offsets = _component_columns(model, t)
+    cols = offsets + _index_rows(model, indices)
+    curves = [c.vol for a in model.assets for c in a.components]
+    table = np.zeros((len(curves), len(curves)))  # [a, b]: column a's curve with column b's
+    for a, b in itertools.combinations_with_replacement(np.unique(cols).tolist(), 2):
+        table[a, b] = table[b, a] = curves[a].integral_with(curves[b], t)
+    return means[cols], model.corr.values * table[cols[:, :, None], cols[:, None, :]]
 
 
 def _component_columns(model: MultiAssetModel, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -295,6 +285,8 @@ def _tuple_logpdfs(model: MultiAssetModel, indices, t: float, pts: np.ndarray) -
     """
     if pts.shape[1] != model.n:
         raise ValueError("price vector dimension must match the model")
+    if np.isnan(pts).any():  # pts <= 0 is False for NaN
+        raise ValueError("x must not contain NaN")
     if np.any(pts <= 0):
         raise ValueError("prices must be positive")
     means, xi = tuple_laws(model, indices, t)
@@ -315,34 +307,30 @@ def _tuple_logpdfs(model: MultiAssetModel, indices, t: float, pts: np.ndarray) -
     return -0.5 * quad - 0.5 * logdet[:, None] - 0.5 * model.n * np.log(2.0 * np.pi) - logx.sum(axis=1)
 
 
-@dataclass(frozen=True)
 class TupleSet:
     """Component tuples kept after a cutoff, with renormalized weights.
 
-    Building one checks all indices and weights at once and keeps them as
-    the read-only (K, n) `index_array` and (K,) `weight_array`.
+    `TupleSet(model, indices, weights)` checks the (K, n) component indices and the K
+    weights once and keeps read-only copies of them, `index_array` and `weight_array`.
     """
 
-    tuples: tuple[ComponentTuple, ...]
-    weights: tuple[float, ...]
-    index_array: np.ndarray = field(init=False, repr=False, compare=False)
-    weight_array: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("index_array", "weight_array")
 
-    def __post_init__(self):
-        if not self.tuples:
+    def __init__(self, model: MultiAssetModel, indices, weights):
+        if not len(indices):
             raise ValueError("need at least one tuple")
-        weights = np.array(self.weights, dtype=float)
-        if weights.shape != (len(self.tuples),):
+        weights = np.array(weights, dtype=float)
+        if weights.shape != (len(indices),):
             raise ValueError("need one weight per tuple")
         if not np.all((weights >= 0.0) & (weights < np.inf)):  # NaN fails both
             raise ValueError("tuple weights must be finite and nonnegative")
-        idx = _index_rows(self.tuples[0].model, [tp.indices for tp in self.tuples])
-        for name, array in (("index_array", idx), ("weight_array", weights)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        idx = np.array(_index_rows(model, indices))  # a copy: the caller keeps theirs writeable
+        idx.setflags(write=False)
+        weights.setflags(write=False)
+        self.index_array, self.weight_array = idx, weights
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return len(self.index_array)
 
 
 def truncate(model: MultiAssetModel, kappa: float = 0.0) -> TupleSet:
@@ -362,10 +350,10 @@ def truncate(model: MultiAssetModel, kappa: float = 0.0) -> TupleSet:
     # Every tuple's weight in itertools.product order: one running product over the assets.
     raw = reduce(np.multiply.outer, [a.weights for a in model.assets]).ravel()
     if kappa == 0.0:
-        return TupleSet(tuple(model.tuples()), tuple(raw.tolist()))
+        return TupleSet(model, [tp.indices for tp in model.tuples()], raw)
     keep = raw > kappa
     kept = raw[keep]
-    return TupleSet(tuple(itertools.compress(model.tuples(), keep)), tuple(kept / kept.sum()))
+    return TupleSet(model, [tp.indices for tp in itertools.compress(model.tuples(), keep)], kept / kept.sum())
 
 
 def _tuple_logweights(
@@ -444,6 +432,8 @@ def volume_estimate(kappa: float, n: int) -> float:
 
 def density_count(kappa: float, n: int, rho_density: float) -> float:
     """Estimated number of tuples surviving the cutoff at weight density rho."""
+    if not 0.0 <= float(rho_density) < np.inf:  # NaN fails the comparison
+        raise ValueError(f"weight density must be finite and nonnegative, got {rho_density}")
     return volume_estimate(kappa, n) * float(rho_density) ** n
 
 

@@ -150,7 +150,7 @@ def black_scholes(
     for constant vol).  total_vol = 0 degenerates to the discounted
     intrinsic value on the forward.
     """
-    if strike < 0:
+    if not strike >= 0:  # NaN fails the comparison
         raise ValueError("strike must be nonnegative")
     if not spot > 0:
         raise ValueError("spot must be positive")
@@ -203,6 +203,8 @@ def geometric_pair_k0(
     maturity: float,
 ) -> float:
     """Zero-strike call on the weighted geometric average of two lognormals."""
+    if not (x1 > 0 and x2 > 0):
+        raise ValueError("spots must be positive")
     if not (w1 > 0 and w2 > 0):
         raise ValueError("geometric weights must be positive")
     _pair_inputs(vol1, vol2, rho, maturity)

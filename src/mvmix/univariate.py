@@ -141,6 +141,8 @@ def component_pdf(asset: AssetMixture, k: int, t: float, x) -> np.ndarray | floa
 
     Returns 0 for x <= 0; NaN and t = 0 (point mass at the spot) are rejected.
     """
+    if not (isinstance(k, (int, np.integer)) and 0 <= k < asset.n_components):
+        raise ValueError(f"component index k must be an integer in [0, {asset.n_components}), got {k!r}")
     x = _law_args(t, x)
     m = asset.log_means(t)[k]
     v = asset.total_stds(t)[k]
@@ -308,6 +310,8 @@ def local_vol(asset: AssetMixture, t: float, x) -> np.ndarray | float:
 
 def _local_vols(assets, t: float, x: np.ndarray) -> np.ndarray:
     """nu(t, x) of every asset at once: row i of the (n, m) prices x belongs to assets[i]."""
+    if np.isnan(x).any():
+        raise ValueError("x must not contain NaN")
     if t > 0 and np.any(x <= 0):
         raise ValueError("price must be positive")
     spots = np.array([a.spot for a in assets])[:, None]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvmix import AssetMixture, ComponentTuple, CorrelationMatrix, MultiAssetModel, TupleSet
+from mvmix import AssetMixture, CorrelationMatrix, MultiAssetModel, TupleSet
 from mvmix.pricing import _tuple_mc_prices
 
 
@@ -16,7 +16,7 @@ def make_model(spots, drifts, weights, vols, rho):
 
 def one_tuple_price(model, indices, spec, paths, seed):
     """Price and standard error of the mixture kernel on the law of one tuple (a one-tuple `TupleSet`)."""
-    single = TupleSet((ComponentTuple(model, tuple(indices)),), (1.0,))
+    single = TupleSet(model, [indices], (1.0,))
     price, se = _tuple_mc_prices(model, single, (spec,), paths, seed, None)
     return float(price[0]), float(se[0])
 

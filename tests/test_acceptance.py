@@ -138,7 +138,7 @@ def test_criterion_4_closed_form_cross_checks():
                     gmodel.assets[1].components[k1].vol.value(0.0),
                     0.6, 1.0, 1.0, RATE, MATURITY,
                 )
-                for (k0, k1), w in zip(full.index_array, full.weights)
+                for (k0, k1), w in zip(full.index_array, full.weight_array)
             )
             assert exact.price == pytest.approx(pair, rel=1e-13)
 

@@ -290,7 +290,7 @@ def test_tau_and_copula_match_per_pair_loops(vanilla_model):
     x = [inverse_cdf(asset, 1.0, ui) for asset, ui in zip(vanilla_model.assets, u)]
     ref = 0.0
     tuple_set = truncate(vanilla_model, 0.0)
-    for row, w in zip(tuple_set.index_array, tuple_set.weights):
+    for row, w in zip(tuple_set.index_array, tuple_set.weight_array):
         comps = [vanilla_model.assets[i].components[k] for i, k in enumerate(row)]
         v = [c.vol.total_std(1.0) for c in comps]
         z = [(np.log(xi) - 0.05 + 0.5 * vi**2) / vi for xi, vi in zip(x, v)]

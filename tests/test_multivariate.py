@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from mvmix import (
     AssetMixture,
     BasketSpec,
-    ComponentTuple,
     CorrelationMatrix,
     MultiAssetModel,
     SingularCovarianceError,
@@ -62,7 +61,7 @@ def test_correlation_matrix_stores_an_exact_unit_diagonal():
     assets = tuple(AssetMixture.from_arrays(s, 0.04, [0.6, 0.4], [piecewise, 0.25]) for s in (1.0, 1.3))
     model = MultiAssetModel(assets, entries)
     for t in (0.3, 1.0):
-        means, xi = tuple_laws(model, [tp.indices for tp in model.tuples()], t)
+        means, xi = tuple_laws(model, truncate(model, 0.0).index_array, t)
         assert np.array_equal(means, np.log(model.spots) + model.drifts * t - 0.5 * np.diagonal(xi, axis1=1, axis2=2))
 
 
@@ -142,11 +141,24 @@ def test_tuple_laws_reject_bad_indices_and_times(vanilla_model):
 def test_tuple_laws_and_tuple_sets_reject_indices_that_are_not_integers(vanilla_model, rows, named):
     with pytest.raises(ValueError, match=f"component index {named} is not an integer"):
         tuple_laws(vanilla_model, rows, 1.0)
-    tuples = tuple(ComponentTuple(vanilla_model, row) for row in rows)
     with pytest.raises(ValueError, match=f"component index {named} is not an integer"):
-        TupleSet(tuples, (1.0 / len(rows),) * len(rows))
+        TupleSet(vanilla_model, rows, (1.0 / len(rows),) * len(rows))
     whole = tuple_laws(vanilla_model, [(1.0, 0.0)], 1.0)  # integral floats name their tuple
     assert all(np.array_equal(a, b) for a, b in zip(whole, tuple_laws(vanilla_model, [(1, 0)], 1.0)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, x: scmd_covariance(m, 1.0, x),
+        lambda m, x: mixture_pdf(m, 1.0, x),
+        lambda m, x: mvmd_diffusion_squared(m, 1.0, x),
+    ],
+    ids=["scmd_covariance", "mixture_pdf", "mvmd_diffusion_squared"],
+)
+def test_multivariate_laws_reject_a_nan_price(vanilla_model, call):
+    with pytest.raises(ValueError, match="x must not contain NaN"):
+        call(vanilla_model, [1.0, np.nan])
 
 
 def test_local_vols_reject_a_nan_time(vanilla_model):
@@ -160,7 +172,7 @@ def test_local_vols_reject_a_nan_time(vanilla_model):
 def test_component_columns_carry_the_tuple_laws(name):
     """Each tuple's columns: sum_p u u^T * R is tuple_laws' Xi_k and the column means are its log-means."""
     model = _law_models()[name]
-    indices = np.array([tp.indices for tp in model.tuples()])
+    indices = truncate(model, 0.0).index_array
     for t in (0.3, 1.0):
         loadings, means, offsets = _component_columns(model, t)
         law_means, xi = tuple_laws(model, indices, t)
@@ -185,13 +197,11 @@ def test_truncate_weights_are_the_product_weights_in_product_order():
         model = make_model((1.0,) * n, (0.0,) * n, weights, [(0.2,) * c for c in counts], 0.2)
         expect = [np.prod([w[k] for w, k in zip(weights, row)]) for row in itertools.product(*map(range, counts))]
         full = truncate(model, 0.0)
-        assert full.weights == tuple(expect)
-        assert [tp.indices for tp in full.tuples] == list(itertools.product(*map(range, counts)))
+        assert full.weight_array.tolist() == expect
         kappa = float(np.median(expect))
         cut = truncate(model, kappa)
         kept = np.array([w for w in expect if w > kappa])
-        assert cut.weights == tuple(kept / kept.sum())
-        assert [tp.indices for tp in cut.tuples] == [tp.indices for tp, w in zip(full.tuples, expect) if w > kappa]
+        assert cut.weight_array.tolist() == (kept / kept.sum()).tolist()
         rows = np.array(list(itertools.product(*map(range, counts))))
         assert np.array_equal(full.index_array, rows)
         assert np.array_equal(cut.index_array, rows[np.array(expect) > kappa])
@@ -199,8 +209,7 @@ def test_truncate_weights_are_the_product_weights_in_product_order():
 
 def test_tuple_set_checks_its_rows_once_for_the_set(vanilla_model):
     def tuple_set(rows, weights=None):
-        tuples = tuple(ComponentTuple(vanilla_model, row) for row in rows)
-        return TupleSet(tuples, weights if weights is not None else (1.0 / len(rows),) * len(rows))
+        return TupleSet(vanilla_model, rows, weights if weights is not None else (1.0 / len(rows),) * len(rows))
 
     with pytest.raises(ValueError, match="component index 2 out of range"):
         tuple_set([(0, 0), (0, 2)])
@@ -216,7 +225,7 @@ def test_tuple_set_checks_its_rows_once_for_the_set(vanilla_model):
         with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
             tuple_set([(0, 0), (1, 1)], (0.5, bad))
     with pytest.raises(ValueError, match="at least one tuple"):
-        TupleSet((), ())
+        TupleSet(vanilla_model, (), ())
 
     kept = tuple_set([(1, 0), (0, 1)], (0.25, 0.75))
     for name in ("index_array", "weight_array"):
@@ -226,6 +235,15 @@ def test_tuple_set_checks_its_rows_once_for_the_set(vanilla_model):
             array[0] = 0
     assert kept.index_array.dtype == np.intp
     assert np.array_equal(kept.index_array, [[1, 0], [0, 1]]) and kept.weight_array.tolist() == [0.25, 0.75]
+    assert not hasattr(kept, "tuples") and not hasattr(kept, "weights")
+
+
+def test_tuple_set_copies_the_callers_index_array(vanilla_model):
+    rows = np.array([[1, 0], [0, 1]], dtype=np.intp)
+    kept = TupleSet(vanilla_model, rows, (0.25, 0.75))
+    assert rows.flags.writeable
+    rows[0] = (1, 1)
+    assert kept.index_array.tolist() == [[1, 0], [0, 1]]
 
 
 def test_perfect_correlation_is_flagged_singular():
@@ -406,12 +424,12 @@ def test_scmd_equals_mvmd_for_single_component():
 def test_truncate_cutoffs(vanilla_model):
     full = truncate(vanilla_model, 0.0)
     assert len(full) == 4
-    assert sum(full.weights) == pytest.approx(1.0, abs=1e-14)
+    assert sum(full.weight_array) == pytest.approx(1.0, abs=1e-14)
     # products {0.42, 0.18, 0.28, 0.12}; kappa=0.2 keeps 0.42, 0.28 -> {0.6, 0.4}
     cut = truncate(vanilla_model, 0.2)
     assert sorted(map(tuple, cut.index_array.tolist())) == [(0, 0), (1, 0)]
-    assert sorted(cut.weights) == pytest.approx([0.4, 0.6], abs=1e-14)
-    assert sum(cut.weights) == pytest.approx(1.0, abs=1e-14)
+    assert sorted(cut.weight_array) == pytest.approx([0.4, 0.6], abs=1e-14)
+    assert sum(cut.weight_array) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
         truncate(vanilla_model, 0.5)  # removes every tuple
 
@@ -427,7 +445,7 @@ def test_truncate_rejects_a_non_finite_or_negative_cutoff(vanilla_model, kappa):
 
 def test_truncate_refuses_a_cutoff_at_the_heaviest_tuple_without_enumerating(vanilla_model, monkeypatch):
     heaviest = 0.6 * 0.7  # computed as truncate computes tuple weights
-    assert truncate(vanilla_model, np.nextafter(heaviest, 0.0)).weights == (1.0,)
+    assert truncate(vanilla_model, np.nextafter(heaviest, 0.0)).weight_array.tolist() == [1.0]
     monkeypatch.setattr(MultiAssetModel, "tuples", lambda self: pytest.fail("enumerated the tuples"))
     with pytest.raises(ValueError, match="removed all components"):
         truncate(vanilla_model, heaviest)
@@ -468,6 +486,12 @@ def test_volume_keeps_its_digits_at_large_n():
     assert volume_estimate(1.0, 3) == 0.0 and volume_estimate(1.0, 0) == 1.0
     with pytest.raises(ValueError, match="dimension n must be a whole number, got 2.5"):
         volume_estimate(0.05, 2.5)
+
+
+@pytest.mark.parametrize("rho_density", [-1.0, np.inf, np.nan])
+def test_density_count_rejects_a_negative_or_non_finite_density(rho_density):
+    with pytest.raises(ValueError, match="weight density must be finite and nonnegative"):
+        density_count(0.1, 3, rho_density)
 
 
 def test_density_count_peak_location():

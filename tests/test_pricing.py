@@ -51,8 +51,20 @@ def test_black_scholes_degenerate_cases():
         np.exp(-0.05) * (fwd - 0.9), rel=1e-14
     )
     assert black_scholes(1.0, 2.0, 0.0, 0.05, 1.0, 1) == 0.0
-    with pytest.raises(ValueError):
-        black_scholes(1.0, -0.5, 0.2, 0.05, 1.0, 1)
+
+
+@pytest.mark.parametrize("strike", [-0.5, np.nan])
+def test_black_scholes_rejects_a_negative_or_nan_strike(strike):
+    with pytest.raises(ValueError, match="strike must be nonnegative"):
+        black_scholes(1.0, strike, 0.2, 0.05, 1.0, 1)
+
+
+@pytest.mark.parametrize("spots", [(-1.0, 1.0), (1.0, 0.0), (np.nan, 1.0)])
+def test_pair_closed_forms_reject_a_spot_that_is_not_positive(spots):
+    with pytest.raises(ValueError, match="spots must be positive"):
+        margrabe(*spots, 0.2, 0.3, 0.5, 1.0)
+    with pytest.raises(ValueError, match="spots must be positive"):
+        geometric_pair_k0(*spots, 0.2, 0.3, 0.5, 1.0, 1.0, 0.05, 1.0)
 
 
 @pytest.mark.parametrize("total_vol", [-0.2, np.nan, np.inf])
@@ -263,11 +275,11 @@ def test_each_tuple_prices_as_in_its_own_pass(paths):
         for kind in ("arithmetic", "geometric")
         for omega in (1, -1)
     )
-    for k, tp in enumerate(kept.tuples):
+    for k, row in enumerate(kept.index_array):
         # A one-hot weight reads tuple k's price exactly out of the 23-tuple pass.
-        one_hot = TupleSet(kept.tuples, tuple(float(i == k) for i in range(len(kept))))
+        one_hot = TupleSet(model, kept.index_array, np.eye(len(kept))[k])
         in_pass, _ = pricing._tuple_mc_prices(model, one_hot, specs, paths, 3, 1)
-        alone, _ = pricing._tuple_mc_prices(model, TupleSet((tp,), (1.0,)), specs, paths, 3, 1)
+        alone, _ = pricing._tuple_mc_prices(model, TupleSet(model, [row], (1.0,)), specs, paths, 3, 1)
         assert np.array_equal(in_pass, alone), (k, in_pass - alone)
 
 
@@ -366,7 +378,7 @@ def geometric_price_from_price_matrix(model, spec, paths, seed):
     for b, start, stop in path_blocks(paths):
         z = substream(seed, b).standard_normal((stop - start, model.n * loadings.shape[1]))
         log_prices = _column_log_prices(model, loadings, means, z, np.empty((len(means), stop - start))).T
-        for row, w in zip(tuple_set.index_array, tuple_set.weights):
+        for row, w in zip(tuple_set.index_array, tuple_set.weight_array):
             level = np.exp(np.log(np.exp(log_prices[:, offsets + row])) @ g)
             total += w * np.maximum(spec.omega * (level - spec.strike), 0.0).sum()
     return np.exp(-spec.rate * spec.maturity) * total / paths
@@ -490,7 +502,7 @@ def test_greeks_geometric_matches_analytic_delta(vanilla_model):
     def analytic_delta(i):
         total = 0.0
         tuple_set = truncate(vanilla_model, 0.0)
-        for w, means, xi in zip(tuple_set.weights, *tuple_laws(vanilla_model, tuple_set.index_array, 1.0)):
+        for w, means, xi in zip(tuple_set.weight_array, *tuple_laws(vanilla_model, tuple_set.index_array, 1.0)):
             xw = np.asarray(spec.weights)
             p = 1.0 / xw.sum()
             m = float(p * (xw @ means))
@@ -522,7 +534,7 @@ def test_greeks_convex_combination_identity(vanilla_model):
         return (up - dn) / (2 * bump)
 
     for i in range(2):
-        resum = sum(w * tuple_delta(row, i) for row, w in zip(tuple_set.index_array, tuple_set.weights))
+        resum = sum(w * tuple_delta(row, i) for row, w in zip(tuple_set.index_array, tuple_set.weight_array))
         assert delta[i] == pytest.approx(resum, abs=1e-12)
 
 

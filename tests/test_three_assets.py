@@ -36,12 +36,12 @@ def model3():
 def test_tuple_enumeration_and_weights(model3):
     ts = truncate(model3, 0.0)
     assert len(ts) == 8
-    assert sum(ts.weights) == pytest.approx(1.0, abs=1e-14)
+    assert sum(ts.weight_array) == pytest.approx(1.0, abs=1e-14)
     cut = truncate(model3, 0.15)
     # products > 0.15: 0.6*0.7*0.5 = 0.21 and 0.6*0.7*0.5 for component 2 of
     # asset 3 (same 0.21); everything else is <= 0.147
     assert sorted(map(tuple, cut.index_array.tolist())) == [(0, 0, 0), (0, 0, 1)]
-    assert cut.weights == pytest.approx((0.5, 0.5), abs=1e-14)
+    assert cut.weight_array.tolist() == pytest.approx([0.5, 0.5], abs=1e-14)
 
 
 def test_marginals_and_moments(model3):

@@ -54,13 +54,20 @@ def test_laws_reject_an_infinite_time(vanilla_asset1, call):
         lambda a, x: mixture_pdf(a, 1.0, x),
         lambda a, x: component_pdf(a, 0, 1.0, x),
         lambda a, x: mixture_cdf(a, 1.0, x),
+        lambda a, x: local_vol(a, 0.5, x),
     ],
-    ids=["mixture_pdf", "component_pdf", "mixture_cdf"],
+    ids=["mixture_pdf", "component_pdf", "mixture_cdf", "local_vol"],
 )
 @pytest.mark.parametrize("x", [np.nan, [1.0, np.nan]], ids=["scalar", "array"])
 def test_laws_reject_a_nan_price(vanilla_asset1, call, x):
     with pytest.raises(ValueError, match="x must not contain NaN"):
         call(vanilla_asset1, x)
+
+
+@pytest.mark.parametrize("k", [-1, 2, 5, 0.5])
+def test_component_pdf_rejects_a_component_index_outside_the_asset(vanilla_asset1, k):
+    with pytest.raises(ValueError, match=rf"component index k must be an integer in \[0, 2\), got {k}"):
+        component_pdf(vanilla_asset1, k, 1.0, 1.0)
 
 
 def test_component_pdf_at_log_mean_point():
