@@ -19,7 +19,6 @@ from .univariate import (
     mixture_pdf,
 )
 from .multivariate import (
-    ComponentTuple,
     CorrelationMatrix,
     MultiAssetModel,
     SingularCovarianceError,
@@ -70,7 +69,6 @@ __all__ = [
     "mixture_cdf",
     "mixture_pdf",
     "simulate_md_euler",
-    "ComponentTuple",
     "CorrelationMatrix",
     "MultiAssetModel",
     "SingularCovarianceError",

@@ -5,8 +5,8 @@ config file (``copula`` on a uniform grid), and ``reproduce-tables``
 regenerates the benchmark CSVs.  ``--config table2`` … ``table6`` (with or
 without ``.json``) loads that paper table from ``benchmarks.TABLES`` unless a
 file of that name exists.  Exit codes: 0 success, 1 invalid configuration, 2
-numerical failure.  The MVMIX_WORKERS environment variable sets the worker
-count for the samplers.
+numerical failure.  The MVMIX_WORKERS environment variable is the only
+setting of the samplers' worker count; no option sets it.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ def _load(args) -> list:
     return configs
 
 
-def _emit(rows: list[dict], fmt: str, path: str | None, columns=None) -> None:
-    text = rows_to_json(rows) if fmt == "json" else rows_to_csv(rows, columns)
+def _emit(rows: list[dict], fmt: str, path: str | None) -> None:
+    text = rows_to_json(rows) if fmt == "json" else rows_to_csv(rows)
     if path:
         Path(path).write_text(text)
     else:

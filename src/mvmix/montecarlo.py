@@ -18,9 +18,11 @@ Two ways to reach the maturity-T joint law:
 
 ``SCHEMES`` maps each scheme tag of the experiment configs to a pair
 ``(key, price_group)``: ``key(exp)`` is the experiment's draw key, and
-``price_group(group, workers)`` prices every basket spec of the run's
-experiments that share one key off one draw (for the mixture, in one
-kernel pass).  All samplers consume randomness through
+``price_group(group)`` prices every basket spec of the run's experiments
+that share one key off one draw (for the mixture, in one kernel pass).
+The group pricers take no worker count: their draws read it from the
+MVMIX_WORKERS environment variable, while the library samplers and
+pricers also take ``workers=``.  All samplers consume randomness through
 fixed-size path blocks keyed by (seed, block), so results are
 byte-identical for any worker count.
 """
@@ -75,10 +77,6 @@ class TerminalSample:
     values: np.ndarray
     scheme: str
     seed: int
-
-    @property
-    def paths(self) -> int:
-        return self.values.shape[0]
 
 
 def simulate_scmd(
@@ -217,45 +215,49 @@ def estimate(
         values, method = np.asarray(sample, dtype=float), "samples"
     if values.size == 0:
         raise ValueError("empty sample")
+    if not (-np.inf < rate < np.inf and 0 <= maturity < np.inf):  # NaN fails too
+        raise ValueError(f"need a finite rate and a finite maturity >= 0, got {rate} and {maturity}")
+    m = values.shape[0]
     pay = np.asarray(payoff(values), dtype=float)
-    m = pay.shape[0]
+    if pay.shape != (m,):
+        raise ValueError(f"payoff must return one value per path: shape ({m},), got {pay.shape}")
     disc = np.exp(-rate * maturity)
     se = 0.0 if m == 1 else float(disc * pay.std(ddof=1) / np.sqrt(m))
     return PriceEstimate(float(disc * pay.mean()), se, m, method)
 
 
 def _sampled(draw):
-    """Group pricer of a sampling scheme: `draw(group[0], workers)` once, then `estimate` per spec."""
+    """Group pricer of a sampling scheme: `draw(group[0])` once, then `estimate` per spec."""
 
-    def price_group(group, workers) -> dict:
-        sample = draw(group[0], workers)
+    def price_group(group) -> dict:
+        sample = draw(group[0])
         specs = dict.fromkeys(e.spec(strike) for e in group for strike in e.strikes)
         return {spec: estimate(sample, spec.payoff, spec.rate, spec.maturity) for spec in specs}
 
     return price_group
 
 
-def _mvmd_group(group, workers) -> dict:
+def _mvmd_group(group) -> dict:
     """Every spec of the group priced in one kernel pass on one draw."""
     exp, specs = group[0], tuple(dict.fromkeys(e.spec(strike) for e in group for strike in e.strikes))
-    return dict(zip(specs, pricing._mvmd_estimates(exp.model, specs, exp.kappa, exp.paths, exp.seed, workers)))
+    return dict(zip(specs, pricing._mvmd_estimates(exp.model, specs, exp.kappa, exp.paths, exp.seed)))
 
 
 # Scheme tag -> (key, price_group).  `key(exp)` is the draw key of an
 # experiment (config.ExperimentConfig): all that the scheme's draw depends
 # on and nothing of the basket, strike, direction or rate.
-# `price_group(group, workers)` takes the run's experiments that share one
+# `price_group(group)` takes the run's experiments that share one
 # key, in run order, and returns {BasketSpec: PriceEstimate} for every
 # distinct spec of the group, priced off one draw.  The mixture prices
 # semi-analytically.
 SCHEMES = {
     "scmd-euler": (
         lambda e: (e.model, e.maturity, e.paths, e.steps, e.seed),
-        _sampled(lambda e, w: simulate_scmd(e.model, SimulationConfig(e.paths, e.steps, e.maturity, e.seed), w)),
+        _sampled(lambda e: simulate_scmd(e.model, SimulationConfig(e.paths, e.steps, e.maturity, e.seed))),
     ),
     "mvmd-terminal": (lambda e: (e.model, e.kappa, e.paths, e.seed, e.maturity), _mvmd_group),
     "muvm-terminal": (
         lambda e: (e.model, e.maturity, e.paths, e.seed),
-        _sampled(lambda e, w: sample_muvm_terminal(e.model, e.maturity, e.paths, e.seed, w)),
+        _sampled(lambda e: sample_muvm_terminal(e.model, e.maturity, e.paths, e.seed)),
     ),
 }

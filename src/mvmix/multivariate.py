@@ -33,6 +33,7 @@ from typing import Iterator
 import numpy as np
 from scipy.special import gammainc
 
+from .rng import _whole
 from .univariate import AssetMixture, _local_vols
 
 __all__ = [
@@ -175,12 +176,6 @@ class MultiAssetModel:
         for indices in itertools.product(*(range(a.n_components) for a in self.assets)):
             yield ComponentTuple(self, indices)
 
-    def vol_bounds(self) -> tuple[float, float]:
-        """Global (lo, hi) over every component volatility curve."""
-        los = [c.vol.lo for a in self.assets for c in a.components]
-        his = [c.vol.hi for a in self.assets for c in a.components]
-        return min(los), max(his)
-
 
 @dataclass(frozen=True, eq=False)
 class ComponentTuple:
@@ -283,7 +278,7 @@ def _tuple_logpdfs(model: MultiAssetModel, indices, t: float, pts: np.ndarray) -
     solves L y = log x - mean; the first row with a pivot that is not above
     1e-9 of its largest is reported singular.
     """
-    if pts.shape[1] != model.n:
+    if pts.ndim != 2 or pts.shape[1] != model.n:
         raise ValueError("price vector dimension must match the model")
     if np.isnan(pts).any():  # pts <= 0 is False for NaN
         raise ValueError("x must not contain NaN")
@@ -365,20 +360,18 @@ def _tuple_logweights(
         return np.log(tuple_set.weight_array)[:, None] + logpdfs
 
 
-def mixture_pdf(model: MultiAssetModel, t: float, x, kappa: float = 0.0) -> np.ndarray | float:
-    """Joint mixture density: weighted sum of the tuple lognormal densities."""
+def mixture_pdf(model: MultiAssetModel, t: float, x) -> np.ndarray | float:
+    """Joint mixture density over every tuple at one (n,) price vector or (m, n) points."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    pts = x[None, :] if single else x
-    logw = _tuple_logweights(model, truncate(model, kappa), t, pts)
+    pts = x[None] if single else x
+    logw = _tuple_logweights(model, truncate(model), t, pts)
     top = logw.max(axis=0)
     out = np.exp(top) * np.exp(logw - top[None, :]).sum(axis=0)
     return float(out[0]) if single else out
 
 
-def mvmd_diffusion_squared(
-    model: MultiAssetModel, t: float, x, kappa: float = 0.0
-) -> np.ndarray:
+def mvmd_diffusion_squared(model: MultiAssetModel, t: float, x) -> np.ndarray:
     """State-dependent squared diffusion matrix C C^T (t, x).
 
     Density-weighted convex combination of the per-tuple instantaneous
@@ -389,7 +382,7 @@ def mvmd_diffusion_squared(
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != model.n:
         raise ValueError("x must be a single price vector")
-    tuple_set = truncate(model, kappa)
+    tuple_set = truncate(model)
     logw = _tuple_logweights(model, tuple_set, t, x[None, :])[:, 0]
     w = np.exp(logw - logw.max())
     w /= w.sum()
@@ -442,8 +435,10 @@ def marginal_moment(model: MultiAssetModel, i: int, t: float, order: int = 1) ->
 
     Marginal consistency makes this equal the univariate mixture moment.
     """
-    if not 0 <= i < model.n:
+    if not 0 <= _whole("asset index", i) < model.n:
         raise ValueError(f"asset index {i} out of range for {model.n} assets")
-    tuple_set = truncate(model, 0.0)
+    if not -np.inf < order < np.inf:  # NaN fails too
+        raise ValueError(f"moment order must be finite, got {order}")
+    tuple_set = truncate(model)
     means, xi = tuple_laws(model, tuple_set.index_array, t)
     return float(tuple_set.weight_array @ np.exp(order * means[:, i] + 0.5 * order**2 * xi[:, i, i]))

@@ -386,7 +386,7 @@ def _mvmd_estimates(
     kappa: float,
     paths: int,
     seed: int,
-    workers: int | None,
+    workers: int | None = None,
 ) -> list[PriceEstimate]:
     """`price_mvmd_mc` of every spec, all priced from the same draws."""
     price, se = _tuple_mc_prices(model, truncate(model, kappa), specs, paths, seed, workers)
@@ -435,6 +435,8 @@ def greeks_mvmd(
     """
     n = model.n
     _one_weight_per_asset(spec, n)
+    if np.ndim(bump) and np.shape(bump) != (n,):
+        raise ValueError(f"need one bump per asset ({n}) or one scalar bump, got shape {np.shape(bump)}")
     bumps = np.broadcast_to(np.asarray(bump, dtype=float), (n,)).copy()
     if not np.all(np.isfinite(bumps)):
         raise ValueError("bump must be finite")

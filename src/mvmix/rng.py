@@ -31,8 +31,8 @@ WORKERS_ENV_VAR = "MVMIX_WORKERS"
 
 
 def _whole(name: str, value) -> int:
-    """value as an int, if it is a Python or numpy integer (int(1.5) would quietly give 1)."""
-    if not isinstance(value, (int, np.integer)):
+    """value as an int, if it is a Python or numpy integer and not a bool (int(1.5) would quietly give 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -69,6 +69,7 @@ def worker_count(workers: int | None = None) -> int:
             workers = int(raw)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
+    workers = _whole(source, workers)
     if workers < 1:
         raise ValueError(f"{source} must be >= 1, got {workers}")
     return workers

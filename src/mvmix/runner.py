@@ -2,7 +2,9 @@
 
 Row dictionaries are the common currency here; the CLI renders them as CSV
 or JSON.  The reproduction pipeline writes one CSV per benchmark table with
-fixed columns and documented seeds, so reruns are byte-identical.
+fixed columns and documented seeds, so reruns are byte-identical.  These jobs
+take no worker count: their draws read it from the MVMIX_WORKERS environment
+variable (`rng.worker_count`), and the output is the same for any value.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ TABLE_COLUMNS = (
 )
 
 
-def run_price(experiments: ExperimentConfig | Sequence[ExperimentConfig], workers: int | None = None) -> list[dict]:
+def run_price(experiments: ExperimentConfig | Sequence[ExperimentConfig]) -> list[dict]:
     """Price every (strike, scheme) pair of one experiment or of a run of them.
 
     Each ``montecarlo.SCHEMES`` entry is a pair ``(key, price_group)``.  For
@@ -59,7 +61,7 @@ def run_price(experiments: ExperimentConfig | Sequence[ExperimentConfig], worker
             groups.setdefault(key(config), []).append(config)
         for k, group in groups.items():
             start = time.perf_counter()
-            priced[scheme, k] = price_group(group, workers)
+            priced[scheme, k] = price_group(group)
             wall[scheme, k] = time.perf_counter() - start
     rows = []
     for config in experiments:
@@ -75,7 +77,7 @@ def run_price(experiments: ExperimentConfig | Sequence[ExperimentConfig], worker
                         "rho": config.rho,
                         "price": est.price,
                         "std_error": est.std_error,
-                        "paths": est.samples if est.samples else config.paths,
+                        "paths": est.samples,
                         "wall_time_s": wall.pop(k, 0.0),
                         "seed": config.seed,
                     }
@@ -83,14 +85,14 @@ def run_price(experiments: ExperimentConfig | Sequence[ExperimentConfig], worker
     return rows
 
 
-def run_tau(config: ExperimentConfig, workers: int | None = None) -> list[dict]:
+def run_tau(config: ExperimentConfig) -> list[dict]:
     """Kendall tau rows of assets 1 and 2: closed form plus empirical estimates per scheme."""
     t = config.maturity
     rows = [{"method": "mvmd-closed-form", "tau": dependence.kendall_tau_mvmd(config.model, t), "paths": 0, "note": ""}]
     sim = montecarlo.SimulationConfig(config.paths, config.steps, t, config.seed)
     for sample in (
-        montecarlo.sample_mvmd_terminal(config.model, t, config.paths, config.seed, config.kappa, workers),
-        montecarlo.simulate_scmd(config.model, sim, workers),
+        montecarlo.sample_mvmd_terminal(config.model, t, config.paths, config.seed, config.kappa),
+        montecarlo.simulate_scmd(config.model, sim),
     ):
         tau = dependence.kendall_tau_empirical(sample.values[:, 0], sample.values[:, 1])
         method = sample.scheme.split("-")[0] + "-empirical"
@@ -98,7 +100,7 @@ def run_tau(config: ExperimentConfig, workers: int | None = None) -> list[dict]:
     return rows
 
 
-def run_copula(config: ExperimentConfig, grid: int, workers: int | None = None) -> list[dict]:
+def run_copula(config: ExperimentConfig, grid: int) -> list[dict]:
     """Mixture copula values on the interior grid (i/(grid+1))_i per axis.
 
     The grid's points share their quantiles and tuple laws in one call to
@@ -168,9 +170,7 @@ def _reference_annotated(rows: list[dict], table: int) -> list[dict]:
     return out
 
 
-def reproduce_tables(
-    outdir, paths: int = 100_000, workers: int | None = None
-) -> dict[str, list[dict]]:
+def reproduce_tables(outdir, paths: int = 100_000) -> dict[str, list[dict]]:
     """Run every benchmark table and write its CSV into `outdir`.
 
     Produces table2.csv .. table6.csv (price, SE and reference annotations
@@ -200,7 +200,7 @@ def reproduce_tables(
             )
     results["table1_parameters"] = param_rows
 
-    rows = run_price([config for configs in experiments.values() for config in configs], workers)
+    rows = run_price([config for configs in experiments.values() for config in configs])
     _check_finite(rows)
     cells = iter(rows)
     for table, configs in experiments.items():

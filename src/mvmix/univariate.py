@@ -118,10 +118,6 @@ class AssetMixture:
         v2 = np.array([c.vol.integral_sq(t) for c in self.components])
         return np.log(self.spot) + self.drift * t - 0.5 * v2
 
-    def spot_vols(self, t: float) -> np.ndarray:
-        """Per-component instantaneous volatilities sigma_k(t)."""
-        return np.array([c.vol.value(t) for c in self.components])
-
 
 def _require_positive_time(t: float) -> None:
     if not 0 < t < np.inf:
@@ -321,6 +317,8 @@ def _local_vols(assets, t: float, x: np.ndarray) -> np.ndarray:
 
 def analytic_moment(asset: AssetMixture, t: float, order: int = 1) -> float:
     """Exact E[S(t)^m] from the lognormal component moments."""
+    if not -np.inf < order < np.inf:  # NaN fails too
+        raise ValueError(f"moment order must be finite, got {order}")
     m = asset.log_means(t)
     v2 = asset.total_stds(t) ** 2
     return float(asset.weights @ np.exp(order * m + 0.5 * order**2 * v2))

@@ -51,14 +51,6 @@ class VolCurve:
     def is_constant(self) -> bool:
         return len(self.values) == 1
 
-    @property
-    def lo(self) -> float:
-        return min(self.values)
-
-    @property
-    def hi(self) -> float:
-        return max(self.values)
-
     def value(self, t: float) -> float:
         """Volatility level at time t (t may sit on a breakpoint; right-continuous)."""
         if not 0 <= t < np.inf:  # NaN fails too

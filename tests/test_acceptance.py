@@ -215,7 +215,7 @@ def test_criterion_7_truncation_convergence():
               f"surviving-tuple estimate peaks at {count:.0f} for n=8")
 
 
-def test_criterion_8_determinism(tmp_path, tables_one_worker):
+def test_criterion_8_determinism(tmp_path, tables_one_worker, monkeypatch):
     model = benchmark_model("vanilla", 0.6)
     a = sample_mvmd_terminal(model, MATURITY, 10_000, seed=808)
     b = sample_mvmd_terminal(model, MATURITY, 10_000, seed=808, workers=3)
@@ -229,12 +229,8 @@ def test_criterion_8_determinism(tmp_path, tables_one_worker):
     assert np.array_equal(e.values, f.values)
 
     one = tables_one_worker[0]
-    import os
-    os.environ["MVMIX_WORKERS"] = "3"
-    try:
-        reproduce_tables(tmp_path / "two", paths=PATHS)
-    finally:
-        del os.environ["MVMIX_WORKERS"]
+    monkeypatch.setenv("MVMIX_WORKERS", "3")
+    reproduce_tables(tmp_path / "two", paths=PATHS)
     for i in [1, 2, 3, 4, 5, 6]:
         name = "table1_parameters.csv" if i == 1 else f"table{i}.csv"
         assert (one / name).read_bytes() == (tmp_path / "two" / name).read_bytes()

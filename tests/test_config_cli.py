@@ -14,6 +14,7 @@ from mvmix import ConfigError, ExperimentConfig, load_config
 from mvmix.benchmarks import benchmark_config, table_configs
 from mvmix.cli import _load, main
 from mvmix.pricing import price_mvmd_mc
+from mvmix.rng import BLOCK_SIZE
 from mvmix.runner import reproduce_tables, run_price, run_tau
 
 BASE_DOC = {
@@ -235,15 +236,16 @@ def test_run_price_rows():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_price_strikes_share_one_draw(workers):
+def test_run_price_strikes_share_one_draw(workers, monkeypatch):
     # The mvmd route prices all strikes in one pass; each must equal its own
     # price_mvmd_mc call exactly, a repeated strike included.
+    monkeypatch.setenv("MVMIX_WORKERS", str(workers))
     cfg = dataclasses.replace(
         benchmark_config("vanilla", 0.6, 5, 20_000, schemes=("mvmd-terminal",)),
         strikes=(0.7, 1.0, 1.3, 1.0),
         kappa=0.15,
     )
-    rows = run_price(cfg, workers)
+    rows = run_price(cfg)
     assert [r["strike"] for r in rows] == list(cfg.strikes)
     for row in rows:
         est = price_mvmd_mc(cfg.model, cfg.spec(row["strike"]), cfg.kappa, cfg.paths, cfg.seed, workers)
@@ -267,10 +269,11 @@ def _priced(rows):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_price_experiments_on_one_draw_key_equal_separate_runs(workers):
+def test_run_price_experiments_on_one_draw_key_equal_separate_runs(workers, monkeypatch):
+    monkeypatch.setenv("MVMIX_WORKERS", str(workers))
     run = _one_draw_key_run()
-    rows = run_price(run, workers)
-    assert _priced(rows) == _priced([row for cfg in run for row in run_price(cfg, workers)])
+    rows = run_price(run)
+    assert _priced(rows) == _priced([row for cfg in run for row in run_price(cfg)])
     assert [r["product"] for r in rows] == ["vanilla"] * 3 + ["geometric"] * 3 + ["put"] * 2
 
 
@@ -496,6 +499,7 @@ def test_reproduce_tables_structure_and_determinism(tmp_path):
 
 
 def test_reproduce_tables_worker_independent(tmp_path, monkeypatch):
+    monkeypatch.setenv("MVMIX_WORKERS", "1")
     reproduce_tables(tmp_path / "w1", paths=2000)
     monkeypatch.setenv("MVMIX_WORKERS", "4")
     reproduce_tables(tmp_path / "w4", paths=2000)
@@ -503,6 +507,26 @@ def test_reproduce_tables_worker_independent(tmp_path, monkeypatch):
         assert (tmp_path / "w1" / f"table{i}.csv").read_bytes() == (
             tmp_path / "w4" / f"table{i}.csv"
         ).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["price", "tau"])
+def test_cli_output_is_the_same_at_one_and_three_workers(tmp_path, capsys, monkeypatch, command):
+    # Three path blocks, so three workers split them unevenly; the CLI's only
+    # worker setting is the variable.  Price rows differ only in wall_time_s.
+    doc = copy.deepcopy(BASE_DOC)
+    doc["engine"].update(schemes=["mvmd-terminal", "scmd-euler", "muvm-terminal"], paths=2 * BLOCK_SIZE + 1000)
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(doc))
+    outputs = []
+    for workers in ("1", "3"):
+        monkeypatch.setenv("MVMIX_WORKERS", workers)
+        assert main([command, "--config", str(path)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        if command == "price":
+            wall = rows[0].index("wall_time_s")
+            rows = [row[:wall] + row[wall + 1 :] for row in rows]
+        outputs.append(rows)
+    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]  # a header and three rows
 
 
 def test_run_tau_degenerate_config_matches_arcsine():
@@ -522,7 +546,7 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     from mvmix import SingularCovarianceError
     import mvmix.cli as cli
 
-    def boom(config, workers=None):
+    def boom(config):
         raise SingularCovarianceError((0, 0), 1.0)
 
     monkeypatch.setattr(cli, "run_price", boom)
@@ -559,7 +583,7 @@ def test_reproduce_tables_with_a_non_finite_cell_writes_nothing(tmp_path, capsys
     from mvmix.pricing import PriceEstimate
 
     nan = PriceEstimate(float("nan"), 0.0, 1, "mvmd")
-    nan_group = lambda group, workers: {e.spec(strike): nan for e in group for strike in e.strikes}
+    nan_group = lambda group: {e.spec(strike): nan for e in group for strike in e.strikes}
     monkeypatch.setitem(montecarlo.SCHEMES, "mvmd-terminal", (montecarlo.SCHEMES["mvmd-terminal"][0], nan_group))
     out = tmp_path / "out"
     assert main(["reproduce-tables", "--out", str(out), "--paths", "100"]) == 2

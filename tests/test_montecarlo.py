@@ -125,7 +125,7 @@ def test_mvmd_tuple_selection_frequencies():
     model = selection_model()
     sample = sample_mvmd_terminal(model, 1.0, 100_000, seed=41)
     picks = classify(sample.values)
-    m = sample.paths
+    m = len(sample.values)
     for k1, l1 in enumerate((0.6, 0.4)):
         for k2, l2 in enumerate((0.7, 0.3)):
             p = l1 * l2
@@ -137,7 +137,7 @@ def test_muvm_independent_scenario_frequencies():
     model = selection_model()
     sample = sample_muvm_terminal(model, 1.0, 100_000, seed=43)
     picks = classify(sample.values)
-    m = sample.paths
+    m = len(sample.values)
     # per-asset marginals and joint products (independence of the draws)
     assert abs(np.mean(picks[:, 0]) - 0.4) < 3 * np.sqrt(0.24 / m)
     assert abs(np.mean(picks[:, 1]) - 0.3) < 3 * np.sqrt(0.21 / m)
@@ -192,7 +192,7 @@ def test_forward_consistency(vanilla_model):
     ):
         for i, asset in enumerate(vanilla_model.assets):
             vals = sample.values[:, i]
-            se = vals.std(ddof=1) / np.sqrt(sample.paths)
+            se = vals.std(ddof=1) / np.sqrt(len(sample.values))
             assert abs(vals.mean() - np.exp(0.05)) < 3 * se
 
 
@@ -216,6 +216,20 @@ def test_estimate_martingale_basket(vanilla_model):
 def test_estimate_empty_sample_rejected():
     with pytest.raises(ValueError):
         estimate(np.empty((0, 2)), lambda v: v[:, 0], 0.0, 1.0)
+
+
+@pytest.mark.parametrize("rate, maturity", [(np.nan, 1.0), (np.inf, 1.0), (0.05, np.nan), (0.05, -1.0)])
+def test_estimate_needs_a_finite_rate_and_maturity(rate, maturity):
+    # a negative maturity used to compound: 1.0513 on a payoff of 1
+    with pytest.raises(ValueError, match="need a finite rate and a finite maturity >= 0"):
+        estimate(np.ones((10, 2)), lambda v: v[:, 0], rate, maturity)
+
+
+def test_estimate_needs_one_payoff_value_per_path():
+    # an (m, n) payoff used to be averaged over m * n entries with samples = m
+    with pytest.raises(ValueError, match=r"payoff must return one value per path: shape \(10,\), got \(10, 2\)"):
+        estimate(np.ones((10, 2)), lambda v: v, 0.05, 1.0)
+    assert estimate(np.ones((10, 2)), lambda v: v[:, 0], 0.05, 0.0).price == 1.0
 
 
 def test_mvmd_cutoff_sampling(vanilla_model):

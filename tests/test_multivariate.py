@@ -335,6 +335,28 @@ def test_marginal_moment_rejects_an_asset_index_out_of_range(vanilla_model, i):
         marginal_moment(vanilla_model, i, 1.0)
 
 
+@pytest.mark.parametrize("i", [True, 1.5, np.float64(1.0)])
+def test_marginal_moment_needs_an_integer_asset_index(vanilla_model, i):
+    with pytest.raises(ValueError, match="asset index must be an integer"):
+        marginal_moment(vanilla_model, i, 1.0)
+
+
+@pytest.mark.parametrize("order", [np.nan, np.inf])
+def test_moments_need_a_finite_order(vanilla_model, order):
+    with pytest.raises(ValueError, match="moment order must be finite"):
+        marginal_moment(vanilla_model, 0, 1.0, order)
+    with pytest.raises(ValueError, match="moment order must be finite"):
+        analytic_moment(vanilla_model.assets[0], 1.0, order)
+
+
+@pytest.mark.parametrize(
+    "x", [1.0, [1.0, 1.0, 1.0], np.ones((4, 3)), np.ones((2, 2, 2))], ids=["scalar", "three", "rows-of-three", "3-d"]
+)
+def test_mixture_pdf_rejects_points_of_the_wrong_shape(vanilla_model, x):
+    with pytest.raises(ValueError, match="price vector dimension must match the model"):
+        mixture_pdf(vanilla_model, 1.0, x)
+
+
 def test_diffusion_matrix_single_component_is_state_free():
     model = make_model((1.0, 1.0), (0.05, 0.05), ((1.0,), (1.0,)), ((0.3,), (0.25,)), 0.6)
     v = np.outer([0.3, 0.25], [0.3, 0.25]) * model.corr.values  # V = R * s s^T of the one tuple
@@ -355,7 +377,8 @@ def test_diffusion_matrix_hand_weighted_sum(vanilla_model):
 
 
 def test_diffusion_matrix_is_psd_and_bounded(vanilla_model):
-    lo, hi = vanilla_model.vol_bounds()
+    vols = [v for a in vanilla_model.assets for c in a.components for v in c.vol.values]
+    lo, hi = min(vols), max(vols)
     rng = np.random.default_rng(2)
     for _ in range(50):
         x = rng.lognormal(0.0, 0.8, 2)

@@ -553,3 +553,10 @@ def test_greeks_rejects_bumps_that_leave_the_model(vanilla_model, bump):
     spec = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0, 1, 0.05)
     with pytest.raises(ValueError, match="bump"):
         greeks_mvmd(vanilla_model, spec, bump=bump, paths=1000, seed=1)
+
+
+@pytest.mark.parametrize("bump", [(0.01,), (0.01, 0.01, 0.01)], ids=["one", "three"])
+def test_greeks_needs_one_bump_per_asset(vanilla_model, bump):
+    spec = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0, 1, 0.05)
+    with pytest.raises(ValueError, match="need one bump per asset"):
+        greeks_mvmd(vanilla_model, spec, bump=bump, paths=1000, seed=1)

@@ -142,7 +142,10 @@ def test_forked_child_runs_blocks_with_its_own_helpers(vanilla_model):
     assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("seed, index, named", [(1.5, 0, "seed"), (np.float64(2.0), 0, "seed"), ("3", 0, "seed"), (0, 1.0, "block index")])
+@pytest.mark.parametrize(
+    "seed, index, named",
+    [(1.5, 0, "seed"), (np.float64(2.0), 0, "seed"), ("3", 0, "seed"), (True, 0, "seed"), (0, 1.0, "block index")],
+)
 def test_substream_takes_only_integer_keys(seed, index, named):
     with pytest.raises(ValueError, match=f"{named} must be an integer"):
         rng.substream(seed, index)
@@ -162,3 +165,12 @@ def test_pricer_refuses_a_fractional_seed_or_path_count(vanilla_model):
         price_mvmd_mc(vanilla_model, spec, paths=2.5)
     numpy_ints = price_mvmd_mc(vanilla_model, spec, paths=np.int32(100), seed=np.uint64(1))
     assert numpy_ints == price_mvmd_mc(vanilla_model, spec, paths=100, seed=1)
+
+
+@pytest.mark.parametrize("workers", [1.5, True, np.float64(2.0)])
+def test_worker_count_takes_only_a_whole_number(vanilla_model, workers):
+    with pytest.raises(ValueError, match="worker count must be an integer"):
+        rng.worker_count(workers)
+    spec = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0)
+    with pytest.raises(ValueError, match="worker count must be an integer"):  # 1.5 failed in the thread pool
+        price_mvmd_mc(vanilla_model, spec, paths=20_000, workers=workers)

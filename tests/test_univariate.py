@@ -271,7 +271,7 @@ def test_switching_asset_changes_its_largest_variance_component():
 def test_local_vol_matches_density_ratio_oracle(name, t):
     asset = local_vol_assets()[name]
     x = np.logspace(-6, 6, 4001)
-    lam, sig = asset.weights, asset.spot_vols(t)
+    lam, sig = asset.weights, np.array([c.vol.value(t) for c in asset.components])
     pdfs = np.array([component_pdf(asset, k, t, x) for k in range(asset.n_components)])
     num, den = (lam * sig**2) @ pdfs, lam @ pdfs
     # where every density underflows (or is subnormal) the ratio is not an oracle
@@ -285,7 +285,7 @@ def test_local_vol_matches_density_ratio_oracle(name, t):
 @pytest.mark.parametrize("t", LOCAL_VOL_TIMES)
 def test_local_vol_at_extreme_log_prices(name, t):
     asset = local_vol_assets()[name]
-    sig = asset.spot_vols(t)[asset.weights > 0]
+    sig = np.array([c.vol.value(t) for c in asset.components])[asset.weights > 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         nu = local_vol(asset, t, np.exp([-700.0, 700.0]))

@@ -67,12 +67,6 @@ def test_invalid_curves_rejected(times, values):
         VolCurve(times, values)
 
 
-def test_bounds():
-    curve = VolCurve((0.0, 1.0, 2.0), (0.3, 0.1, 0.2))
-    assert curve.lo == 0.1
-    assert curve.hi == 0.3
-
-
 @pytest.mark.parametrize("t", [np.nan, np.inf])
 def test_curve_rejects_a_time_that_is_not_finite(t):
     curve = VolCurve((0.0, 0.5), (0.2, 0.3))
