@@ -55,24 +55,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="mvmix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    price = sub.add_parser("price", help="price every (strike, scheme) pair of a config")
-    price.add_argument("--config", required=True, help="config file path or bundled name")
-    price.add_argument("--seed", type=int, default=None, help="override the engine seed")
+    shared = argparse.ArgumentParser(add_help=False)  # the options of every config-driven command
+    shared.add_argument("--config", required=True, help="config file path or bundled name")
+    shared.add_argument("--out", choices=("csv", "json"), default="csv")
+    shared.add_argument("--out-path", default=None, help="write output here instead of stdout")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="override the engine seed")
+
+    price = sub.add_parser("price", parents=[shared, seeded], help="price every (strike, scheme) pair of a config")
     price.add_argument("--kappa", type=float, default=None, help="override the weight cutoff")
-    price.add_argument("--out", choices=("csv", "json"), default="csv")
-    price.add_argument("--out-path", default=None, help="write output here instead of stdout")
-
-    tau = sub.add_parser("tau", help="closed-form and empirical Kendall tau of a config")
-    tau.add_argument("--config", required=True)
-    tau.add_argument("--seed", type=int, default=None)
-    tau.add_argument("--out", choices=("csv", "json"), default="csv")
-    tau.add_argument("--out-path", default=None)
-
-    copula = sub.add_parser("copula", help="terminal copula values on a uniform grid")
-    copula.add_argument("--config", required=True)
+    sub.add_parser("tau", parents=[shared, seeded], help="closed-form and empirical Kendall tau of a config")
+    copula = sub.add_parser("copula", parents=[shared], help="terminal copula values on a uniform grid")
     copula.add_argument("--grid", type=int, required=True, help="points per axis")
-    copula.add_argument("--out", choices=("csv", "json"), default="csv")
-    copula.add_argument("--out-path", default=None)
 
     repro = sub.add_parser("reproduce-tables", help="regenerate the benchmark table CSVs")
     repro.add_argument("--out", required=True, help="output directory")
@@ -89,17 +83,11 @@ def main(argv=None) -> int:
         if args.command == "copula" and args.grid < 1:
             raise ConfigError(f"--grid: must be >= 1, got {args.grid}")
         configs = _load(args)
-        rows: list[dict] = []
         if args.command == "price":
             rows = run_price(configs)
-        elif args.command == "tau":
-            for config in configs:
-                for row in run_tau(config):
-                    rows.append({"product": config.name, **row})
-        elif args.command == "copula":
-            for config in configs:
-                for row in run_copula(config, args.grid):
-                    rows.append({"product": config.name, **row})
+        else:  # the runners are looked up here, as module globals, so a wrapper set on them is called
+            run = run_tau if args.command == "tau" else lambda c: run_copula(c, args.grid)
+            rows = [{"product": c.name, **row} for c in configs for row in run(c)]
         _check_finite(rows)
         _emit(rows, args.out, args.out_path)
         return EXIT_OK

@@ -339,7 +339,7 @@ def _copula_values(model: MultiAssetModel, t: float, points: np.ndarray, kappa: 
     means, xi = tuple_laws(model, tuples.index_array, t)
     sd = np.sqrt(np.diagonal(xi, axis1=1, axis2=2))
     z = (logx[:, None, :] - means) / sd
-    corrs = xi / (sd[:, :, None] * sd[:, None, :])
+    corrs = np.clip(xi / (sd[:, :, None] * sd[:, None, :]), -1.0, 1.0)  # rho = +-1 can round past 1
     if model.n == 2:
         values = bivariate_normal_cdf(z[..., 0], z[..., 1], corrs[:, 0, 1])
     else:

@@ -62,9 +62,10 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
-        if not (isinstance(self.paths, (int, np.integer)) and self.paths >= 1):
+        # bools are not counts, and 2.5 steps would run 3
+        if isinstance(self.paths, bool) or not (isinstance(self.paths, (int, np.integer)) and self.paths >= 1):
             raise ValueError(f"need a whole number of paths >= 1, got {self.paths!r}")
-        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):  # 2.5 steps would run 3
+        if isinstance(self.steps, bool) or not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
             raise ValueError(f"path-wise scheme needs a whole number of steps >= 1, got {self.steps!r}")
         if not 0 < self.maturity < np.inf:
             raise ValueError(f"maturity must be positive and finite, got {self.maturity}")

@@ -102,9 +102,9 @@ class CorrelationMatrix:
         m = np.array(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("correlation matrix must be square")
-        if not np.allclose(m, m.T, atol=1e-12):
+        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
             raise ValueError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(m), 1.0, atol=1e-12):
+        if not np.allclose(np.diag(m), 1.0, rtol=0.0, atol=1e-12):
             raise ValueError("correlation matrix must have unit diagonal")
         if np.any(np.abs(m) > 1.0 + 1e-12):
             raise ValueError("correlations must lie in [-1, 1]")
@@ -239,18 +239,16 @@ def _component_columns(model: MultiAssetModel, t: float) -> tuple[np.ndarray, np
     piece, are shared by every column (see `_column_log_prices`).  A tuple's
     columns thus have exactly the log-means and the covariance
     Xi = sum_p u u^T * R of `tuple_laws`.  Returns the (C, P) loadings, the
-    (C,) log-means and the (n,) offsets, C being the total component count.
+    (C,) log-means, read from each asset's `AssetMixture.law(t)` like every
+    marginal, and the (n,) offsets, C being the total component count.
     """
     if not 0 < t < np.inf:
         raise ValueError(f"need finite t > 0, got t = {t}")
     curves = [c.vol for a in model.assets for c in a.components]
     knots = sorted({b for v in curves for b in v.times if b < t})  # starts at 0
     loadings = np.array([[v.value(s) for s in knots] for v in curves]) * np.sqrt(np.diff([*knots, t]))
-    counts = model.component_counts()
-    asset = np.repeat(np.arange(model.n), counts)
-    v2 = np.array([v.integral_sq(t) for v in curves])
-    means = np.log(model.spots)[asset] + model.drifts[asset] * t - 0.5 * v2
-    return loadings, means, np.cumsum((0, *counts[:-1]))
+    means = np.concatenate([a.law(t)[0] for a in model.assets])
+    return loadings, means, np.cumsum((0, *model.component_counts()[:-1]))
 
 
 def _column_log_prices(model: MultiAssetModel, loadings: np.ndarray, means: np.ndarray, z: np.ndarray, out: np.ndarray):
@@ -414,7 +412,7 @@ def volume_estimate(kappa: float, n: int) -> float:
     kappa = float(kappa)
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("cutoff must lie in [0, 1]")
-    if not isinstance(n, (int, np.integer)):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"dimension n must be a whole number, got {n!r}")
     if n < 0:
         raise ValueError("dimension must be nonnegative")

@@ -2,11 +2,11 @@
 
 The asset follows dS = mu*S dt + nu(t,S)*S dW where nu is chosen so that the
 marginal density of S(t) is, at every time, the fixed convex combination of
-the lognormal densities of N instrumental constant-vol processes.  This
-module provides those densities, the state-dependent volatility nu and the
-quantile function; the one log-Euler path driver is
-`montecarlo.simulate_scmd`, whose one-asset case is
-`montecarlo.simulate_md_euler`.
+the lognormal densities of N instrumental constant-vol processes.  Component
+k's law, log-mean ln S0 + mu t - V_k^2 / 2 and log-variance V_k^2 =
+int_0^t sigma_k^2, has one source, `AssetMixture.law(t)`, which every law
+here and every multivariate tuple reads.  The one log-Euler path driver is
+`montecarlo.simulate_scmd`, whose one-asset case is `montecarlo.simulate_md_euler`.
 
 nu^2 = sum_k lambda_k sigma_k^2 p_k / sum_k lambda_k p_k is evaluated in
 quadratic form: each log(lambda_k p_k) is quadratic in log S with
@@ -39,8 +39,6 @@ __all__ = [
     "local_vol",
     "analytic_moment",
 ]
-
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 def _as_curve(vol) -> VolCurve:
@@ -109,14 +107,10 @@ class AssetMixture:
     def weights(self) -> np.ndarray:
         return np.array([c.weight for c in self.components])
 
-    def total_stds(self, t: float) -> np.ndarray:
-        """Per-component integrated volatility V_k(t) = sqrt(int sigma_k^2)."""
-        return np.array([c.vol.total_std(t) for c in self.components])
-
-    def log_means(self, t: float) -> np.ndarray:
-        """Per-component log-space means: ln S0 + mu*t - V_k(t)^2 / 2."""
+    def law(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Component laws at t: log-means ln S0 + mu t - V_k^2 / 2 and log-variances V_k^2 = int_0^t sigma_k^2."""
         v2 = np.array([c.vol.integral_sq(t) for c in self.components])
-        return np.log(self.spot) + self.drift * t - 0.5 * v2
+        return np.log(self.spot) + self.drift * t - 0.5 * v2, v2
 
 
 def _require_positive_time(t: float) -> None:
@@ -124,12 +118,17 @@ def _require_positive_time(t: float) -> None:
         raise ValueError(f"density needs finite t > 0, got t = {t}")
 
 
-def _law_args(t: float, x) -> np.ndarray:
+def _on_positive(t: float, x, law) -> np.ndarray | float:
+    """law(x[x > 0]) where x > 0 and 0 elsewhere, a float for scalar x; t must be finite and positive."""
     _require_positive_time(t)
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():  # x > 0 would send NaN to the zero branch
         raise ValueError("x must not contain NaN")
-    return x
+    out = np.zeros_like(x)
+    pos = x > 0
+    if pos.any():
+        out[pos] = law(x[pos])
+    return out if out.ndim else float(out)
 
 
 def component_pdf(asset: AssetMixture, k: int, t: float, x) -> np.ndarray | float:
@@ -137,51 +136,39 @@ def component_pdf(asset: AssetMixture, k: int, t: float, x) -> np.ndarray | floa
 
     Returns 0 for x <= 0; NaN and t = 0 (point mass at the spot) are rejected.
     """
-    if not (isinstance(k, (int, np.integer)) and 0 <= k < asset.n_components):
+    if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and 0 <= k < asset.n_components):
         raise ValueError(f"component index k must be an integer in [0, {asset.n_components}), got {k!r}")
-    x = _law_args(t, x)
-    m = asset.log_means(t)[k]
-    v = asset.total_stds(t)[k]
-    out = np.zeros_like(x)
-    pos = x > 0
-    xs = x[pos]
-    z = (np.log(xs) - m) / v
-    out[pos] = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * v * xs)
-    return out if out.ndim else float(out)
 
+    def density(xs):
+        m, v2 = asset.law(t)
+        v = np.sqrt(v2[k])
+        z = (np.log(xs) - m[k]) / v
+        return np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * v * xs)
 
-def _component_logpdfs(asset: AssetMixture, t: float, logx: np.ndarray) -> np.ndarray:
-    """Matrix of log component densities, shape (N, len(logx))."""
-    m = asset.log_means(t)[:, None]
-    v = asset.total_stds(t)[:, None]
-    z = (logx[None, :] - m) / v
-    return -0.5 * z * z - np.log(v) - _LOG_SQRT_2PI - logx[None, :]
+    return _on_positive(t, x, density)
 
 
 def mixture_pdf(asset: AssetMixture, t: float, x) -> np.ndarray | float:
     """Convex combination of the component lognormal densities."""
-    x = _law_args(t, x)
-    out = np.zeros_like(x)
-    pos = x > 0
-    if np.any(pos):
-        logx = np.log(x[pos])
-        logp = _component_logpdfs(asset, t, logx)
-        out[pos] = asset.weights @ np.exp(logp)
-    return out if out.ndim else float(out)
+
+    def density(xs):
+        m, v2 = asset.law(t)
+        v, logx = np.sqrt(v2)[:, None], np.log(xs)
+        z = (logx - m[:, None]) / v
+        return asset.weights @ np.exp(-0.5 * z * z - np.log(v) - 0.5 * np.log(2.0 * np.pi) - logx)
+
+    return _on_positive(t, x, density)
 
 
 def mixture_cdf(asset: AssetMixture, t: float, x) -> np.ndarray | float:
     """Mixture distribution function; defined for all x with cdf(x<=0) = 0."""
-    x = _law_args(t, x)
-    out = np.zeros_like(x)
-    pos = x > 0
-    if np.any(pos):
-        logx = np.log(x[pos])
-        m = asset.log_means(t)[:, None]
-        v = asset.total_stds(t)[:, None]
-        out[pos] = asset.weights @ ndtr((logx[None, :] - m) / v)
-    out = np.where(np.isposinf(x), 1.0, out)
-    return out if out.ndim else float(out)
+
+    def cdf(xs):
+        m, v2 = asset.law(t)
+        values = asset.weights @ ndtr((np.log(xs) - m[:, None]) / np.sqrt(v2)[:, None])
+        return np.where(np.isposinf(xs), 1.0, values)
+
+    return _on_positive(t, x, cdf)
 
 
 def inverse_cdf(asset: AssetMixture, t: float, u: float) -> float:
@@ -195,8 +182,8 @@ def inverse_cdf(asset: AssetMixture, t: float, u: float) -> float:
     u = float(u)
     if not 0.0 < u < 1.0:
         raise ValueError("probability must lie strictly inside (0, 1)")
-    m = asset.log_means(t)
-    v = asset.total_stds(t)
+    m, v2 = asset.law(t)
+    v = np.sqrt(v2)
     w = asset.weights
     comp_q = m + v * ndtri(u)
     lo, hi = float(np.min(comp_q)), float(np.max(comp_q))
@@ -319,6 +306,5 @@ def analytic_moment(asset: AssetMixture, t: float, order: int = 1) -> float:
     """Exact E[S(t)^m] from the lognormal component moments."""
     if not -np.inf < order < np.inf:  # NaN fails too
         raise ValueError(f"moment order must be finite, got {order}")
-    m = asset.log_means(t)
-    v2 = asset.total_stds(t) ** 2
+    m, v2 = asset.law(t)
     return float(asset.weights @ np.exp(order * m + 0.5 * order**2 * v2))

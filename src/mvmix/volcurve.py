@@ -72,7 +72,3 @@ class VolCurve:
                 break
             total += self.value(a) * other.value(a) * (min(b, t) - a)
         return total
-
-    def total_std(self, t: float) -> float:
-        """sqrt of the integrated variance over [0, t]."""
-        return float(np.sqrt(self.integral_sq(t)))

@@ -499,10 +499,11 @@ def test_reproduce_tables_structure_and_determinism(tmp_path):
 
 
 def test_reproduce_tables_worker_independent(tmp_path, monkeypatch):
+    # two path blocks, so the four workers have more than one block to split
     monkeypatch.setenv("MVMIX_WORKERS", "1")
-    reproduce_tables(tmp_path / "w1", paths=2000)
+    reproduce_tables(tmp_path / "w1", paths=BLOCK_SIZE + 1)
     monkeypatch.setenv("MVMIX_WORKERS", "4")
-    reproduce_tables(tmp_path / "w4", paths=2000)
+    reproduce_tables(tmp_path / "w4", paths=BLOCK_SIZE + 1)
     for i in range(2, 7):
         assert (tmp_path / "w1" / f"table{i}.csv").read_bytes() == (
             tmp_path / "w4" / f"table{i}.csv"

@@ -292,7 +292,7 @@ def test_tau_and_copula_match_per_pair_loops(vanilla_model):
     tuple_set = truncate(vanilla_model, 0.0)
     for row, w in zip(tuple_set.index_array, tuple_set.weight_array):
         comps = [vanilla_model.assets[i].components[k] for i, k in enumerate(row)]
-        v = [c.vol.total_std(1.0) for c in comps]
+        v = [np.sqrt(c.vol.integral_sq(1.0)) for c in comps]
         z = [(np.log(xi) - 0.05 + 0.5 * vi**2) / vi for xi, vi in zip(x, v)]
         ref += w * multivariate_normal_cdf(z, [[1, 0.6], [0.6, 1]])
     assert copula_value(vanilla_model, 1.0, u) == pytest.approx(ref, abs=1e-15)
@@ -467,6 +467,19 @@ def test_tau_of_one_component_assets_at_perfect_correlation_is_exact():
         kendall_tau_mvmd(one, 1.0)
 
 
+@pytest.mark.parametrize("rho", [1.0, -1.0])
+def test_copula_at_perfect_correlation(rho):
+    # with vols (0.15, 0.15) and (0.15, 0.45) a tuple's correlation read from Xi rounds past 1
+    vols = ((0.15, 0.15), (0.15, 0.45))
+    model = make_model((1.0, 1.0), (0.0, 0.0), ((0.5, 0.5), (0.5, 0.5)), vols, rho)
+    x = [inverse_cdf(asset, 0.5, 0.5) for asset in model.assets]
+    cdfs = [[norm.cdf((np.log(xi) + 0.25 * s**2) / (s * np.sqrt(0.5))) for s in v] for xi, v in zip(x, vols)]
+    # each tuple's copula is a Frechet bound: min(p, q) at rho = 1, max(p + q - 1, 0) at rho = -1
+    bound = min if rho == 1.0 else lambda p, q: max(p + q - 1.0, 0.0)
+    expected = sum(0.25 * bound(p, q) for p in cdfs[0] for q in cdfs[1])
+    assert copula_value(model, 0.5, [0.5, 0.5]) == pytest.approx(expected, abs=1e-12)
+
+
 def test_copula_piecewise_vols_time_averaged_correlation():
     # single-component assets with different step curves: the copula is the
     # Gaussian copula at the integral-averaged correlation, not at rho
@@ -475,7 +488,7 @@ def test_copula_piecewise_vols_time_averaged_correlation():
     v1 = VolCurve((0.0, 0.5), (0.2, 0.4))
     v2 = VolCurve((0.0, 0.25), (0.35, 0.15))
     model = make_model((1.0, 1.0), (0.02, 0.07), ((1.0,), (1.0,)), ((v1,), (v2,)), 0.6)
-    m12 = 0.6 * v1.integral_with(v2, 1.0) / (v1.total_std(1.0) * v2.total_std(1.0))
+    m12 = 0.6 * v1.integral_with(v2, 1.0) / (np.sqrt(v1.integral_sq(1.0)) * np.sqrt(v2.integral_sq(1.0)))
     assert m12 != pytest.approx(0.6, abs=0.01)
     assert copula_value(model, 1.0, [0.5, 0.5]) == pytest.approx(
         0.25 + np.arcsin(m12) / (2 * np.pi), abs=1e-10

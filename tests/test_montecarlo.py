@@ -30,7 +30,7 @@ def test_config_validation():
         SimulationConfig(10, 10, -1.0, 1)
 
 
-@pytest.mark.parametrize("paths, steps, named", [(2.5, 10, "paths"), (10, 2.5, "steps"), (10, 3.0, "steps")])
+@pytest.mark.parametrize("paths, steps, named", [(2.5, 10, "paths"), (10, 2.5, "steps"), (10, 3.0, "steps"), (True, 10, "paths")])
 def test_config_wants_whole_paths_and_steps(vanilla_asset1, paths, steps, named):
     with pytest.raises(ValueError, match=f"whole number of {named}"):
         SimulationConfig(paths, steps, 1.0, 1)

@@ -51,6 +51,20 @@ def test_correlation_matrix_validation():
     assert np.allclose(f @ f.T, cm.values, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[0.99999, 0.5], [0.5, 1.0]], "unit diagonal"),
+        ([[1.0, 0.5], [0.500004, 1.0]], "symmetric"),
+        ([[0.99999, 0.5], [0.500004, 1.0]], "symmetric"),
+    ],
+)
+def test_correlation_matrix_tolerance_is_absolute(entries, message):
+    # 1e-12 absolute: numpy's default relative tolerance of 1e-5 would accept these and rewrite them
+    with pytest.raises(ValueError, match=message):
+        CorrelationMatrix(entries)
+
+
 def test_correlation_matrix_stores_an_exact_unit_diagonal():
     # a diagonal within 1e-12 of 1 is accepted, and stored as exact 1s, so the
     # covariance diagonal is the integrated variance that the log-means use
@@ -509,6 +523,11 @@ def test_volume_keeps_its_digits_at_large_n():
     assert volume_estimate(1.0, 3) == 0.0 and volume_estimate(1.0, 0) == 1.0
     with pytest.raises(ValueError, match="dimension n must be a whole number, got 2.5"):
         volume_estimate(0.05, 2.5)
+
+
+def test_volume_refuses_a_bool_dimension():
+    with pytest.raises(ValueError, match="dimension n must be a whole number, got True"):
+        volume_estimate(0.1, True)
 
 
 @pytest.mark.parametrize("rho_density", [-1.0, np.inf, np.nan])

@@ -64,7 +64,7 @@ def test_laws_reject_a_nan_price(vanilla_asset1, call, x):
         call(vanilla_asset1, x)
 
 
-@pytest.mark.parametrize("k", [-1, 2, 5, 0.5])
+@pytest.mark.parametrize("k", [-1, 2, 5, 0.5, True])
 def test_component_pdf_rejects_a_component_index_outside_the_asset(vanilla_asset1, k):
     with pytest.raises(ValueError, match=rf"component index k must be an integer in \[0, 2\), got {k}"):
         component_pdf(vanilla_asset1, k, 1.0, 1.0)
@@ -263,7 +263,7 @@ def test_nu2_kernel_keeps_the_bits_of_the_filled_form(names):
 
 def test_switching_asset_changes_its_largest_variance_component():
     asset = local_vol_assets()["switching"]
-    assert [int(np.argmax(asset.total_stds(t))) for t in LOCAL_VOL_TIMES] == [0, 1, 2]
+    assert [int(np.argmax(asset.law(t)[1])) for t in LOCAL_VOL_TIMES] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("name", sorted(local_vol_assets()))
@@ -329,7 +329,7 @@ def test_option_price_linearity(vanilla_asset1):
     # simulated dynamics reproduces it
     t, k, r = 1.0, 1.1, 0.05
     price_mix = sum(
-        c.weight * black_scholes(1.0, k, c.vol.total_std(t), r, t, 1)
+        c.weight * black_scholes(1.0, k, np.sqrt(c.vol.integral_sq(t)), r, t, 1)
         for c in vanilla_asset1.components
     )
     samples = simulate_md_euler(vanilla_asset1, t, 360, 100_000, seed=17)
