@@ -343,8 +343,15 @@ def _copula_values(model: MultiAssetModel, t: float, points: np.ndarray, kappa: 
     if model.n == 2:
         values = bivariate_normal_cdf(z[..., 0], z[..., 1], corrs[:, 0, 1])
     else:
-        # tuple_laws builds symmetric covariances, so corrs pass the public checks by construction
-        values = np.array([[_mvn_cdf(zk, c, False) for zk, c in zip(row, corrs)] for row in z])
+        values = np.empty(z.shape[:2])
+        for row, k in np.ndindex(values.shape):
+            try:  # tuple_laws builds symmetric covariances, so corrs pass the public checks by construction
+                values[row, k] = _mvn_cdf(z[row, k], corrs[k], False)
+            except ValueError as err:
+                if "positive definite" not in str(err):
+                    raise
+                tup, corr = tuples.index_array[k].tolist(), corrs[k].round(12).tolist()
+                raise ValueError(f"n >= 3 copula: tuple {tup} has the singular correlation {corr}") from None
     out[live] = [min(max(tuples.weight_array @ row, 0.0), 1.0) for row in values]
     return out
 
@@ -355,7 +362,8 @@ def copula_value(model: MultiAssetModel, t: float, u, kappa: float = 0.0) -> flo
     Weighted combination over component tuples of the standardized normal
     CDF with that tuple's log-space correlation matrix, evaluated at the
     component-standardized mixture quantiles.  Coordinates at 1 marginalize
-    out; any coordinate at 0 gives 0.
+    out; any coordinate at 0 gives 0.  A tuple whose correlation is singular
+    on three or more coordinates below 1 is refused.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape[0] != model.n:

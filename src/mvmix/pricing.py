@@ -3,9 +3,11 @@
 A European claim on the multivariate mixture costs the product-weight convex
 combination of the per-tuple prices, because the joint density is the same
 convex combination of tuple densities.  Each tuple is jointly lognormal at
-maturity, so tuple prices come either in closed form (Black-Scholes,
-exchange option, any geometric average) or from a single-step Monte Carlo
-draw of the terminal law, with no time discretization.
+maturity, so tuple prices come either in closed form or from a single-step Monte
+Carlo draw of the terminal law, with no time discretization.  Every closed
+form is one Black formula (`_black`), a geometric average included: it is
+lognormal on each tuple, and a spot bump S -> S' only shifts its log-mean
+by g . log(S'/S), g = w / sum(w).
 
 A tuple's terminal law does not depend on the basket, the strike, the
 direction or the rate, so one kernel prices many specs of one model off the
@@ -127,18 +129,34 @@ def _nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
-def _finite(name: str, value: float) -> None:
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+def _finite(**values: float) -> None:
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _pair_inputs(vol1: float, vol2: float, rho: float, maturity: float) -> None:
-    """Check the vols, correlation and maturity of a two-asset closed form."""
+def _pair_inputs(x1: float, x2: float, vol1: float, vol2: float, rho: float, maturity: float) -> None:
+    """Check the spots, vols, correlation and maturity of a two-asset closed form."""
+    if not (x1 > 0 and x2 > 0):
+        raise ValueError("spots must be positive")
+    _finite(x1=x1, x2=x2)
     _nonnegative("vol1", vol1)
     _nonnegative("vol2", vol2)
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation rho must lie in [-1, 1], got {rho}")
     _nonnegative("maturity", maturity)
+
+
+def _black(forward, strike, sd, disc, omega):
+    """Black's price disc * E[max(omega (F - K), 0)], elementwise, for a lognormal F of mean `forward` and log-sd `sd`.
+
+    sd = 0 or strike = 0 gives the discounted intrinsic value on the forward.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # those entries take the intrinsic value below
+        d1 = np.log(forward / strike) / sd + 0.5 * sd
+        d2 = d1 - sd
+        price = omega * disc * (forward * ndtr(omega * d1) - strike * ndtr(omega * d2))
+    return np.where((sd > 0.0) & (strike > 0.0), price, disc * np.maximum(omega * (forward - strike), 0.0))
 
 
 def black_scholes(
@@ -154,19 +172,13 @@ def black_scholes(
         raise ValueError("strike must be nonnegative")
     if not spot > 0:
         raise ValueError("spot must be positive")
+    _finite(strike=strike, spot=spot)
     _nonnegative("total volatility", total_vol)
-    _finite("rate", rate)
+    _finite(rate=rate)
     _nonnegative("maturity", maturity)
     _direction(omega)
     disc = np.exp(-rate * maturity)
-    forward = spot / disc
-    if total_vol == 0.0 or strike == 0.0:
-        if strike == 0.0 and omega == -1:
-            return 0.0
-        return float(disc * max(omega * (forward - strike), 0.0))
-    d1 = np.log(forward / strike) / total_vol + 0.5 * total_vol
-    d2 = d1 - total_vol
-    return float(omega * disc * (forward * ndtr(omega * d1) - strike * ndtr(omega * d2)))
+    return float(_black(spot / disc, strike, total_vol, disc, omega))
 
 
 def margrabe(
@@ -174,21 +186,14 @@ def margrabe(
 ) -> float:
     """Zero-strike option to exchange asset 1 for asset 2 (payoff on x2 - x1).
 
-    Price = omega * [x2 * Phi(omega d1) - x1 * Phi(omega d0)] with effective
-    variance vol1^2 - 2 rho vol1 vol2 + vol2^2; independent of the rate.
-    Zero effective volatility collapses to the signed intrinsic value.
+    Black's formula on the forward x2 at strike x1, undiscounted, with the
+    effective variance vol1^2 - 2 rho vol1 vol2 + vol2^2; independent of the
+    rate.  Zero effective volatility collapses to the intrinsic value.
     """
-    if not (x1 > 0 and x2 > 0):
-        raise ValueError("spots must be positive")
-    _pair_inputs(vol1, vol2, rho, maturity)
+    _pair_inputs(x1, x2, vol1, vol2, rho, maturity)
     _direction(omega)
     sig = np.sqrt(max(vol1**2 - 2.0 * rho * vol1 * vol2 + vol2**2, 0.0))
-    stv = sig * np.sqrt(maturity)
-    if stv == 0.0:
-        return float(max(omega * (x2 - x1), 0.0))
-    d1 = np.log(x2 / x1) / stv + 0.5 * stv
-    d0 = d1 - stv
-    return float(omega * (x2 * ndtr(omega * d1) - x1 * ndtr(omega * d0)))
+    return float(_black(x2, x1, sig * np.sqrt(maturity), 1.0, omega))
 
 
 def geometric_pair_k0(
@@ -203,12 +208,11 @@ def geometric_pair_k0(
     maturity: float,
 ) -> float:
     """Zero-strike call on the weighted geometric average of two lognormals."""
-    if not (x1 > 0 and x2 > 0):
-        raise ValueError("spots must be positive")
     if not (w1 > 0 and w2 > 0):
         raise ValueError("geometric weights must be positive")
-    _pair_inputs(vol1, vol2, rho, maturity)
-    _finite("rate", rate)
+    _finite(w1=w1, w2=w2)
+    _pair_inputs(x1, x2, vol1, vol2, rho, maturity)
+    _finite(rate=rate)
     p = 1.0 / (w1 + w2)
     gamma2 = (vol1**2 * w1**2 + vol2**2 * w2**2 + 2.0 * rho * vol1 * vol2 * w1 * w2) * p**2 * maturity
     drift_term = ((rate - 0.5 * vol1**2) * w1 + (rate - 0.5 * vol2**2) * w2) * p * maturity
@@ -217,32 +221,22 @@ def geometric_pair_k0(
     )
 
 
-def _geometric_mixture(means, xi: np.ndarray, weights: np.ndarray, spec: BasketSpec) -> np.ndarray:
-    """Closed-form geometric-basket mixture price of each (K, n) stack of log-means.
+def _geometric_law(model: MultiAssetModel, tuple_set: TupleSet, spec: BasketSpec):
+    """Each kept tuple's law of log G, G = prod S_i^g_i with g = w / sum(w): the (K,) log-means and log-sds, and g.
 
-    The weighted geometric average of a tuple's jointly lognormal prices is
-    lognormal, and its log-variance depends only on the tuple's covariance
-    `xi[k]`, so spot bumps, which move only the log-means, share it.  One
-    array formula prices every (stack, tuple) pair; `weights` combines each
-    stack's row.
+    A tuple's prices are jointly lognormal, so log G has mean means @ g and variance g^T xi g.
     """
-    _one_weight_per_asset(spec, xi.shape[-1])
+    _one_weight_per_asset(spec, model.n)
+    means, xi = tuple_laws(model, tuple_set.index_array, spec.maturity)
     w = np.asarray(spec.weights)
-    p = 1.0 / w.sum()
-    # one dot product per tuple and stack, not one matrix product: these sums keep their bits
-    sds = np.array([np.sqrt(max(float(p**2 * (w @ x @ w)), 0.0)) for x in xi])
-    lms = np.array([[float(p * (w @ m)) for m in rows] for rows in means])  # (M, K) log-means of the average
-    disc, strike, omega = np.exp(-spec.rate * spec.maturity), spec.strike, spec.omega
-    mean = np.exp(lms + 0.5 * sds**2)
-    if strike == 0.0:
-        prices = disc * mean if omega == 1 else np.zeros_like(mean)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):  # sds == 0 takes the intrinsic value below
-            d2 = (lms - np.log(strike)) / sds
-            d1 = d2 + sds
-            prices = omega * disc * (mean * ndtr(omega * d1) - strike * ndtr(omega * d2))
-        prices = np.where(sds > 0.0, prices, disc * np.maximum(omega * (np.exp(lms) - strike), 0.0))
-    return np.array([float(weights @ row) for row in prices])
+    g = w / w.sum()
+    return means @ g, np.sqrt(np.maximum((xi @ g) @ g, 0.0)), g
+
+
+def _geometric_prices(log_means: np.ndarray, sds: np.ndarray, weights: np.ndarray, spec: BasketSpec):
+    """Mixture prices of the geometric option, one per row of (..., K) log-means of G: Black's on each tuple's forward."""
+    disc = np.exp(-spec.rate * spec.maturity)
+    return _black(np.exp(log_means + 0.5 * sds**2), spec.strike, sds, disc, spec.omega) @ weights
 
 
 def price_geometric_mvmd(
@@ -252,8 +246,8 @@ def price_geometric_mvmd(
     if spec.kind != "geometric":
         raise ValueError("spec must be geometric")
     tuple_set = truncate(model, kappa)
-    means, xi = tuple_laws(model, tuple_set.index_array, spec.maturity)
-    price = _geometric_mixture([means], xi, tuple_set.weight_array, spec)[0]
+    log_means, sds, _ = _geometric_law(model, tuple_set, spec)
+    price = _geometric_prices(log_means, sds, tuple_set.weight_array, spec)
     return PriceEstimate(float(price), 0.0, 0, "geometric-closed-form")
 
 
@@ -430,8 +424,8 @@ def greeks_mvmd(
     on the one model, in one pass on the same draws: the random draws
     cancel in the differences and the convex-combination structure carries
     over to the Greeks.  Geometric baskets use the closed form, each bump
-    moving only the tuples' log-means.  `bump` is an absolute spot bump,
-    scalar or per asset, below each asset's spot.
+    shifting every tuple's log-mean of the average by g . log(S'/S).  `bump`
+    is an absolute spot bump, scalar or per asset, below each asset's spot.
     """
     n = model.n
     _one_weight_per_asset(spec, n)
@@ -448,17 +442,14 @@ def greeks_mvmd(
     shifts = [0.0 * bumps, *(s * eye[i] for i in range(n) for s in (1, -1))]  # the base, then one asset up and down
     signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
     shifts += [si * eye[i] + sj * eye[j] for i in range(n) for j in range(i + 1, n) for si, sj in signs]  # asset pairs
-    spots = model.spots
-    bumped = [spots + shift for shift in shifts]
+    ratios = (model.spots + np.array(shifts)) / model.spots  # (M, n): each bump's S' / S
     tuple_set = truncate(model, kappa)
     if spec.kind == "geometric":
-        xi = tuple_laws(model, tuple_set.index_array, spec.maturity)[1]
-        v2 = np.diagonal(xi, axis1=1, axis2=2)  # the integrated variances
-        means = [np.log(s) + model.drifts * spec.maturity - 0.5 * v2 for s in bumped]
-        values = _geometric_mixture(means, xi, tuple_set.weight_array, spec)
+        log_means, sds, g = _geometric_law(model, tuple_set, spec)
+        values = _geometric_prices(log_means + (np.log(ratios) @ g)[:, None], sds, tuple_set.weight_array, spec)
     else:
         w = np.asarray(spec.weights)
-        specs = tuple(replace(spec, weights=tuple(w * (s / spots))) for s in bumped)
+        specs = tuple(replace(spec, weights=tuple(w * r)) for r in ratios)
         values = _tuple_mc_prices(model, tuple_set, specs, paths, seed, workers)[0]
     base, up, down = values[0], values[1 : 2 * n + 1 : 2], values[2 : 2 * n + 1 : 2]
     cross = iter(values[2 * n + 1 :].reshape(-1, 4))

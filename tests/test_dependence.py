@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 
@@ -12,6 +13,7 @@ from mvmix import (
     MultiAssetModel,
     bivariate_normal_cdf,
     copula_value,
+    dump_config,
     empirical_copula,
     inverse_cdf,
     kendall_tau_empirical,
@@ -478,6 +480,24 @@ def test_copula_at_perfect_correlation(rho):
     bound = min if rho == 1.0 else lambda p, q: max(p + q - 1.0, 0.0)
     expected = sum(0.25 * bound(p, q) for p in cdfs[0] for q in cdfs[1])
     assert copula_value(model, 0.5, [0.5, 0.5]) == pytest.approx(expected, abs=1e-12)
+
+
+def test_copula_refuses_a_singular_tuple_correlation(tmp_path, capsys):
+    # at rho = 1 every tuple of three constant-vol assets is perfectly correlated,
+    # which the n >= 3 normal CDF cannot factor; which tuple fails first rests on rounding
+    model = make_model((1.0,) * 3, (0.0,) * 3, ((0.5, 0.5),) * 3, ((0.15, 0.45),) * 3, 1.0)
+    config = dataclasses.replace(
+        table_configs(2)[0], name="singular", model=model, basket_weights=(1.0,) * 3, maturity=0.5
+    )
+    dump_config([config], tmp_path / "singular.json")
+    assert main(["copula", "--config", str(tmp_path / "singular.json"), "--grid", "2"]) == 1
+    assert "has the singular correlation" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=r"tuple \[[01], [01], [01]\] has the singular correlation \[\[1.0, 1.0, 1.0\]"):
+        copula_value(model, 0.5, [0.5, 0.5, 0.5])
+    # a coordinate at 1 marginalizes out, leaving the bivariate copula, which accepts rho = 1
+    pair = make_model((1.0,) * 2, (0.0,) * 2, ((0.5, 0.5),) * 2, ((0.15, 0.45),) * 2, 1.0)
+    expected = copula_value(pair, 0.5, [0.5, 0.5])
+    assert copula_value(model, 0.5, [0.5, 0.5, 1.0]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_copula_piecewise_vols_time_averaged_correlation():

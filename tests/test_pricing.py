@@ -9,6 +9,7 @@ from mvmix import (
     BasketSpec,
     MultiAssetModel,
     TupleSet,
+    VolCurve,
     black_scholes,
     geometric_pair_k0,
     greeks_mvmd,
@@ -26,8 +27,8 @@ from conftest import make_model, one_tuple_price
 
 def tuple_geometric_price(model, indices, spec):
     """The geometric closed form on one tuple's law."""
-    means, xi = tuple_laws(model, [indices], spec.maturity)
-    return float(pricing._geometric_mixture([means], xi, np.ones(1), spec)[0])
+    log_means, sds, _ = pricing._geometric_law(model, TupleSet(model, [indices], (1.0,)), spec)
+    return float(pricing._geometric_prices(log_means, sds, np.ones(1), spec))
 
 
 def single_step_mc(log_means, cov, payoff, rate, maturity, paths, seed):
@@ -65,6 +66,25 @@ def test_pair_closed_forms_reject_a_spot_that_is_not_positive(spots):
         margrabe(*spots, 0.2, 0.3, 0.5, 1.0)
     with pytest.raises(ValueError, match="spots must be positive"):
         geometric_pair_k0(*spots, 0.2, 0.3, 0.5, 1.0, 1.0, 0.05, 1.0)
+
+
+@pytest.mark.parametrize(
+    "name,price",
+    [
+        ("strike", lambda: black_scholes(1.0, np.inf, 0.2, 0.05, 1.0)),
+        ("spot", lambda: black_scholes(np.inf, 1.0, 0.2, 0.05, 1.0, omega=-1)),
+        ("x1", lambda: margrabe(np.inf, 1.0, 0.2, 0.3, 0.5, 1.0)),
+        ("x2", lambda: margrabe(1.0, np.inf, 0.2, 0.3, 0.5, 1.0)),
+        ("x2", lambda: geometric_pair_k0(1.0, np.inf, 0.2, 0.3, 0.5, 1.0, 1.0, 0.05, 1.0)),
+        ("w1", lambda: geometric_pair_k0(1.0, 1.0, 0.2, 0.3, 0.5, np.inf, 1.0, 0.05, 1.0)),
+        ("w2", lambda: geometric_pair_k0(1.0, 1.0, 0.2, 0.3, 0.5, 1.0, np.inf, 0.05, 1.0)),
+    ],
+    ids=["black-scholes-strike", "black-scholes-put-spot", "margrabe-x1", "margrabe-x2", "pair-x2", "pair-w1", "pair-w2"],
+)
+def test_closed_forms_reject_an_infinite_spot_strike_or_weight(name, price):
+    # each used to return nan or inf
+    with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
+        price()
 
 
 @pytest.mark.parametrize("total_vol", [-0.2, np.nan, np.inf])
@@ -514,6 +534,37 @@ def test_greeks_geometric_matches_analytic_delta(vanilla_model):
 
     for i in range(2):
         assert delta[i] == pytest.approx(analytic_delta(i), rel=1e-4)
+
+
+@pytest.mark.parametrize("omega", [1, -1], ids=["call", "put"])
+def test_geometric_greeks_are_central_differences_of_respotted_prices(omega):
+    # a bump shifts each tuple's log-mean of the average by g . log(S'/S); the
+    # oracle reprices models whose spots are moved, covering every cross-gamma
+    model = make_model(
+        (1.0, 0.9, 1.1),
+        (0.05, 0.03, 0.04),
+        ((0.6, 0.4), (0.5, 0.5, 0.0), (0.7, 0.3)),
+        ((0.3, 0.2), (VolCurve((0.0, 0.5), (0.2, 0.35)), 0.25, 0.4), (0.15, 0.3)),
+        0.4,
+    )
+    spec = BasketSpec((1.0, 0.6, 0.4), "geometric", 1.0, 1.0, omega, 0.05)  # g = w / 2
+    bumps, kappa = np.array([0.01, 0.02, 0.015]), 0.05
+    delta, gamma = greeks_mvmd(model, spec, bumps, kappa)
+
+    def price(shift):
+        assets = tuple(replace(a, spot=a.spot + d) for a, d in zip(model.assets, shift))
+        return price_geometric_mvmd(MultiAssetModel(assets, model.corr), spec, kappa).price
+
+    eye = np.diag(bumps)
+    for i in range(3):
+        up, down = price(eye[i]), price(-eye[i])
+        assert delta[i] == pytest.approx((up - down) / (2 * bumps[i]), rel=1e-9)
+        assert gamma[i, i] == pytest.approx((up - 2 * price(0 * bumps) + down) / bumps[i] ** 2, rel=1e-9)
+        for j in range(i + 1, 3):
+            pp, pm = price(eye[i] + eye[j]), price(eye[i] - eye[j])
+            mp, mm = price(-eye[i] + eye[j]), price(-eye[i] - eye[j])
+            cross = (pp - pm - mp + mm) / (4 * bumps[i] * bumps[j])
+            assert gamma[i, j] == gamma[j, i] == pytest.approx(cross, rel=1e-9)
 
 
 def test_greeks_convex_combination_identity(vanilla_model):
