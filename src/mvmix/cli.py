@@ -4,9 +4,10 @@ Subcommands: ``price``, ``tau`` and ``copula`` run the experiments of a JSON
 config file (``copula`` on a uniform grid), and ``reproduce-tables``
 regenerates the benchmark CSVs.  ``--config table2`` … ``table6`` (with or
 without ``.json``) loads that paper table from ``benchmarks.TABLES`` unless a
-file of that name exists.  Exit codes: 0 success, 1 invalid configuration, 2
-numerical failure.  The MVMIX_WORKERS environment variable is the only
-setting of the samplers' worker count; no option sets it.
+file of that name exists.  Exit codes: 0 success, 1 invalid configuration
+or an output that cannot be written, 2 numerical failure.  The MVMIX_WORKERS
+environment variable is the only setting of the samplers' worker count; no
+option sets it.
 """
 
 from __future__ import annotations
@@ -96,6 +97,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # an output path in a missing directory, a directory, or a file in the way
+        print(f"error: cannot write {exc.filename} ({exc.strerror})", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr, owens_t
-from scipy.stats import kendalltau, norm, qmc
+from scipy.special import ndtr, ndtri, owens_t
+from scipy.stats import kendalltau, qmc, rankdata
 
 from .multivariate import MultiAssetModel, _component_columns, truncate, tuple_laws
 from .univariate import inverse_cdf
@@ -216,14 +216,14 @@ def _mvn_cdf(z: np.ndarray, m: np.ndarray, full_output: bool) -> float | tuple[f
 
     def genz_values(u: np.ndarray) -> np.ndarray:
         npts = u.shape[0]
-        f = np.full(npts, float(norm.cdf(z[0] / chol[0, 0])))
+        f = np.full(npts, float(ndtr(z[0] / chol[0, 0])))
         e_prev = f.copy()
         y = np.empty((npts, n - 1))
         for i in range(1, n):
             quant = np.clip(u[:, i - 1] * e_prev, tiny, 1.0 - tiny)
-            y[:, i - 1] = norm.ppf(quant)
+            y[:, i - 1] = ndtri(quant)
             num = z[i] - y[:, : i] @ chol[i, :i]
-            e_prev = norm.cdf(num / chol[i, i])
+            e_prev = ndtr(num / chol[i, i])
             f *= e_prev
         return f
 
@@ -385,9 +385,5 @@ def empirical_copula(samples: np.ndarray, u: np.ndarray) -> float:
         raise ValueError("samples must not contain NaN")
     if not np.all((u >= 0.0) & (u <= 1.0)):  # NaN fails too
         raise ValueError("coordinates must lie in [0, 1]")
-    m = samples.shape[0]
-    ranks = np.empty_like(samples)
-    for j in range(samples.shape[1]):
-        order = np.argsort(samples[:, j], kind="mergesort")
-        ranks[order, j] = np.arange(1, m + 1)
-    return float(np.mean(np.all(ranks / m <= u[None, :], axis=1)))
+    ranks = rankdata(samples, method="ordinal", axis=0)  # ties ranked in sample order
+    return float(np.mean(np.all(ranks / samples.shape[0] <= u[None, :], axis=1)))

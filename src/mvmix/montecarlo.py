@@ -17,10 +17,10 @@ Two ways to reach the maturity-T joint law:
   law, which the tests exercise.
 
 ``SCHEMES`` maps each scheme tag of the experiment configs to a pair
-``(key, price_group)``: ``key(exp)`` is the experiment's draw key, and
-``price_group(group)`` prices every basket spec of the run's experiments
-that share one key off one draw (for the mixture, in one kernel pass).
-The group pricers take no worker count: their draws read it from the
+``(key, price)``: ``key(exp)`` is the experiment's draw key, and
+``price(exp, specs)`` prices the given basket specs off the one draw of
+``exp``'s key (for the mixture, in one kernel pass), one estimate per spec.
+The scheme pricers take no worker count: their draws read it from the
 MVMIX_WORKERS environment variable, while the library samplers and
 pricers also take ``workers=``.  All samplers consume randomness through
 fixed-size path blocks keyed by (seed, block), so results are
@@ -228,35 +228,29 @@ def estimate(
 
 
 def _sampled(draw):
-    """Group pricer of a sampling scheme: `draw(group[0])` once, then `estimate` per spec."""
+    """Pricer of a sampling scheme: `draw(exp)` once, then `estimate` per spec."""
 
-    def price_group(group) -> dict:
-        sample = draw(group[0])
-        specs = dict.fromkeys(e.spec(strike) for e in group for strike in e.strikes)
-        return {spec: estimate(sample, spec.payoff, spec.rate, spec.maturity) for spec in specs}
+    def price(exp, specs) -> list[PriceEstimate]:
+        sample = draw(exp)
+        return [estimate(sample, spec.payoff, spec.rate, spec.maturity) for spec in specs]
 
-    return price_group
-
-
-def _mvmd_group(group) -> dict:
-    """Every spec of the group priced in one kernel pass on one draw."""
-    exp, specs = group[0], tuple(dict.fromkeys(e.spec(strike) for e in group for strike in e.strikes))
-    return dict(zip(specs, pricing._mvmd_estimates(exp.model, specs, exp.kappa, exp.paths, exp.seed)))
+    return price
 
 
-# Scheme tag -> (key, price_group).  `key(exp)` is the draw key of an
-# experiment (config.ExperimentConfig): all that the scheme's draw depends
-# on and nothing of the basket, strike, direction or rate.
-# `price_group(group)` takes the run's experiments that share one
-# key, in run order, and returns {BasketSpec: PriceEstimate} for every
-# distinct spec of the group, priced off one draw.  The mixture prices
-# semi-analytically.
+# Scheme tag -> (key, price).  `key(exp)` is the draw key of an experiment
+# (config.ExperimentConfig): all that the scheme's draw depends on and
+# nothing of the basket, strike, direction or rate.  `price(exp, specs)`
+# returns one PriceEstimate per BasketSpec of `specs`, in order, all priced
+# off the one draw of `exp`'s key.  The mixture prices semi-analytically.
 SCHEMES = {
     "scmd-euler": (
         lambda e: (e.model, e.maturity, e.paths, e.steps, e.seed),
         _sampled(lambda e: simulate_scmd(e.model, SimulationConfig(e.paths, e.steps, e.maturity, e.seed))),
     ),
-    "mvmd-terminal": (lambda e: (e.model, e.kappa, e.paths, e.seed, e.maturity), _mvmd_group),
+    "mvmd-terminal": (
+        lambda e: (e.model, e.kappa, e.paths, e.seed, e.maturity),
+        lambda e, specs: pricing._mvmd_estimates(e.model, specs, e.kappa, e.paths, e.seed),
+    ),
     "muvm-terminal": (
         lambda e: (e.model, e.maturity, e.paths, e.seed),
         _sampled(lambda e: sample_muvm_terminal(e.model, e.maturity, e.paths, e.seed)),

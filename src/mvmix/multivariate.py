@@ -31,7 +31,7 @@ from functools import reduce
 from typing import Iterator
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, softmax
 
 from .rng import _whole
 from .univariate import AssetMixture, _local_vols
@@ -88,10 +88,7 @@ def psd_factor(matrix: np.ndarray) -> np.ndarray:
     # descending eigenvalues; orient each column so its largest entry is positive
     order = np.argsort(w)[::-1]
     w, v = w[order], v[:, order]
-    for j in range(v.shape[1]):
-        i = np.argmax(np.abs(v[:, j]))
-        if v[i, j] < 0:
-            v[:, j] = -v[:, j]
+    v = np.where(v[np.argmax(np.abs(v), axis=0), np.arange(len(w))] < 0, -v, v)
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
@@ -382,8 +379,7 @@ def mvmd_diffusion_squared(model: MultiAssetModel, t: float, x) -> np.ndarray:
         raise ValueError("x must be a single price vector")
     tuple_set = truncate(model)
     logw = _tuple_logweights(model, tuple_set, t, x[None, :])[:, 0]
-    w = np.exp(logw - logw.max())
-    w /= w.sum()
+    w = softmax(logw)
     vols = np.array([c.vol.value(t) for a in model.assets for c in a.components])
     s = vols[np.cumsum((0, *model.component_counts()[:-1])) + tuple_set.index_array]  # (K, n)
     return (w * s.T) @ s * model.corr.values

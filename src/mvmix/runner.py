@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import time
@@ -43,9 +42,10 @@ TABLE_COLUMNS = (
 def run_price(experiments: ExperimentConfig | Sequence[ExperimentConfig]) -> list[dict]:
     """Price every (strike, scheme) pair of one experiment or of a run of them.
 
-    Each ``montecarlo.SCHEMES`` entry is a pair ``(key, price_group)``.  For
-    each scheme, in first-use order, the run's experiments are grouped by
-    draw key and ``price_group`` prices each group once, off one draw,
+    Each ``montecarlo.SCHEMES`` entry is a pair ``(key, price)``.  For each
+    scheme, in first-use order, the run's experiments are grouped by draw
+    key; each group's distinct specs, in first-use order, are priced once by
+    ``price(exp, specs)`` off the draw of the group's first experiment,
     whatever the experiments' basket, strikes, direction or rate.  Rows come
     per experiment, then per scheme, then per strike; the first row of each
     (scheme, key) carries its group's wall time in ``wall_time_s``, every
@@ -55,13 +55,14 @@ def run_price(experiments: ExperimentConfig | Sequence[ExperimentConfig]) -> lis
         experiments = [experiments]
     priced, wall = {}, {}
     for scheme in dict.fromkeys(s for config in experiments for s in config.schemes):
-        key, price_group = montecarlo.SCHEMES[scheme]
+        key, price = montecarlo.SCHEMES[scheme]
         groups = {}
         for config in (c for c in experiments if scheme in c.schemes):
             groups.setdefault(key(config), []).append(config)
         for k, group in groups.items():
             start = time.perf_counter()
-            priced[scheme, k] = price_group(group)
+            specs = tuple(dict.fromkeys(c.spec(strike) for c in group for strike in c.strikes))
+            priced[scheme, k] = dict(zip(specs, price(group[0], specs)))
             wall[scheme, k] = time.perf_counter() - start
     rows = []
     for config in experiments:
@@ -180,7 +181,6 @@ def reproduce_tables(outdir, paths: int = 100_000) -> dict[str, list[dict]]:
     Every cell is priced, and refused if any price or error bar is not
     finite, before `outdir` is made, so a failed run writes no file.
     """
-    experiments = {table: benchmarks.table_configs(table, paths) for table in benchmarks.TABLES}
     results: dict[str, list[dict]] = {}
 
     param_rows = []
@@ -200,12 +200,10 @@ def reproduce_tables(outdir, paths: int = 100_000) -> dict[str, list[dict]]:
             )
     results["table1_parameters"] = param_rows
 
-    rows = run_price([config for configs in experiments.values() for config in configs])
-    _check_finite(rows)
-    cells = iter(rows)
-    for table, configs in experiments.items():
-        table_rows = itertools.islice(cells, sum(len(c.schemes) * len(c.strikes) for c in configs))
-        results[f"table{table}"] = _reference_annotated(list(table_rows), table)
+    for table in benchmarks.TABLES:  # no draw key spans two tables: each has its own seed
+        rows = run_price(benchmarks.table_configs(table, paths))
+        _check_finite(rows)
+        results[f"table{table}"] = _reference_annotated(rows, table)
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

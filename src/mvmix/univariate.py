@@ -4,9 +4,13 @@ The asset follows dS = mu*S dt + nu(t,S)*S dW where nu is chosen so that the
 marginal density of S(t) is, at every time, the fixed convex combination of
 the lognormal densities of N instrumental constant-vol processes.  Component
 k's law, log-mean ln S0 + mu t - V_k^2 / 2 and log-variance V_k^2 =
-int_0^t sigma_k^2, has one source, `AssetMixture.law(t)`, which every law
-here and every multivariate tuple reads.  The one log-Euler path driver is
-`montecarlo.simulate_scmd`, whose one-asset case is `montecarlo.simulate_md_euler`.
+int_0^t sigma_k^2, comes from `AssetMixture.law(t)`, which every law here
+and every multivariate tuple reads.  The one exception is `_nu2_schedule`,
+the Euler loop's nu^2 coefficients: it integrates sigma_k^2 per step through
+`VolCurve.integral_sq` and forms mu t - V_k^2 / 2 itself, measured from the
+spot, and reading `law(t)` there would move the Euler bits.  The one
+log-Euler path driver is `montecarlo.simulate_scmd`, whose one-asset case
+is `montecarlo.simulate_md_euler`.
 
 nu^2 = sum_k lambda_k sigma_k^2 p_k / sum_k lambda_k p_k is evaluated in
 quadratic form: each log(lambda_k p_k) is quadratic in log S with

@@ -299,14 +299,25 @@ def test_run_price_makes_one_kernel_pass_per_draw_key(monkeypatch):
 def test_equal_sampling_experiments_draw_one_sample(monkeypatch, scheme, sampler):
     from mvmix import montecarlo
 
-    draws = []
-    draw = getattr(montecarlo, sampler)
+    draws, estimates = [], []
+    draw, estimate = getattr(montecarlo, sampler), montecarlo.estimate
     monkeypatch.setattr(montecarlo, sampler, lambda *args: draws.append(args) or draw(*args))
+    monkeypatch.setattr(montecarlo, "estimate", lambda *args: estimates.append(args) or estimate(*args))
     cfg = dataclasses.replace(benchmark_config("vanilla", 0.6, 5, 2000, schemes=(scheme,)), steps=10)
     again = dataclasses.replace(cfg, name="again", direction="put", rate=0.03)
     rows = run_price([cfg, again])
     assert len(draws) == 1
+    assert len(estimates) == 6
     assert _priced(rows[3:]) == _priced(run_price(again))
+    # a repeated strike and an experiment with the first one's specs add no estimate
+    repeated = dataclasses.replace(cfg, strikes=(*cfg.strikes, cfg.strikes[0]))
+    twin = dataclasses.replace(cfg, name="twin")
+    draws.clear()
+    estimates.clear()
+    rows = run_price([repeated, twin])
+    assert len(draws) == 1
+    assert len(estimates) == 3
+    assert _priced(rows) == _priced(run_price(repeated) + run_price(twin))
     draws.clear()
     changed = [
         dataclasses.replace(cfg, **{field: value})
@@ -433,6 +444,29 @@ def test_reproduce_tables_rejects_zero_paths_before_writing(tmp_path, capsys):
     assert main(["reproduce-tables", "--out", str(out), "--paths", "0"]) == 1
     assert capsys.readouterr().err == "error: paths: must be >= 1, got 0\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,target",
+    [
+        ("price", "missing/x.csv"),  # a missing directory
+        ("tau", "."),  # a directory
+        ("reproduce-tables", "file"),  # an existing file where the output directory goes
+    ],
+)
+def test_cli_unwritable_output_names_the_path(tmp_path, capsys, command, target):
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps(BASE_DOC))
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / target)
+    if command == "reproduce-tables":
+        argv = [command, "--out", path, "--paths", "100"]
+    else:
+        argv = [command, "--config", str(config), "--out-path", path]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {path} (") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_cli_validation_exit_codes(tmp_path, capsys):
@@ -584,8 +618,8 @@ def test_reproduce_tables_with_a_non_finite_cell_writes_nothing(tmp_path, capsys
     from mvmix.pricing import PriceEstimate
 
     nan = PriceEstimate(float("nan"), 0.0, 1, "mvmd")
-    nan_group = lambda group: {e.spec(strike): nan for e in group for strike in e.strikes}
-    monkeypatch.setitem(montecarlo.SCHEMES, "mvmd-terminal", (montecarlo.SCHEMES["mvmd-terminal"][0], nan_group))
+    nan_price = lambda exp, specs: [nan] * len(specs)
+    monkeypatch.setitem(montecarlo.SCHEMES, "mvmd-terminal", (montecarlo.SCHEMES["mvmd-terminal"][0], nan_price))
     out = tmp_path / "out"
     assert main(["reproduce-tables", "--out", str(out), "--paths", "100"]) == 2
     assert capsys.readouterr().err.startswith("numerical failure: non-finite price")
