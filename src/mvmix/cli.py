@@ -22,7 +22,8 @@ import numpy as np
 from .benchmarks import TABLES, table_configs
 from .config import ConfigError, check_engine, load_config
 from .multivariate import SingularCovarianceError
-from .runner import _check_finite, reproduce_tables, rows_to_csv, rows_to_json, run_copula, run_price, run_tau
+from .runner import _check_finite, _check_writable, reproduce_tables, rows_to_csv, rows_to_json
+from .runner import run_copula, run_price, run_tau
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -83,6 +84,8 @@ def main(argv=None) -> int:
 
         if args.command == "copula" and args.grid < 1:
             raise ConfigError(f"--grid: must be >= 1, got {args.grid}")
+        if args.out_path:
+            _check_writable(Path(args.out_path))
         configs = _load(args)
         if args.command == "price":
             rows = run_price(configs)

@@ -171,9 +171,11 @@ class ExperimentConfig:
         raw_schemes = eblock.get("schemes", ["mvmd-terminal"])
         if not isinstance(raw_schemes, list):
             raise ConfigError(f"{ewhere}.schemes: expected a list of scheme names")
-        for s in raw_schemes:
+        for i, s in enumerate(raw_schemes):
             if not isinstance(s, str) or s not in SCHEMES:
                 raise ConfigError(f"{ewhere}.schemes: unknown scheme {s!r}")
+            if s in raw_schemes[:i]:  # run_price would price and report it twice
+                raise ConfigError(f"{ewhere}.schemes: duplicate scheme {s!r}")
         paths = check_engine("paths", _integer(eblock, "paths", 100_000, ewhere), f"{ewhere}.paths")
         steps = check_engine("steps", _integer(eblock, "steps", 360, ewhere), f"{ewhere}.steps")
         seed = check_engine("seed", _integer(eblock, "seed", 0, ewhere), f"{ewhere}.seed")

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 from scipy.stats import kendalltau, qmc, rankdata
 
-from .multivariate import MultiAssetModel, _component_columns, truncate, tuple_laws
+from .multivariate import MultiAssetModel, _check_correlation, _component_columns, truncate, tuple_laws
 from .univariate import inverse_cdf
 
 __all__ = [
@@ -170,10 +170,7 @@ def multivariate_normal_cdf(z, corr, full_output: bool = False) -> float | tuple
     n = z.shape[0]
     if m.shape != (n, n):
         raise ValueError("correlation matrix shape must match z")
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
-        raise ValueError("correlation matrix must be symmetric")
-    if not np.allclose(np.diag(m), 1.0, rtol=0.0, atol=1e-12):
-        raise ValueError("correlation matrix must have unit diagonal")
+    _check_correlation(m)
     return _mvn_cdf(z, m, full_output)
 
 

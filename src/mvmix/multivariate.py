@@ -92,6 +92,16 @@ def psd_factor(matrix: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
+def _check_correlation(m: np.ndarray) -> None:
+    """Refuse a non-finite entry, then an asymmetry or a diagonal entry off 1 beyond 1e-12 (absolute)."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError("correlations must be finite")
+    if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
+        raise ValueError("correlation matrix must be symmetric")
+    if not np.allclose(np.diag(m), 1.0, rtol=0.0, atol=1e-12):
+        raise ValueError("correlation matrix must have unit diagonal")
+
+
 class CorrelationMatrix:
     """Validated instantaneous correlation matrix R, stored symmetric with an exact unit diagonal."""
 
@@ -99,10 +109,7 @@ class CorrelationMatrix:
         m = np.array(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("correlation matrix must be square")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
-            raise ValueError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(m), 1.0, rtol=0.0, atol=1e-12):
-            raise ValueError("correlation matrix must have unit diagonal")
+        _check_correlation(m)
         if np.any(np.abs(m) > 1.0 + 1e-12):
             raise ValueError("correlations must lie in [-1, 1]")
         m = 0.5 * (m + m.T)

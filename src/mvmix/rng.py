@@ -7,17 +7,14 @@ in which order blocks complete.  Workers only change scheduling; output
 arrays are filled positionally.
 
 With w > 1 workers, `run_blocks` runs the blocks on the calling thread and
-w - 1 helper threads, all taking blocks from one shared cursor.  The helper
-threads belong to one process-wide pool that is started on first use,
-grows to the largest helper count asked for and is reused by every later
-call; a child made by `os.fork` starts with no pool.
+up to w - 1 helper threads of its own, all taking blocks from one shared
+cursor; it joins its helpers before it returns, so no state outlives a call.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -84,11 +81,9 @@ def run_blocks(
 
     fn must write only to its own [start, stop) slice of any shared output.
     With more than one worker the caller takes blocks from a shared cursor
-    beside up to workers - 1 reused helper threads.  Once the cursor is empty
-    the caller withdraws the helper requests no thread has picked up yet and
-    waits only for the helpers already running, so a block may itself call
-    run_blocks.  The first error a block raises stops the hand-out of further
-    blocks and is re-raised here.
+    beside up to workers - 1 helper threads that this call starts and joins,
+    so a block may itself call run_blocks.  The first error a block raises
+    stops the hand-out of further blocks and is re-raised here.
     """
     nworkers = worker_count(workers)
     if nworkers == 1 or len(blocks) == 1:
@@ -112,38 +107,14 @@ def run_blocks(
                     errors.append(exc)
                 return
 
-    requests = _request_helpers(min(nworkers, len(blocks)) - 1, drain)
-    drain()
-    # Wait only for the requests a helper has taken (cancel() fails for those): wait() would
-    # also block on a cancelled one until a helper dequeued it, and with every helper inside
-    # a block that itself calls run_blocks, none would.
-    wait([request for request in requests if not request.cancel()])
+    helpers = [threading.Thread(target=drain, name="mvmix-block") for _ in range(min(nworkers, len(blocks)) - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        drain()
+    finally:  # a helper that could not start was never alive
+        for helper in helpers:
+            if helper.is_alive():
+                helper.join()
     if errors:
         raise errors[0]
-
-
-# The helper pool every call shares, and the thread count it was made with.
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
-_pool_lock = threading.Lock()
-
-
-def _request_helpers(count: int, drain: Callable[[], None]) -> list[Future]:
-    """Submit `count` runs of drain to the helper pool, first growing it to `count` threads."""
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool_size < count:
-            if _pool is not None:
-                _pool.shutdown(wait=False)  # its threads finish what they have taken, then exit
-            _pool, _pool_size = ThreadPoolExecutor(count, thread_name_prefix="mvmix-block"), count
-        return [_pool.submit(drain) for _ in range(count)]
-
-
-def _forget_helpers() -> None:
-    """In a forked child: the parent's helper threads do not exist here."""
-    global _pool, _pool_size, _pool_lock
-    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)

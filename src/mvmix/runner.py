@@ -10,9 +10,11 @@ variable (`rng.worker_count`), and the output is the same for any value.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
+import os
 import time
 from pathlib import Path
 from typing import Sequence
@@ -87,12 +89,12 @@ def run_price(experiments: ExperimentConfig | Sequence[ExperimentConfig]) -> lis
 
 
 def run_tau(config: ExperimentConfig) -> list[dict]:
-    """Kendall tau rows of assets 1 and 2: closed form plus empirical estimates per scheme."""
+    """Kendall tau rows of assets 1 and 2 over the whole mixture (no kappa): closed form, then empirical per scheme."""
     t = config.maturity
     rows = [{"method": "mvmd-closed-form", "tau": dependence.kendall_tau_mvmd(config.model, t), "paths": 0, "note": ""}]
     sim = montecarlo.SimulationConfig(config.paths, config.steps, t, config.seed)
     for sample in (
-        montecarlo.sample_mvmd_terminal(config.model, t, config.paths, config.seed, config.kappa),
+        montecarlo.sample_mvmd_terminal(config.model, t, config.paths, config.seed),
         montecarlo.simulate_scmd(config.model, sim),
     ):
         tau = dependence.kendall_tau_empirical(sample.values[:, 0], sample.values[:, 1])
@@ -171,6 +173,19 @@ def _reference_annotated(rows: list[dict], table: int) -> list[dict]:
     return out
 
 
+def _check_writable(path: Path, directory: bool = False) -> None:
+    """Raise, before any pricing, the OSError that writing file `path` (or making directory `path`) would raise."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if existing == path:
+        code = 0 if existing.is_dir() == directory else errno.EEXIST if directory else errno.EISDIR
+    elif not existing.is_dir():
+        code = errno.ENOTDIR
+    else:  # mkdir makes the missing directories; a file write makes none
+        code = 0 if directory or existing == path.parent else errno.ENOENT
+    if code:
+        raise OSError(code, os.strerror(code), str(path))
+
+
 def reproduce_tables(outdir, paths: int = 100_000) -> dict[str, list[dict]]:
     """Run every benchmark table and write its CSV into `outdir`.
 
@@ -178,9 +193,11 @@ def reproduce_tables(outdir, paths: int = 100_000) -> dict[str, list[dict]]:
     per cell, z_score = |price - ref| / ref_se) plus table1_parameters.csv
     echoing the model parameters.  Seeds are the documented constants
     benchmarks.SEED_BASE + table number; reruns produce byte-identical files.
-    Every cell is priced, and refused if any price or error bar is not
-    finite, before `outdir` is made, so a failed run writes no file.
+    An `outdir` that cannot be made is refused before any pricing, and a
+    non-finite price or error bar before `outdir` is made: a failed run writes no file.
     """
+    outdir = Path(outdir)
+    _check_writable(outdir, directory=True)
     results: dict[str, list[dict]] = {}
 
     param_rows = []
@@ -205,7 +222,6 @@ def reproduce_tables(outdir, paths: int = 100_000) -> dict[str, list[dict]]:
         _check_finite(rows)
         results[f"table{table}"] = _reference_annotated(rows, table)
 
-    outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "table1_parameters.csv").write_text(rows_to_csv(param_rows))
     for table in benchmarks.TABLES:

@@ -96,6 +96,10 @@ def test_invalid_values_name_the_key():
         ExperimentConfig.from_dict(doc_with(("product", "strikes"), []))
     with pytest.raises(ConfigError, match="schemes"):
         ExperimentConfig.from_dict(doc_with(("engine", "schemes"), ["exact"]))
+    twice = doc_with(("engine", "schemes"), ["mvmd-terminal", "scmd-euler", "mvmd-terminal"])
+    with pytest.raises(ConfigError) as refused:
+        load_config(twice)  # from_dict, named as the first experiment of a config
+    assert str(refused.value) == "config[0].engine.schemes: duplicate scheme 'mvmd-terminal'"
     with pytest.raises(ConfigError, match="kappa"):
         ExperimentConfig.from_dict(doc_with(("engine", "kappa"), 1.5))
     with pytest.raises(ConfigError, match="direction"):
@@ -452,12 +456,23 @@ def test_reproduce_tables_rejects_zero_paths_before_writing(tmp_path, capsys):
         ("price", "missing/x.csv"),  # a missing directory
         ("tau", "."),  # a directory
         ("reproduce-tables", "file"),  # an existing file where the output directory goes
+        ("reproduce-tables", "file/sub"),  # a file on the way to the output directory
     ],
 )
-def test_cli_unwritable_output_names_the_path(tmp_path, capsys, command, target):
+def test_cli_unwritable_output_names_the_path(tmp_path, capsys, monkeypatch, command, target):
+    import mvmix.cli as cli
+    import mvmix.runner as runner
+
+    def priced(*args, **kwargs):
+        pytest.fail("priced before the output was checked")
+
+    for module in (cli, runner):
+        monkeypatch.setattr(module, "run_price", priced)
+    monkeypatch.setattr(cli, "run_tau", priced)
     config = tmp_path / "toy.json"
     config.write_text(json.dumps(BASE_DOC))
     (tmp_path / "file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
     path = str(tmp_path / target)
     if command == "reproduce-tables":
         argv = [command, "--out", path, "--paths", "100"]
@@ -467,6 +482,7 @@ def test_cli_unwritable_output_names_the_path(tmp_path, capsys, command, target)
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write {path} (") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_cli_validation_exit_codes(tmp_path, capsys):
@@ -562,6 +578,12 @@ def test_cli_output_is_the_same_at_one_and_three_workers(tmp_path, capsys, monke
             rows = [row[:wall] + row[wall + 1 :] for row in rows]
         outputs.append(rows)
     assert len(outputs[0]) == 4 and outputs[0] == outputs[1]  # a header and three rows
+
+
+def test_run_tau_reads_the_whole_mixture_at_any_kappa():
+    # at kappa = 0.3 one tuple of table 2's vanilla survives, whose tau is (2/pi) asin(0.6) = 0.4097
+    whole = dataclasses.replace(benchmark_config("vanilla", 0.6, 5, 20_000), steps=12)
+    assert run_tau(dataclasses.replace(whole, kappa=0.3)) == run_tau(whole)
 
 
 def test_run_tau_degenerate_config_matches_arcsine():

@@ -199,6 +199,10 @@ def test_mvn_rejects_invalid_correlation_argument():
         multivariate_normal_cdf([0.1, 0.2, np.inf], [[1.0, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.4, 1.0]])
     with pytest.raises(ValueError, match="unit diagonal"):
         multivariate_normal_cdf([0.1, 0.2, np.inf], [[1.0, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 1.5]])
+    with pytest.raises(ValueError, match="finite"):
+        multivariate_normal_cdf([0.1, 0.2], [[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        multivariate_normal_cdf([0.1, 0.2, 0.3], [[1.0, 0.3, 0.2], [0.3, np.nan, 0.1], [0.2, 0.1, 1.0]])
 
 
 def test_mvn_trivariate_against_mc_oracle():

@@ -57,6 +57,9 @@ def test_correlation_matrix_validation():
         ([[0.99999, 0.5], [0.5, 1.0]], "unit diagonal"),
         ([[1.0, 0.5], [0.500004, 1.0]], "symmetric"),
         ([[0.99999, 0.5], [0.500004, 1.0]], "symmetric"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
+        ([[np.nan, 0.5], [0.5, 1.0]], "finite"),
+        ([[1.0, 0.2, 0.1], [0.2, np.nan, 0.3], [0.1, 0.3, 1.0]], "finite"),
     ],
 )
 def test_correlation_matrix_tolerance_is_absolute(entries, message):

@@ -1,6 +1,7 @@
-"""The block scheduler: positional output, errors, nesting, thread reuse and fork; integer stream keys and path counts."""
+"""The block scheduler: positional output, errors, nesting, per-call helper threads and fork; integer stream keys and path counts."""
 
 import multiprocessing
+import sys
 import threading
 import time
 
@@ -94,9 +95,7 @@ def test_error_on_a_helper_propagates(workers):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_a_block_may_call_run_blocks(workers, monkeypatch):
-    monkeypatch.setattr(rng, "_pool", None)  # a pool of exactly workers - 1 helpers, all of them busy below
-    monkeypatch.setattr(rng, "_pool_size", 0)
+def test_a_block_may_call_run_blocks(workers):
     inner, together = np.zeros((6, 7 * 5)), threading.Barrier(workers)
 
     def outer(b, start, stop):
@@ -108,13 +107,51 @@ def test_a_block_may_call_run_blocks(workers, monkeypatch):
     assert all(np.array_equal(row, expected) for row in inner)
 
 
-def test_repeated_calls_reuse_their_helper_threads():
-    baseline = threading.active_count()
-    out = np.zeros(7 * 6)
-    for workers in (2, 3):
-        for _ in range(50):
-            run_blocks(_fill(out), _blocks(6), workers)
-    assert threading.active_count() <= baseline + 2
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_every_call_joins_the_helpers_it_started(workers):
+    caller, helper_failed, seen = [], threading.Event(), []
+
+    def record(b, start, stop):
+        seen.append((b, threading.active_count()))
+
+    def caller_raises(b, start, stop):
+        if threading.current_thread() is caller[0]:
+            raise RuntimeError("caller block")
+        time.sleep(0.001)
+
+    def helper_raises(b, start, stop):
+        if threading.current_thread() is caller[0]:
+            helper_failed.wait(30.0)  # hold the caller until a helper has taken a block
+        else:
+            helper_failed.set()
+            raise KeyError("helper block")
+
+    def nested(b, start, stop):
+        run_blocks(record, _blocks(4), workers)
+
+    def calls():
+        caller.append(threading.current_thread())
+        for count in [1, 2, 3, 7] * 25:
+            baseline, seen[:] = threading.active_count(), []
+            run_blocks(record, _blocks(count), workers)
+            assert sorted(b for b, _ in seen) == list(range(count))  # each block handed out once
+            assert max(active for _, active in seen) <= baseline + min(workers, count) - 1
+            assert threading.active_count() == baseline
+        for fn, error in [(caller_raises, RuntimeError), (helper_raises, KeyError), (nested, None)]:
+            baseline = threading.active_count()
+            if error is None:
+                run_blocks(fn, _blocks(6), workers)
+            else:
+                with pytest.raises(error):
+                    run_blocks(fn, _blocks(8), workers)
+            assert threading.active_count() == baseline
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a race in the hand-out shows
+    try:
+        _in_thread(calls)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _scmd_child(conn, model, config):

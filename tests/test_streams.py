@@ -25,11 +25,12 @@ from mvmix import (
 )
 from mvmix.benchmarks import RATE, benchmark_model, benchmark_spec
 from mvmix.pricing import greeks_mvmd, price_mvmd_mc
-from mvmix.rng import substream
+from mvmix.rng import BLOCK_SIZE, substream
 
 from conftest import make_model, one_tuple_price
 
 PATHS = 20_000  # two path blocks, the second one partial
+THREE_BLOCKS = 2 * BLOCK_SIZE + 1  # the last block holds one path, so 3 workers start two helpers
 STEPS = 30
 WIDE_KAPPA = 1e-3  # keeps 314 of the 729 tuples of the n=6 wide basket
 
@@ -79,6 +80,9 @@ def _samplers():
         spec, indices = SPECS[name]
         out[f"price-mvmd-{name}"] = lambda m=model, s=spec: _estimate(price_mvmd_mc(m, s, paths=PATHS, seed=16))
         out[f"price-component-{name}"] = lambda m=model, s=spec, k=indices: np.array(one_tuple_price(m, k, s, PATHS, 17))
+    spread, spread_spec = _models()["spread"], SPECS["spread"][0]
+    out["price-mvmd-spread-3blocks"] = lambda: _estimate(price_mvmd_mc(spread, spread_spec, paths=THREE_BLOCKS, seed=16))
+    out["scmd-spread-3blocks"] = lambda: simulate_scmd(spread, SimulationConfig(THREE_BLOCKS, STEPS, 1.0, 14)).values
     wide = _wide_model()
     out["mvmd-wide"] = lambda: sample_mvmd_terminal(wide, 1.0, PATHS, 20, kappa=WIDE_KAPPA).values
     # 20,000 paths end in a 3,616-path block and 16,385 in a 1-path block.
@@ -138,6 +142,8 @@ SAMPLERS = _samplers() | _greek_pins()
 # greeks-geometric was re-pinned when the geometric Greeks came to shift each
 # tuple's log-mean of the average by g . log(S'/S) instead of rebuilding the
 # bumped models' log-means, which moves them at the rounding level.
+# The *-3blocks entries were computed while run_blocks' helpers lived in one
+# process-wide pool, before each call came to start and join its own.
 EXPECTED = {
     "greeks-geometric": "a2eb557d814d39ed96b3181b19e9118a265b05db4f4f9db36288e19a08daf5b6",
     "greeks-geometric-put-three": "6af031777b22a5f7eded454148b494aac8ff94739d11ae71e4e1a7eebe75ebfd",
@@ -151,6 +157,7 @@ EXPECTED = {
     "price-component-spread": "a3379e3e8d4184b42e0d8b555e890816de1a3d6116b668b1c9648dbd2257f42b",
     "price-component-three": "abe34ca78e55bf1971727c26abd9d68b788c994b28dee3de5a0e839b36deac59",
     "price-mvmd-spread": "1c52eb726d69f805da153b921d15c29d417634c90b05b420eaa3ff144800c811",
+    "price-mvmd-spread-3blocks": "fb523979d0eeeece7d4016b9a737661d05243da29011948ac125d99aa433cbcd",
     "price-mvmd-three": "adcaadb893fb0d9e1a45b84ffaf7889aaebc2a841130bffb605fdf0ab9ad5a26",
     "mvmd-kappa-spread": "f25247b29fde50471077fe5fb907d18a2718dd8aa895e3dbb74eddf9d4c90a0d",
     "mvmd-kappa-three": "7c365a276bda59dbbd295392d4f1d23346242c4f315784a106b3718d9d8e1d14",
@@ -162,6 +169,7 @@ EXPECTED = {
     "price-mvmd-wide-geometric-16385": "eda72f2bf39d0a2819ba38e1adf2dddfca1771a594e14493ab35f15bca85aeab",
     "price-mvmd-wide-geometric-20000": "fdf71ad5ff67f46af58e36c8ff81550cb98361e91f5e5e2657e66e58e541826f",
     "scmd-spread": "8f35c992ee4062b28adce8b83fa486e8d26c25b6d7d37adb001145f2ef76683a",
+    "scmd-spread-3blocks": "d67559af9945e920bb92e4f47cb8df7953b94b5c41ea46b7b63bf8e2fcc4c9fb",
     "scmd-three": "c31e3f3d850fa076fedd227fc1c95d610b76f21cf8fee941a1ec951237c938b9",
 }
 
