@@ -171,11 +171,14 @@ def multivariate_normal_cdf(z, corr, full_output: bool = False) -> float | tuple
     if m.shape != (n, n):
         raise ValueError("correlation matrix shape must match z")
     _check_correlation(m)
-    return _mvn_cdf(z, m, full_output)
+    try:
+        return _mvn_cdf(z, m, full_output)
+    except np.linalg.LinAlgError:
+        raise ValueError("correlation matrix must be positive definite for n >= 3") from None
 
 
 def _mvn_cdf(z: np.ndarray, m: np.ndarray, full_output: bool) -> float | tuple[float, float]:
-    """`multivariate_normal_cdf` without its matrix checks: m is symmetric with a unit diagonal."""
+    """`multivariate_normal_cdf` without its matrix checks (m: symmetric, unit diagonal); a singular m raises LinAlgError."""
     n = z.shape[0]
     if n > 6:
         raise ValueError("dimensions above 6 are not supported")
@@ -200,10 +203,7 @@ def _mvn_cdf(z: np.ndarray, m: np.ndarray, full_output: bool) -> float | tuple[f
     order = np.argsort(z)
     z = z[order]
     m = m[np.ix_(order, order)]
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise ValueError("correlation matrix must be positive definite for n >= 3") from None
+    chol = np.linalg.cholesky(m)
     if n == 3:
         value, err = _trivariate_normal_cdf(z, m)
         value = float(min(max(value, 0.0), 1.0))
@@ -344,12 +344,11 @@ def _copula_values(model: MultiAssetModel, t: float, points: np.ndarray, kappa: 
         for row, k in np.ndindex(values.shape):
             try:  # tuple_laws builds symmetric covariances, so corrs pass the public checks by construction
                 values[row, k] = _mvn_cdf(z[row, k], corrs[k], False)
-            except ValueError as err:
-                if "positive definite" not in str(err):
-                    raise
+            except np.linalg.LinAlgError:
                 tup, corr = tuples.index_array[k].tolist(), corrs[k].round(12).tolist()
                 raise ValueError(f"n >= 3 copula: tuple {tup} has the singular correlation {corr}") from None
-    out[live] = [min(max(tuples.weight_array @ row, 0.0), 1.0) for row in values]
+    lower, upper = np.maximum(u.sum(axis=1) - (model.n - 1), 0.0), u.min(axis=1)  # Frechet-Hoeffding bounds
+    out[live] = [min(max(tuples.weight_array @ row, lo), hi) for row, lo, hi in zip(values, lower, upper)]
     return out
 
 
@@ -359,8 +358,9 @@ def copula_value(model: MultiAssetModel, t: float, u, kappa: float = 0.0) -> flo
     Weighted combination over component tuples of the standardized normal
     CDF with that tuple's log-space correlation matrix, evaluated at the
     component-standardized mixture quantiles.  Coordinates at 1 marginalize
-    out; any coordinate at 0 gives 0.  A tuple whose correlation is singular
-    on three or more coordinates below 1 is refused.
+    out; any coordinate at 0 gives 0.  The value lies in the Frechet-Hoeffding
+    bounds [max(sum u - (n - 1), 0), min u].  A tuple whose correlation is
+    singular on three or more coordinates below 1 is refused.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape[0] != model.n:

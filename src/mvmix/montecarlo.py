@@ -20,11 +20,10 @@ Two ways to reach the maturity-T joint law:
 ``(key, price)``: ``key(exp)`` is the experiment's draw key, and
 ``price(exp, specs)`` prices the given basket specs off the one draw of
 ``exp``'s key (for the mixture, in one kernel pass), one estimate per spec.
-The scheme pricers take no worker count: their draws read it from the
-MVMIX_WORKERS environment variable, while the library samplers and
-pricers also take ``workers=``.  All samplers consume randomness through
-fixed-size path blocks keyed by (seed, block), so results are
-byte-identical for any worker count.
+Samplers and pricers read their worker count from the MVMIX_WORKERS
+environment variable; only ``simulate_scmd`` also takes ``workers=``.  All
+samplers consume randomness through fixed-size path blocks keyed by
+(seed, block), so results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -120,14 +119,13 @@ def simulate_md_euler(
     steps: int,
     paths: int,
     seed: int,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Terminal samples of one asset's mixture dynamics: the one-asset `simulate_scmd`."""
     config = SimulationConfig(paths, steps, maturity, seed)
-    return simulate_scmd(MultiAssetModel((asset,), [[1.0]]), config, workers).values[:, 0]
+    return simulate_scmd(MultiAssetModel((asset,), [[1.0]]), config).values[:, 0]
 
 
-def _terminal_sample(model: MultiAssetModel, pick, maturity: float, paths: int, seed: int, workers: int | None) -> np.ndarray:
+def _terminal_sample(model: MultiAssetModel, pick, maturity: float, paths: int, seed: int) -> np.ndarray:
     """Single-step terminal draw: pick a component per asset and path, then read its column.
 
     `pick(gen, m)` draws the block's selection uniforms and returns the
@@ -146,7 +144,7 @@ def _terminal_sample(model: MultiAssetModel, pick, maturity: float, paths: int, 
         x = _column_log_prices(model, loadings, means, z, np.empty((len(means), m)))
         np.exp(np.take(x, picked * m + np.arange(m)[:, None]), out=out[start:stop])
 
-    run_blocks(run_block, path_blocks(paths), workers)
+    run_blocks(run_block, path_blocks(paths))
     return out
 
 
@@ -156,7 +154,6 @@ def sample_mvmd_terminal(
     paths: int,
     seed: int,
     kappa: float = 0.0,
-    workers: int | None = None,
 ) -> TerminalSample:
     """Exact draw from the mixture dynamics' terminal law at maturity.
 
@@ -171,7 +168,7 @@ def sample_mvmd_terminal(
     def pick(gen: np.random.Generator, m: int) -> np.ndarray:
         return np.take(indices, np.searchsorted(cum, gen.random(m), side="right"), axis=0)
 
-    sample = _terminal_sample(model, pick, maturity, paths, seed, workers)
+    sample = _terminal_sample(model, pick, maturity, paths, seed)
     return TerminalSample(sample, "mvmd-terminal", seed)
 
 
@@ -180,7 +177,6 @@ def sample_muvm_terminal(
     maturity: float,
     paths: int,
     seed: int,
-    workers: int | None = None,
 ) -> TerminalSample:
     """Terminal draw under the uncertain-volatility reading of the mixture.
 
@@ -199,7 +195,7 @@ def sample_muvm_terminal(
         u = gen.random((m, model.n))
         return np.column_stack([np.searchsorted(c, u[:, i], side="right") for i, c in enumerate(cums)])
 
-    sample = _terminal_sample(model, pick, maturity, paths, seed, workers)
+    sample = _terminal_sample(model, pick, maturity, paths, seed)
     return TerminalSample(sample, "muvm-terminal", seed)
 
 

@@ -115,7 +115,7 @@ class PriceEstimate:
 
 
 def _direction(omega: int) -> None:
-    if omega not in (1, -1):
+    if isinstance(omega, (bool, np.bool_)) or omega not in (1, -1):
         raise ValueError(f"omega must be +1 (call) or -1 (put), got {omega!r}")
 
 
@@ -261,7 +261,6 @@ def _tuple_mc_prices(
     specs: tuple[BasketSpec, ...],
     paths: int,
     seed: int,
-    workers: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-step Monte Carlo mixture prices of every spec on one draw.
 
@@ -362,7 +361,7 @@ def _tuple_mc_prices(
                             combined[j] += term
             comb_sq[:, b] += np.square(combined, out=combined).sum(axis=1)  # one pairwise sum per spec
 
-    run_blocks(run_block, path_blocks(paths), workers)
+    run_blocks(run_block, path_blocks(paths))
     price, se = np.empty(len(specs)), np.zeros(len(specs))
     for j, s in enumerate(specs):
         disc = np.exp(-s.rate * t)
@@ -380,10 +379,9 @@ def _mvmd_estimates(
     kappa: float,
     paths: int,
     seed: int,
-    workers: int | None = None,
 ) -> list[PriceEstimate]:
     """`price_mvmd_mc` of every spec, all priced from the same draws."""
-    price, se = _tuple_mc_prices(model, truncate(model, kappa), specs, paths, seed, workers)
+    price, se = _tuple_mc_prices(model, truncate(model, kappa), specs, paths, seed)
     return [PriceEstimate(float(p), float(e), paths, "mvmd-semianalytic") for p, e in zip(price, se)]
 
 
@@ -393,7 +391,6 @@ def price_mvmd_mc(
     kappa: float = 0.0,
     paths: int = 1_000_000,
     seed: int = 0,
-    workers: int | None = None,
 ) -> PriceEstimate:
     """Semi-analytic mixture price: convex combination of tuple MC prices.
 
@@ -405,7 +402,7 @@ def price_mvmd_mc(
     quadrature rule sqrt(sum w^2 se^2) over the per-tuple errors is exact
     only for independent streams and misstates the error here.
     """
-    return _mvmd_estimates(model, (spec,), kappa, paths, seed, workers)[0]
+    return _mvmd_estimates(model, (spec,), kappa, paths, seed)[0]
 
 
 def greeks_mvmd(
@@ -415,7 +412,6 @@ def greeks_mvmd(
     kappa: float = 0.0,
     paths: int = 1_000_000,
     seed: int = 0,
-    workers: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Delta vector and gamma matrix by central differences on the spots.
 
@@ -450,7 +446,7 @@ def greeks_mvmd(
     else:
         w = np.asarray(spec.weights)
         specs = tuple(replace(spec, weights=tuple(w * r)) for r in ratios)
-        values = _tuple_mc_prices(model, tuple_set, specs, paths, seed, workers)[0]
+        values = _tuple_mc_prices(model, tuple_set, specs, paths, seed)[0]
     base, up, down = values[0], values[1 : 2 * n + 1 : 2], values[2 : 2 * n + 1 : 2]
     cross = iter(values[2 * n + 1 :].reshape(-1, 4))
     delta = (up - down) / (2.0 * bumps)

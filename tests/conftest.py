@@ -17,7 +17,7 @@ def make_model(spots, drifts, weights, vols, rho):
 def one_tuple_price(model, indices, spec, paths, seed):
     """Price and standard error of the mixture kernel on the law of one tuple (a one-tuple `TupleSet`)."""
     single = TupleSet(model, [indices], (1.0,))
-    price, se = _tuple_mc_prices(model, single, (spec,), paths, seed, None)
+    price, se = _tuple_mc_prices(model, single, (spec,), paths, seed)
     return float(price[0]), float(se[0])
 
 

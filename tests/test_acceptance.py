@@ -217,19 +217,20 @@ def test_criterion_7_truncation_convergence():
 
 def test_criterion_8_determinism(tmp_path, tables_one_worker, monkeypatch):
     model = benchmark_model("vanilla", 0.6)
-    a = sample_mvmd_terminal(model, MATURITY, 10_000, seed=808)
-    b = sample_mvmd_terminal(model, MATURITY, 10_000, seed=808, workers=3)
-    assert np.array_equal(a.values, b.values)
-    c = sample_muvm_terminal(model, MATURITY, 10_000, seed=808)
-    d = sample_muvm_terminal(model, MATURITY, 10_000, seed=808, workers=3)
-    assert np.array_equal(c.values, d.values)
     cfg = SimulationConfig(10_000, 60, MATURITY, 808)
+    monkeypatch.setenv("MVMIX_WORKERS", "1")
+    a = sample_mvmd_terminal(model, MATURITY, 10_000, seed=808)
+    c = sample_muvm_terminal(model, MATURITY, 10_000, seed=808)
     e = simulate_scmd(model, cfg)
+    monkeypatch.setenv("MVMIX_WORKERS", "3")
+    b = sample_mvmd_terminal(model, MATURITY, 10_000, seed=808)
+    assert np.array_equal(a.values, b.values)
+    d = sample_muvm_terminal(model, MATURITY, 10_000, seed=808)
+    assert np.array_equal(c.values, d.values)
     f = simulate_scmd(model, cfg, workers=3)
     assert np.array_equal(e.values, f.values)
 
     one = tables_one_worker[0]
-    monkeypatch.setenv("MVMIX_WORKERS", "3")
     reproduce_tables(tmp_path / "two", paths=PATHS)
     for i in [1, 2, 3, 4, 5, 6]:
         name = "table1_parameters.csv" if i == 1 else f"table{i}.csv"

@@ -252,7 +252,7 @@ def test_run_price_strikes_share_one_draw(workers, monkeypatch):
     rows = run_price(cfg)
     assert [r["strike"] for r in rows] == list(cfg.strikes)
     for row in rows:
-        est = price_mvmd_mc(cfg.model, cfg.spec(row["strike"]), cfg.kappa, cfg.paths, cfg.seed, workers)
+        est = price_mvmd_mc(cfg.model, cfg.spec(row["strike"]), cfg.kappa, cfg.paths, cfg.seed)
         assert (row["price"], row["std_error"], row["paths"]) == (est.price, est.std_error, est.samples)
 
 

@@ -23,7 +23,7 @@ from mvmix import (
     sample_mvmd_terminal,
     truncate,
 )
-from mvmix.benchmarks import table_configs
+from mvmix.benchmarks import benchmark_model, table_configs
 from mvmix.cli import main
 from mvmix.dependence import _copula_values, _tie_pairs
 from mvmix.runner import run_copula
@@ -400,6 +400,13 @@ def test_copula_frechet_bounds_and_monotone(vanilla_model):
     assert np.all(np.diff(values, axis=1) >= -1e-12)
 
 
+@pytest.mark.parametrize("rho, u", [(1.0, [0.75, 0.5]), (0.6, [1.0 - 2.0**-53, 0.5])])
+def test_copula_keeps_the_frechet_bounds_to_the_last_bit(rho, u):
+    # the tuple CDFs' weighted sum rounds past min u here, to 0.5000000000000002 and 0.5000000000000001
+    value = copula_value(benchmark_model("vanilla", rho), 1.0, u)
+    assert max(sum(u) - 1.0, 0.0) <= value <= min(u)
+
+
 def test_copula_drift_invariance(vanilla_model):
     shifted = make_model(
         (1.0, 1.0), (0.12, 0.12), ((0.6, 0.4), (0.7, 0.3)), ((0.3, 0.2), (0.25, 0.35)), 0.6
@@ -570,6 +577,9 @@ def test_tie_pairs_match_a_unique_count(values):
 # A change to a pin is a change to the numbers the analytics return.  tau-tables
 # was re-pinned when the closed-form tau moved onto tuple_laws: three of its
 # seven values moved by 1.1e-16 (test_tau_and_copula_match_per_pair_loops).
+# copula-values was re-pinned when copula values were clipped to the
+# Frechet-Hoeffding bounds in place of [0, 1]: six of its 63 values, all at
+# rho = 1, moved by at most 2.2e-16 onto a bound.
 PIN_TABLES = (2, 3, 4, 5, 6)
 PIN_MVN3_PANEL = (
     ((0.0, 0.0, 0.0), ((1.0, 0.2, 0.2), (0.2, 1.0, 0.2), (0.2, 0.2, 1.0))),
@@ -584,7 +594,7 @@ DEPENDENCE_PINS = {
     "copula-csv-table4": "a62e18ec5ccdb6e0433d36c5b548649adb171446fe4dc53e5a1568b236808059",
     "copula-csv-table5": "4172238f7b602fef840f0e0e85f6c66441315c32243a60e2d485bf779cdf5c9e",
     "copula-csv-table6": "535165aec5b3243534910a0404702a32a4def1f138b55933af8c2818042de34b",
-    "copula-values": "b32ac9eb767d3924830a6140640e8952ee8edaced31f5b3a4a15d40afe36a538",
+    "copula-values": "19319469ee803310b73fd6bc440f27cf3d62be0993e6d49c8fdbbcad00517ea4",
     "tau-tables": "908f9c4c011ffe607394fab23f5505b812488816c827a5cf8b247e24a93cdf72",
     "mvn3-panel": "9e7e82565d7ebb82bd796595132e19e24b22c8a8ea3e97652b6e62ee6da07a80",
     "bvn-scalar": "cf496384c97e40433a4245c0da438bba8a2dd3933497c7ad95b4c9975b73b00a",

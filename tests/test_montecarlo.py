@@ -99,9 +99,11 @@ def test_scmd_deterministic_across_workers(vanilla_model):
     assert a.scheme == "scmd-euler" and a.seed == 31
 
 
-def test_mvmd_terminal_marginals_and_determinism(vanilla_model):
+def test_mvmd_terminal_marginals_and_determinism(vanilla_model, monkeypatch):
+    monkeypatch.setenv("MVMIX_WORKERS", "1")
     s1 = sample_mvmd_terminal(vanilla_model, 1.0, 100_000, seed=37)
-    s2 = sample_mvmd_terminal(vanilla_model, 1.0, 100_000, seed=37, workers=4)
+    monkeypatch.setenv("MVMIX_WORKERS", "4")
+    s2 = sample_mvmd_terminal(vanilla_model, 1.0, 100_000, seed=37)
     assert np.array_equal(s1.values, s2.values)
     for i, asset in enumerate(vanilla_model.assets):
         res = kstest(s1.values[:, i], lambda x: mixture_cdf(asset, 1.0, x))

@@ -103,8 +103,10 @@ def test_pair_closed_forms_reject_a_negative_or_non_finite_maturity(maturity):
         geometric_pair_k0(1.0, 1.0, 0.2, 0.3, 0.5, 1.0, 1.0, 0.05, maturity)
 
 
-@pytest.mark.parametrize("omega", [0, 2, 3, -2, 0.5])
+@pytest.mark.parametrize("omega", [0, 2, 3, -2, 0.5, True, np.True_])
 def test_closed_forms_take_only_a_call_or_a_put(omega):
+    with pytest.raises(ValueError, match=rf"omega must be \+1 \(call\) or -1 \(put\), got {omega!r}"):
+        BasketSpec((1, 1), "arithmetic", 1.0, 1.0, omega)  # True == 1, but a bool is not a direction
     with pytest.raises(ValueError, match=r"omega must be \+1 \(call\) or -1 \(put\)"):
         black_scholes(1.0, 1.0, 0.2, 0.05, 1.0, omega=omega)
     with pytest.raises(ValueError, match=r"omega must be \+1 \(call\) or -1 \(put\)"):
@@ -298,34 +300,38 @@ def test_each_tuple_prices_as_in_its_own_pass(paths):
     for k, row in enumerate(kept.index_array):
         # A one-hot weight reads tuple k's price exactly out of the 23-tuple pass.
         one_hot = TupleSet(model, kept.index_array, np.eye(len(kept))[k])
-        in_pass, _ = pricing._tuple_mc_prices(model, one_hot, specs, paths, 3, 1)
-        alone, _ = pricing._tuple_mc_prices(model, TupleSet(model, [row], (1.0,)), specs, paths, 3, 1)
+        in_pass, _ = pricing._tuple_mc_prices(model, one_hot, specs, paths, 3)
+        alone, _ = pricing._tuple_mc_prices(model, TupleSet(model, [row], (1.0,)), specs, paths, 3)
         assert np.array_equal(in_pass, alone), (k, in_pass - alone)
 
 
-def test_wide_pass_is_the_same_at_one_and_two_workers():
+def test_wide_pass_is_the_same_at_one_and_two_workers(monkeypatch):
     gen = np.random.default_rng(3)  # the n=6 wide basket of the benchmark: 314 tuples at kappa = 1e-3
     vols = [tuple(gen.uniform(0.1, 0.5, size=3)) for _ in range(6)]
     wide = make_model((1.0,) * 6, (0.05,) * 6, ((0.5, 0.3, 0.2),) * 6, vols, float(gen.uniform(0.1, 0.6)))
     tuple_set = truncate(wide, 1e-3)
     assert len(tuple_set) == 314
     specs = tuple(BasketSpec((1 / 6,) * 6, kind, 1.0, 1.0, rate=0.05) for kind in ("arithmetic", "geometric"))
-    one = pricing._tuple_mc_prices(wide, tuple_set, specs, 20_000, 21, 1)
-    two = pricing._tuple_mc_prices(wide, tuple_set, specs, 20_000, 21, 2)
+    monkeypatch.setenv("MVMIX_WORKERS", "1")
+    one = pricing._tuple_mc_prices(wide, tuple_set, specs, 20_000, 21)
+    monkeypatch.setenv("MVMIX_WORKERS", "2")
+    two = pricing._tuple_mc_prices(wide, tuple_set, specs, 20_000, 21)
     assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
 
 
-def test_kernel_scratch_stays_with_its_worker_under_thread_switching(vanilla_model):
+def test_kernel_scratch_stays_with_its_worker_under_thread_switching(vanilla_model, monkeypatch):
     # Each block-running thread owns its scratch; four workers on fewer cores, switching
     # threads every microsecond, would mix the blocks of a shared buffer.
     specs = tuple(BasketSpec((0.5, 0.5), kind, 1.0, 1.0, rate=0.05) for kind in ("arithmetic", "geometric"))
     tuple_set = truncate(vanilla_model, 0.0)
     paths = 8 * BLOCK_SIZE
-    one = pricing._tuple_mc_prices(vanilla_model, tuple_set, specs, paths, 31, 1)
+    monkeypatch.setenv("MVMIX_WORKERS", "1")
+    one = pricing._tuple_mc_prices(vanilla_model, tuple_set, specs, paths, 31)
+    monkeypatch.setenv("MVMIX_WORKERS", "4")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        four = pricing._tuple_mc_prices(vanilla_model, tuple_set, specs, paths, 31, 4)
+        four = pricing._tuple_mc_prices(vanilla_model, tuple_set, specs, paths, 31)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(one[0], four[0]) and np.array_equal(one[1], four[1])
@@ -379,7 +385,7 @@ def test_kernel_refuses_specs_of_different_maturities(vanilla_model):
 
     specs = (BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0), BasketSpec((0.5, 0.5), "arithmetic", 1.0, 0.5))
     with pytest.raises(ValueError, match="share a maturity"):
-        _tuple_mc_prices(vanilla_model, truncate(vanilla_model, 0.0), specs, 100, 0, 1)
+        _tuple_mc_prices(vanilla_model, truncate(vanilla_model, 0.0), specs, 100, 0)
 
 
 def three_asset_model():
@@ -423,8 +429,8 @@ def test_spot_bumps_price_as_rescaled_basket_weights():
         spots = model.spots + bump
         alone = MultiAssetModel(tuple(replace(a, spot=x) for a, x in zip(model.assets, spots)), model.corr)
         rescaled = tuple(replace(s, weights=tuple(np.asarray(s.weights) * spots / model.spots)) for s in specs)
-        price, se = pricing._tuple_mc_prices(model, tuple_set, rescaled, 20_000, 13, None)
-        price_alone, se_alone = pricing._tuple_mc_prices(alone, tuple_set, specs, 20_000, 13, None)
+        price, se = pricing._tuple_mc_prices(model, tuple_set, rescaled, 20_000, 13)
+        price_alone, se_alone = pricing._tuple_mc_prices(alone, tuple_set, specs, 20_000, 13)
         assert price == pytest.approx(price_alone, rel=1e-12)
         assert se == pytest.approx(se_alone, rel=1e-12)
 
@@ -450,10 +456,10 @@ def test_geometric_only_draw_forms_no_price_matrix(vanilla_model, monkeypatch):
     monkeypatch.setattr(pricing, "_column_log_prices", recording)
     monkeypatch.setattr(pricing, "np", CountingNumpy())
     geometric = tuple(BasketSpec((0.5, 0.5), "geometric", k, 1.0, o) for k in (0.9, 1.1) for o in (1, -1))
-    pricing._mvmd_estimates(vanilla_model, geometric, 0.0, 20_000, 14, None)
+    pricing._mvmd_estimates(vanilla_model, geometric, 0.0, 20_000, 14)
     assert log_prices and not shapes
     arithmetic = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0)
-    pricing._mvmd_estimates(vanilla_model, (*geometric, arithmetic), 0.0, 20_000, 14, None)
+    pricing._mvmd_estimates(vanilla_model, (*geometric, arithmetic), 0.0, 20_000, 14)
     assert {rows for rows, _ in shapes} == {4} and sum(paths for _, paths in shapes) == 20_000
 
 

@@ -1,6 +1,8 @@
 """The block scheduler: positional output, errors, nesting, per-call helper threads and fork; integer stream keys and path counts."""
 
+import inspect
 import multiprocessing
+import pickle
 import sys
 import threading
 import time
@@ -8,8 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from mvmix import BasketSpec, price_mvmd_mc, rng
-from mvmix.montecarlo import SimulationConfig, simulate_scmd
+from mvmix import BasketSpec, greeks_mvmd, price_mvmd_mc, rng
+from mvmix.benchmarks import benchmark_spec
+from mvmix.montecarlo import (
+    SimulationConfig,
+    sample_muvm_terminal,
+    sample_mvmd_terminal,
+    simulate_md_euler,
+    simulate_scmd,
+)
 from mvmix.rng import run_blocks
 
 
@@ -162,7 +171,7 @@ def _scmd_child(conn, model, config):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs os.fork")
 def test_forked_child_runs_blocks_with_its_own_helpers(vanilla_model):
     config = SimulationConfig(paths=40_000, steps=8, maturity=1.0, seed=5)
-    expected = simulate_scmd(vanilla_model, config, workers=2).values  # the parent's helpers exist now
+    expected = simulate_scmd(vanilla_model, config, workers=2).values
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_scmd_child, args=(send, vanilla_model, config))
@@ -208,6 +217,27 @@ def test_pricer_refuses_a_fractional_seed_or_path_count(vanilla_model):
 def test_worker_count_takes_only_a_whole_number(vanilla_model, workers):
     with pytest.raises(ValueError, match="worker count must be an integer"):
         rng.worker_count(workers)
-    spec = BasketSpec((0.5, 0.5), "arithmetic", 1.0, 1.0)
-    with pytest.raises(ValueError, match="worker count must be an integer"):  # 1.5 failed in the thread pool
-        price_mvmd_mc(vanilla_model, spec, paths=20_000, workers=workers)
+    config = SimulationConfig(paths=20_000, steps=1, maturity=1.0, seed=0)
+    with pytest.raises(ValueError, match="worker count must be an integer"):
+        simulate_scmd(vanilla_model, config, workers=workers)
+
+
+THREE_BLOCKS = 2 * rng.BLOCK_SIZE + 1  # the last block holds one path, so 3 workers start two helpers
+VANILLA_CALL = benchmark_spec("vanilla", 1.0)
+MIXTURE_LAYER = {  # each public pricer and sampler that takes no worker count, run on three blocks
+    price_mvmd_mc: lambda m: price_mvmd_mc(m, VANILLA_CALL, paths=THREE_BLOCKS, seed=4),
+    greeks_mvmd: lambda m: greeks_mvmd(m, VANILLA_CALL, 0.01, paths=THREE_BLOCKS, seed=5),
+    sample_mvmd_terminal: lambda m: sample_mvmd_terminal(m, 1.0, THREE_BLOCKS, 6).values,
+    sample_muvm_terminal: lambda m: sample_muvm_terminal(m, 1.0, THREE_BLOCKS, 7).values,
+    simulate_md_euler: lambda m: simulate_md_euler(m.assets[0], 1.0, 4, THREE_BLOCKS, 8),
+}
+
+
+@pytest.mark.parametrize("fn", MIXTURE_LAYER, ids=lambda fn: fn.__name__)
+def test_mixture_layer_reads_its_worker_count_only_from_the_environment(vanilla_model, monkeypatch, fn):
+    assert "workers" not in inspect.signature(fn).parameters
+    outputs = set()
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("MVMIX_WORKERS", workers)
+        outputs.add(pickle.dumps(MIXTURE_LAYER[fn](vanilla_model)))  # the float bits of every output
+    assert len(outputs) == 1

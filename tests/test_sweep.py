@@ -111,7 +111,7 @@ def test_copula_lies_inside_the_frechet_bounds():
         if 2 <= model.n <= 3:
             for u in points:
                 value = copula_value(model, t, u)
-                assert max(u.sum() - (model.n - 1), 0.0) - 1e-12 <= value <= u.min() + 1e-12, (k, u.tolist())
+                assert max(u.sum() - (model.n - 1), 0.0) <= value <= u.min(), (k, u.tolist())
 
 
 @pytest.mark.parametrize("kind", ["arithmetic", "geometric"])

@@ -308,10 +308,12 @@ def test_euler_terminal_law_matches_mixture(vanilla_asset1):
     assert res.pvalue > 0.01
 
 
-def test_euler_deterministic_and_worker_independent(vanilla_asset1):
+def test_euler_deterministic_and_worker_independent(vanilla_asset1, monkeypatch):
+    monkeypatch.setenv("MVMIX_WORKERS", "1")
     a = simulate_md_euler(vanilla_asset1, 1.0, 30, 40_000, seed=3)
     b = simulate_md_euler(vanilla_asset1, 1.0, 30, 40_000, seed=3)
-    c = simulate_md_euler(vanilla_asset1, 1.0, 30, 40_000, seed=3, workers=4)
+    monkeypatch.setenv("MVMIX_WORKERS", "4")
+    c = simulate_md_euler(vanilla_asset1, 1.0, 30, 40_000, seed=3)
     assert np.array_equal(a, b)
     assert np.array_equal(a, c)
     assert np.all(a > 0)
