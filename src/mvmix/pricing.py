@@ -319,7 +319,7 @@ def _tuple_mc_prices(
     # tuple's sums are grouped alike whatever else is priced
     tile = min(BLOCK_SIZE, 2 ** int(math.log2(max(1, _TILE_BYTES // (8 * ncols)))))
     width = min(tile, paths)
-    sizes = {"x": ncols, "levels": rows, "pay": rows, "term": 1, "combined": len(specs)}
+    sizes = {"x": ncols, "levels": rows, "pay": rows, "term": 1, "combined": max(len(m) for _, m in baskets.values())}
     local = threading.local()
 
     def run_block(b: int, start: int, stop: int) -> None:
@@ -335,9 +335,10 @@ def _tuple_mc_prices(
 
             z = gen.standard_normal(out=local.z[:m])  # the block's draw, a tile at a time
             x = _column_log_prices(model, loadings, means, z, view("x", ncols))
-            combined, term, logs = view("combined", len(specs)), view("term"), True
+            term, logs = view("term"), True
             for key in order:
                 sel, members = baskets[key]
+                combined = view("combined", len(members))  # one basket's weighted payoffs at a time
                 if key[0] == "arithmetic" and logs:
                     np.exp(x, out=x)
                     logs = False
@@ -347,7 +348,7 @@ def _tuple_mc_prices(
                     if key[0] == "geometric":
                         np.exp(levels, out=levels)
                     pay = view("pay", k1 - k0)
-                    for j in members:
+                    for i, j in enumerate(members):
                         s = specs[j]
                         if s.omega == 1:  # the operand order gives the direction: L - K or K - L
                             np.subtract(levels, s.strike, out=pay)
@@ -356,10 +357,10 @@ def _tuple_mc_prices(
                         np.maximum(pay, 0.0, out=pay)
                         sums[j, k0:k1, b] += pay.sum(axis=-1)  # a 1-D pairwise sum per tuple and tile
                         # the weighted payoff of each path: the first chunk writes it, later ones add
-                        np.dot(w[k0:k1], pay, out=term if k0 else combined[j])
+                        np.dot(w[k0:k1], pay, out=term if k0 else combined[i])
                         if k0:
-                            combined[j] += term
-            comb_sq[:, b] += np.square(combined, out=combined).sum(axis=1)  # one pairwise sum per spec
+                            combined[i] += term
+                comb_sq[members, b] += np.square(combined, out=combined).sum(axis=1)  # one pairwise sum per spec
 
     run_blocks(run_block, path_blocks(paths))
     price, se = np.empty(len(specs)), np.zeros(len(specs))

@@ -6,8 +6,8 @@ numbers attached to a given path never depend on how many workers run or
 in which order blocks complete.  Workers only change scheduling; output
 arrays are filled positionally.
 
-With w > 1 workers, `run_blocks` runs the blocks on the calling thread and
-up to w - 1 helper threads of its own, all taking blocks from one shared
+A `run_blocks` call at w workers runs its blocks on the calling thread beside
+at most w - 1 helper threads of its own, all taking blocks from one shared
 cursor; it joins its helpers before it returns, so no state outlives a call.
 """
 
@@ -80,16 +80,12 @@ def run_blocks(
     """Run fn(block_index, start, stop) over all blocks, possibly threaded.
 
     fn must write only to its own [start, stop) slice of any shared output.
-    With more than one worker the caller takes blocks from a shared cursor
-    beside up to workers - 1 helper threads that this call starts and joins,
-    so a block may itself call run_blocks.  The first error a block raises
-    stops the hand-out of further blocks and is re-raised here.
+    The caller takes blocks from a shared cursor, in order, beside at most
+    workers - 1 helper threads that this call starts and joins, so a block
+    may itself call run_blocks.  The first error a block raises stops the
+    hand-out of further blocks and is re-raised here.
     """
     nworkers = worker_count(workers)
-    if nworkers == 1 or len(blocks) == 1:
-        for b, start, stop in blocks:
-            fn(b, start, stop)
-        return
     cursor = iter(blocks)
     lock = threading.Lock()
     errors: list[BaseException] = []

@@ -209,14 +209,14 @@ def _nu2_schedule(assets, times) -> list[tuple]:
     With y = log(S / S(0)), d_k = log(lambda_k p_k / lambda_r p_r) = g y^2 +
     b y + a and D_k = sigma_k^2 - sigma_r^2 for each component k other than
     the reference r.  Entry i is (sigma_r^2 of shape (n, 1), (g, b, a, D) of
-    shape (4, K - 1, n, 1)).  Padding (assets with fewer components) and
-    zero weights get a = -inf; at t = 0 the entry is the short-time limit
-    sigma_r^2 = sum_k lambda_k sigma_k^2 with every a = -inf.  Measuring y
-    from the spot keeps (log S(0))^2 / V^2 terms, which would cancel, out of
-    the coefficients.
+    shape (4, K - 1, n, 1)), K >= 2.  Empty slots (padding and zero weights)
+    get g = -1, b = 0, a = -inf: e^{d_k} = 0 at every y, +-inf included.  At
+    t = 0 the entry is the short-time limit sigma_r^2 = sum_k lambda_k
+    sigma_k^2 with every a = -inf.  Measuring y from the spot keeps
+    (log S(0))^2 / V^2 terms, which would cancel, out of the coefficients.
     """
     times = np.asarray(times, dtype=float)
-    n, K = len(assets), max(a.n_components for a in assets)
+    n, K = len(assets), max(2, *(a.n_components for a in assets))
     lam = np.zeros((n, K))
     sig = np.zeros((len(times), n, K))
     var = np.ones_like(sig)  # padding keeps a finite variance and a zero weight
@@ -235,6 +235,8 @@ def _nu2_schedule(assets, times) -> list[tuple]:
         coefs = np.stack((-0.5 / var, b, np.log(lam) - 0.5 * np.log(var) - 0.5 * mean * b, sig2))
         coefs = np.take_along_axis(coefs, order[None], -1)
         ref, rel = coefs[3, ..., :1], coefs[..., 1:] - coefs[..., :1]  # rel: (g, b, a, D)
+    empty = np.take_along_axis(lam[None], order, -1)[..., 1:] == 0  # a = -inf already
+    rel[:2, empty] = [[-1.0], [0.0]]  # d = -y^2 - inf is -inf at y = +-inf too, not inf - inf
     start = times == 0
     ref[start, :, 0] = (lam * sig2[start]).sum(-1)
     rel[:, start] = 0.0
@@ -246,16 +248,13 @@ def _nu2(y: np.ndarray, coefs: tuple, bufs: np.ndarray) -> np.ndarray:
     """nu^2 at the (n, paths) log returns y = log(S / S(0)), written into bufs[0].
 
     `coefs` is one entry of `_nu2_schedule`; `bufs` is a (3, n, paths)
-    scratch array.  The reference component has the largest integrated
-    variance, and equal integrated variances mean equal log-means, so every
-    d_k is concave or constant in y: e^{d_k} cannot overflow in either tail,
-    no max-shift is needed, and the deep tails go to the fattest component.
+    scratch array.  The reference has the largest integrated variance, and
+    equal integrated variances mean equal log-means, so every d_k is concave
+    or constant in y, and an empty slot's is -inf at every y: no e^{d_k}
+    overflows in either tail, and the deep tails go to the fattest component.
     """
     ref, terms = coefs
     out, den, e = bufs
-    if terms.shape[1] == 0:  # one component per asset: nu^2 is sigma_r^2
-        out.fill(0.0)
-        den.fill(1.0)
     for k, (gk, bk, ak, dk) in enumerate(zip(*terms)):
         np.multiply(gk, y, out=e)
         e += bk

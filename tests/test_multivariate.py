@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -426,6 +427,16 @@ def test_scmd_covariance_composition(spread_model):
     assert c[1, 1] == pytest.approx(nu2**2, rel=1e-14)
     assert c[0, 1] == pytest.approx(0.6 * nu1 * nu2, rel=1e-14)
     assert c[0, 1] == c[1, 0]
+
+
+def test_scmd_covariance_is_finite_at_an_infinite_price():
+    # asset 0's padding slot (variance 1 against the reference's 0.045) used to read inf - inf at x = inf
+    model = make_model((1.0, 1.0), (0.05, 0.05), ((0.6, 0.4), (0.3, 0.3, 0.4)), ((0.3, 0.2), (0.15, 0.25, 0.35)), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = scmd_covariance(model, 0.5, [np.inf, 1.0])
+    nus = [0.3, local_vol(model.assets[1], 0.5, 1.0)]
+    assert np.array_equal(c, np.outer(nus, nus) * model.corr.values)
 
 
 def test_scmd_covariance_equals_the_per_asset_local_vols():

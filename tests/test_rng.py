@@ -103,6 +103,20 @@ def test_error_on_a_helper_propagates(workers):
     assert out[-1] == 4034.0
 
 
+def test_one_worker_runs_blocks_in_order_on_the_caller_until_one_fails():
+    caller, baseline, ran = threading.current_thread(), threading.active_count(), []
+
+    def fn(b, start, stop):
+        ran.append((b, threading.current_thread(), threading.active_count()))
+        if b == 3:
+            raise RuntimeError("block 3 failed")
+
+    with pytest.raises(RuntimeError, match="block 3 failed"):
+        run_blocks(fn, _blocks(8), 1)
+    assert ran == [(b, caller, baseline) for b in range(4)]
+    assert threading.active_count() == baseline
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_block_may_call_run_blocks(workers):
     inner, together = np.zeros((6, 7 * 5)), threading.Barrier(workers)

@@ -1,11 +1,12 @@
 """Pinned random streams of every sampler and Monte Carlo pricer.
 
 Each sampler runs at a small size on a benchmark model and on a three-asset
-model with a zero-weight component and a time-varying vol.  Its output is
-hashed after formatting each value to 12 significant digits, so a change
-to which draw feeds which path, or to the order of the arithmetic, shows
-here, while last-ulp differences between math libraries do not.  Changing
-a hash is a change to the randomness contract and must be declared.
+model with a zero-weight component and a time-varying vol; the one-asset
+Euler path also runs on a one-component asset.  Its output is hashed after
+formatting each value to 12 significant digits, so a change to which draw
+feeds which path, or to the order of the arithmetic, shows here, while
+last-ulp differences between math libraries do not.  Changing a hash is a
+change to the randomness contract and must be declared.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from mvmix import (
+    AssetMixture,
     BasketSpec,
     SimulationConfig,
     VolCurve,
@@ -80,6 +82,8 @@ def _samplers():
         spec, indices = SPECS[name]
         out[f"price-mvmd-{name}"] = lambda m=model, s=spec: _estimate(price_mvmd_mc(m, s, paths=PATHS, seed=16))
         out[f"price-component-{name}"] = lambda m=model, s=spec, k=indices: np.array(one_tuple_price(m, k, s, PATHS, 17))
+    single = AssetMixture.from_arrays(1.1, 0.04, [1.0], [VolCurve((0.0, 0.5), (0.2, 0.35))])
+    out["md-euler-single"] = lambda: simulate_md_euler(single, 1.0, STEPS, PATHS, 15)  # nu is sigma(t) exactly
     spread, spread_spec = _models()["spread"], SPECS["spread"][0]
     out["price-mvmd-spread-3blocks"] = lambda: _estimate(price_mvmd_mc(spread, spread_spec, paths=THREE_BLOCKS, seed=16))
     out["scmd-spread-3blocks"] = lambda: simulate_scmd(spread, SimulationConfig(THREE_BLOCKS, STEPS, 1.0, 14)).values
@@ -150,6 +154,7 @@ EXPECTED = {
     "greeks-kappa-put-three": "90af0370ff0d9c5c402913be4c161929cef70adbd5478bee749dd7358bedef01",
     "greeks-spread": "80cdefd60a3e735e6f097744a1df3456c2c37565763267bdad0d3a3e07be7205",
     "greeks-wide6": "3b04384f93a83b24c0d09047f226eb376c09bc2130aefca63862b91da59698bb",
+    "md-euler-single": "8fe22ed75e48e3e4a7dc7c74bcbd281bedeaf601a96f2a85d7724682d0634bde",
     "md-euler-spread": "ff9d5f262a0459ff08af64f3a8de10cf363cc1083b10086346197f6e5de34941",
     "md-euler-three": "255dcbabce11bfc06ccd80332c472ce45d72fc714e753cad31f76a51c66e1bbc",
     "muvm-spread": "d3e0aeeec5a35220e5ef8bbc81a6d81d6243812d57aba417d6f2e391b537e9ae",

@@ -209,6 +209,23 @@ def test_local_vol_time_zero_limit(vanilla_asset1):
     assert local_vol(vanilla_asset1, 0.0, 1.0) == pytest.approx(expect, rel=1e-14)
 
 
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_one_component_local_vol_is_its_vol_exactly(t):
+    asset = AssetMixture.from_arrays(1.0, 0.01, [1.0], [0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nu = local_vol(asset, t, [5e-324, 1.0, np.inf])
+    assert nu.tolist() == [0.3, 0.3, 0.3]
+
+
+def test_zero_weight_component_is_inert_at_an_infinite_price():
+    # the zero-weight vol 0.8 exceeds the reference's 0.3, so its slot's d_k used to read inf - inf at y = inf
+    asset = AssetMixture.from_arrays(1.0, 0.05, [0.5, 0.5, 0.0], [0.2, 0.3, 0.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert local_vol(asset, 0.5, np.inf) == 0.3
+
+
 LOCAL_VOL_TIMES = (1.0 / 360.0, 0.5, 3.0)
 
 
