@@ -28,6 +28,7 @@ samplers consume randomness through fixed-size path blocks keyed by
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +37,7 @@ import numpy as np
 from . import pricing
 from .multivariate import MultiAssetModel, _column_log_prices, _component_columns, truncate
 from .pricing import PriceEstimate
-from .rng import path_blocks, run_blocks, substream
+from .rng import BLOCK_SIZE, path_blocks, run_blocks, substream
 from .univariate import AssetMixture, _nu2, _nu2_schedule
 
 __all__ = [
@@ -135,14 +136,16 @@ def _terminal_sample(model: MultiAssetModel, pick, maturity: float, paths: int, 
     its picked columns.
     """
     loadings, means, offsets = _component_columns(model, maturity)
-    out = np.empty((paths, model.n))
+    out, height, local = np.empty((paths, model.n)), min(BLOCK_SIZE, paths), threading.local()
 
     def run_block(b: int, start: int, stop: int) -> None:
-        gen, m = substream(seed, b), stop - start
+        if not hasattr(local, "z"):  # per block-running thread, once per call
+            local.z, local.x = np.empty((height, model.n * loadings.shape[1])), np.empty(len(means) * height)
+        gen, m, dest = substream(seed, b), stop - start, out[start:stop]
         picked = offsets + pick(gen, m)  # (m, n) columns
-        z = gen.standard_normal((m, model.n * loadings.shape[1]))
-        x = _column_log_prices(model, loadings, means, z, np.empty((len(means), m)))
-        np.exp(np.take(x, picked * m + np.arange(m)[:, None]), out=out[start:stop])
+        z = gen.standard_normal(out=local.z[:m])
+        x = _column_log_prices(model, loadings, means, z, local.x[: len(means) * m].reshape(-1, m))
+        np.exp(np.take(x, picked * m + np.arange(m)[:, None], out=dest, mode="clip"), out=dest)  # "raise" buffers
 
     run_blocks(run_block, path_blocks(paths))
     return out

@@ -24,8 +24,8 @@ rows of X.  Basket levels are linear in X: a geometric log level is a
 weighted sum of the tuple's rows of X, and an arithmetic level the same sum
 of exp(X), taken once, so the levels of a few tuples are one product of a
 selection matrix with X or exp(X).  The kernel's time goes to memory
-traffic, so it takes a block a cache-sized tile of paths at a time, and
-each thread that runs blocks allocates its scratch once per call.  A
+traffic, so it works a cache-sized tile of paths at a time, and the tile is
+its unit of work, so that workers share a wide basket's path block.  A
 tuple's price has the same bits whatever else was kept.
 """
 
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -269,20 +270,24 @@ def _tuple_mc_prices(
     tuple's law.  The specs share a maturity and may differ in everything
     else: basket kind and weights (a spot bump is a weight; see
     `greeks_mvmd`), strike, direction and rate.  Per tile of a path block
-    one standard normal draw z becomes the (C, tile) log-price matrix X of
-    the columns, which feeds every tuple, basket and strike, so they all
-    share common random numbers, and basket levels are linear in it: a
-    tuple's level is one row of the product of a selection matrix, whose
-    row holds a basket's weights at the tuple's columns, with
+    the tile's rows of the block's standard normal draw z become the
+    (C, tile) log-price matrix X of the columns, which feeds every tuple,
+    basket and strike, so they all share common random numbers, and basket
+    levels are linear in it: a tuple's level is one row of the product of a
+    selection matrix, whose row holds a basket's weights at the tuple's
+    columns, with
 
     * geometric, g = w / sum(w): X itself, giving the log level;
     * arithmetic: exp(X), taken once per tile in X's own buffer after the
       geometric levels are read.
 
     Tuples are taken up to 8 at a time, and each spec is discounted at its
-    own rate.  Each thread that runs blocks allocates its scratch once per
-    call.  A tuple's price has the same bits as in a pass over that tuple
-    alone: nothing of it is formed or summed across tuples.
+    own rate.  Each tile is a `run_blocks` unit: a block's first tile draws
+    the normals its other tiles wait for, and each tile sums into its own
+    slot, which the block's last tile to finish adds in path order, so no
+    bit depends on the worker count.  A tuple's price has the same bits as
+    in a pass over that tuple alone: nothing of it is formed or summed
+    across tuples.
     Returns the (specs,) arrays of weight-combined prices and of their
     standard errors; the error is that of the per-path weighted payoff,
     which is the honest error bar of the convex combination under shared
@@ -312,57 +317,77 @@ def _tuple_mc_prices(
         baskets[s.kind, s.weights][1].append(j)
     order = sorted(baskets, key=lambda key: key[0] == "arithmetic")  # X is exponentiated in place after the geometric levels
     w = tuple_set.weight_array
-    nblocks = len(path_blocks(paths))
-    sums = np.zeros((len(specs), ntuples, nblocks))
-    comb_sq = np.zeros((len(specs), nblocks))
     # paths per tile: a power of two, so tiles split blocks evenly; set by the model alone, so a
     # tuple's sums are grouped alike whatever else is priced
     tile = min(BLOCK_SIZE, 2 ** int(math.log2(max(1, _TILE_BYTES // (8 * ncols)))))
-    width = min(tile, paths)
+    units = [(b, lo, min(lo + tile, stop)) for b, start, stop in path_blocks(paths) for lo in range(start, stop, tile)]
+    nblocks, height, width = units[-1][0] + 1, min(BLOCK_SIZE, paths), min(tile, paths)
+    sums, comb_sq = np.zeros((len(specs), ntuples, nblocks)), np.zeros((len(specs), nblocks))
     sizes = {"x": ncols, "levels": rows, "pay": rows, "term": 1, "combined": max(len(m) for _, m in baskets.values())}
-    local = threading.local()
+    # a block's buffers: its normals, and per tile and spec the tuples' payoff sums, then the sum of squares
+    shapes = ((height, n * loadings.shape[1]), (-(-height // tile), len(specs), ntuples + 1))
+    local, lock, spare, held = threading.local(), threading.Lock(), [], {}  # held: block -> buffers or draw error
+    drawn, left = [threading.Event() for _ in range(nblocks)], Counter(b for b, _, _ in units)
 
-    def run_block(b: int, start: int, stop: int) -> None:
-        if not hasattr(local, "scratch"):  # per block-running thread, once per call
-            local.z = np.empty((width, n * loadings.shape[1]))
+    def run_tile(b: int, first: int, last: int) -> None:
+        start, stop = b * BLOCK_SIZE, min((b + 1) * BLOCK_SIZE, paths)
+        if first == start:  # the block's first tile draws the normals of all of its tiles
+            try:
+                with lock:
+                    held[b] = spare.pop() if spare else tuple(map(np.empty, shapes))
+                substream(seed, b).standard_normal(out=held[b][0][: stop - start])
+            except BaseException as exc:  # the block's other tiles raise it too
+                held[b] = exc
+                raise
+            finally:  # so no tile waits forever
+                drawn[b].set()
+        drawn[b].wait()
+        if isinstance(held[b], BaseException):
+            raise held[b]
+        normals, tile_sums = held[b]
+        if not hasattr(local, "scratch"):  # per tile-running thread, once per call
             local.scratch = {name: np.empty(size * width) for name, size in sizes.items()}
-        gen = substream(seed, b)
-        for first in range(start, stop, tile):
-            m = min(tile, stop - first)
+        m, slot = last - first, (first - start) // tile
 
-            def view(name: str, *shape: int) -> np.ndarray:
-                return local.scratch[name][: m * math.prod(shape)].reshape(*shape, m)
+        def view(name: str, *shape: int) -> np.ndarray:
+            return local.scratch[name][: m * math.prod(shape)].reshape(*shape, m)
 
-            z = gen.standard_normal(out=local.z[:m])  # the block's draw, a tile at a time
-            x = _column_log_prices(model, loadings, means, z, view("x", ncols))
-            term, logs = view("term"), True
-            for key in order:
-                sel, members = baskets[key]
-                combined = view("combined", len(members))  # one basket's weighted payoffs at a time
-                if key[0] == "arithmetic" and logs:
-                    np.exp(x, out=x)
-                    logs = False
-                for q, k0 in enumerate(range(0, ntuples, chunk)):
-                    k1 = min(k0 + chunk, ntuples)  # the last chunk may hold fewer tuples
-                    levels = np.matmul(sel[q], x, out=view("levels", rows))[: k1 - k0]
-                    if key[0] == "geometric":
-                        np.exp(levels, out=levels)
-                    pay = view("pay", k1 - k0)
-                    for i, j in enumerate(members):
-                        s = specs[j]
-                        if s.omega == 1:  # the operand order gives the direction: L - K or K - L
-                            np.subtract(levels, s.strike, out=pay)
-                        else:
-                            np.subtract(s.strike, levels, out=pay)
-                        np.maximum(pay, 0.0, out=pay)
-                        sums[j, k0:k1, b] += pay.sum(axis=-1)  # a 1-D pairwise sum per tuple and tile
-                        # the weighted payoff of each path: the first chunk writes it, later ones add
-                        np.dot(w[k0:k1], pay, out=term if k0 else combined[i])
-                        if k0:
-                            combined[i] += term
-                comb_sq[members, b] += np.square(combined, out=combined).sum(axis=1)  # one pairwise sum per spec
+        x = _column_log_prices(model, loadings, means, normals[first - start : last - start], view("x", ncols))
+        term, logs, level_rows, pay_rows = view("term"), True, view("levels", rows), view("pay", chunk)
+        for key in order:
+            sel, members = baskets[key]
+            combined = view("combined", len(members))  # one basket's weighted payoffs at a time
+            if key[0] == "arithmetic" and logs:
+                np.exp(x, out=x)
+                logs = False
+            for q, k0 in enumerate(range(0, ntuples, chunk)):
+                k1 = min(k0 + chunk, ntuples)  # the last chunk may hold fewer tuples
+                levels = np.matmul(sel[q], x, out=level_rows)[: k1 - k0]
+                if key[0] == "geometric":
+                    np.exp(levels, out=levels)
+                pay = pay_rows[: k1 - k0]
+                for i, j in enumerate(members):
+                    s = specs[j]
+                    if s.omega == 1:  # the operand order gives the direction: L - K or K - L
+                        np.subtract(levels, s.strike, out=pay)
+                    else:
+                        np.subtract(s.strike, levels, out=pay)
+                    np.maximum(pay, 0.0, out=pay)
+                    pay.sum(axis=-1, out=tile_sums[slot, j, k0:k1])  # a 1-D pairwise sum per tuple
+                    # the weighted payoff of each path: the first chunk writes it, later ones add
+                    np.dot(w[k0:k1], pay, out=term if k0 else combined[i])
+                    if k0:
+                        combined[i] += term
+            tile_sums[slot, members, -1] = np.square(combined, out=combined).sum(axis=1)  # one pairwise sum per spec
+        with lock:
+            left[b] -= 1
+            if not left[b]:  # the block's last tile to finish adds the tiles' sums in path order
+                for slot in range(-(-(stop - start) // tile)):
+                    sums[:, :, b] += tile_sums[slot, :, :-1]
+                    comb_sq[:, b] += tile_sums[slot, :, -1]
+                spare.append(held.pop(b))
 
-    run_blocks(run_block, path_blocks(paths))
+    run_blocks(run_tile, units)
     price, se = np.empty(len(specs)), np.zeros(len(specs))
     for j, s in enumerate(specs):
         disc = np.exp(-s.rate * t)

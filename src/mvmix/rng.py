@@ -77,13 +77,14 @@ def run_blocks(
     blocks: Sequence[tuple[int, int, int]],
     workers: int | None = None,
 ) -> None:
-    """Run fn(block_index, start, stop) over all blocks, possibly threaded.
+    """Run fn(block_index, start, stop) over all units, possibly threaded.
 
-    fn must write only to its own [start, stop) slice of any shared output.
-    The caller takes blocks from a shared cursor, in order, beside at most
-    workers - 1 helper threads that this call starts and joins, so a block
-    may itself call run_blocks.  The first error a block raises stops the
-    hand-out of further blocks and is re-raised here.
+    A unit is a block of `path_blocks` or a tile [start, stop) of block
+    block_index, and fn must write only to its own slice or slot of any
+    shared output.  The caller takes units from a shared cursor, in order,
+    beside at most workers - 1 helper threads that this call starts and
+    joins, so a unit may itself call run_blocks.  The first error a unit
+    raises stops the hand-out of further units and is re-raised here.
     """
     nworkers = worker_count(workers)
     cursor = iter(blocks)

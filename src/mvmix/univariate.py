@@ -301,8 +301,10 @@ def _local_vols(assets, t: float, x: np.ndarray) -> np.ndarray:
     if t > 0 and np.any(x <= 0):
         raise ValueError("price must be positive")
     spots = np.array([a.spot for a in assets])[:, None]
-    y = np.log(x / spots) if t > 0 else np.zeros_like(x)
-    return np.sqrt(_nu2(y, _nu2_schedule(assets, [t])[0], np.empty((3,) + x.shape)))
+    # y = +-inf becomes the largest double: a slot with g = b = 0 then gets e^a, not e^(0 * inf)
+    with np.errstate(divide="ignore", over="ignore"):  # x / spot may underflow to 0 or overflow
+        y = np.nan_to_num(np.log(x / spots)) if t > 0 else np.zeros_like(x)
+        return np.sqrt(_nu2(y, _nu2_schedule(assets, [t])[0], np.empty((3,) + x.shape)))
 
 
 def analytic_moment(asset: AssetMixture, t: float, order: int = 1) -> float:

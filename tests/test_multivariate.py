@@ -439,6 +439,18 @@ def test_scmd_covariance_is_finite_at_an_infinite_price():
     assert np.array_equal(c, np.outer(nus, nus) * model.corr.values)
 
 
+def test_scmd_covariance_is_finite_where_two_components_share_a_variance():
+    # asset 0's second slot has the reference's variance (g = b = 0), whose g y used to read 0 * inf
+    equal = AssetMixture.from_arrays(1.0, 0.0, [0.5, 0.5], [0.3, 0.3])
+    other = AssetMixture.from_arrays(1.0, 0.0, [0.6, 0.4], [0.2, 0.3])
+    model = MultiAssetModel((equal, other), CorrelationMatrix([[1.0, 0.5], [0.5, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = scmd_covariance(model, 0.5, [np.inf, 1.0])
+    nus = [0.3, local_vol(other, 0.5, 1.0)]
+    assert np.array_equal(c, np.outer(nus, nus) * model.corr.values)
+
+
 def test_scmd_covariance_equals_the_per_asset_local_vols():
     # One nu^2 schedule for all assets, padded to the largest component count,
     # gives the same bits as one local_vol call per asset, t = 0 included.

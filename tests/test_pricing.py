@@ -1,4 +1,6 @@
 import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -305,13 +307,20 @@ def test_each_tuple_prices_as_in_its_own_pass(paths):
         assert np.array_equal(in_pass, alone), (k, in_pass - alone)
 
 
-def test_wide_pass_is_the_same_at_one_and_two_workers(monkeypatch):
-    gen = np.random.default_rng(3)  # the n=6 wide basket of the benchmark: 314 tuples at kappa = 1e-3
+def _wide_pass():
+    """The n=6 wide basket of the benchmark (18 component columns, so four tiles per block), its 314
+    tuples at kappa = 1e-3, and an arithmetic and a geometric call."""
+    gen = np.random.default_rng(3)
     vols = [tuple(gen.uniform(0.1, 0.5, size=3)) for _ in range(6)]
     wide = make_model((1.0,) * 6, (0.05,) * 6, ((0.5, 0.3, 0.2),) * 6, vols, float(gen.uniform(0.1, 0.6)))
     tuple_set = truncate(wide, 1e-3)
     assert len(tuple_set) == 314
     specs = tuple(BasketSpec((1 / 6,) * 6, kind, 1.0, 1.0, rate=0.05) for kind in ("arithmetic", "geometric"))
+    return wide, tuple_set, specs
+
+
+def test_wide_pass_is_the_same_at_one_and_two_workers(monkeypatch):
+    wide, tuple_set, specs = _wide_pass()
     monkeypatch.setenv("MVMIX_WORKERS", "1")
     one = pricing._tuple_mc_prices(wide, tuple_set, specs, 20_000, 21)
     monkeypatch.setenv("MVMIX_WORKERS", "2")
@@ -335,6 +344,72 @@ def test_kernel_scratch_stays_with_its_worker_under_thread_switching(vanilla_mod
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(one[0], four[0]) and np.array_equal(one[1], four[1])
+
+
+@pytest.mark.parametrize("paths", [BLOCK_SIZE, BLOCK_SIZE + 1, 20_000])
+def test_wide_tiles_give_the_same_bits_at_any_worker_count(paths, monkeypatch):
+    # One block of four tiles, then a one-path second block, then a 3,616-path one: helpers share
+    # a block's draw, and five workers outnumber the tiles, so some find none left to run.
+    wide, tuple_set, specs = _wide_pass()
+    monkeypatch.setenv("MVMIX_WORKERS", "1")
+    one = pricing._tuple_mc_prices(wide, tuple_set, specs, paths, 21)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3, 5):
+            monkeypatch.setenv("MVMIX_WORKERS", str(workers))
+            many = pricing._tuple_mc_prices(wide, tuple_set, specs, paths, 21)
+            assert np.array_equal(one[0], many[0]) and np.array_equal(one[1], many[1]), workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_wide_greeks_give_the_same_bits_at_two_workers(monkeypatch):
+    # the n=6 Greeks price 73 bumped specs in one pass, four tiles to a block
+    wide, _, (spec, _) = _wide_pass()
+    monkeypatch.setenv("MVMIX_WORKERS", "1")
+    one = greeks_mvmd(wide, spec, 0.01, 1e-3, paths=BLOCK_SIZE + 1, seed=22)
+    monkeypatch.setenv("MVMIX_WORKERS", "2")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        two = greeks_mvmd(wide, spec, 0.01, 1e-3, paths=BLOCK_SIZE + 1, seed=22)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_a_failed_block_draw_is_raised_and_no_tile_waits_for_it(workers, monkeypatch):
+    # Block 1's first tile fails its draw after its three other tiles may have started waiting on it.
+    wide, tuple_set, specs = _wide_pass()
+    real = pricing.substream
+
+    def substream(seed, b):
+        if b == 1:
+            time.sleep(0.05)
+            raise _DrawFailed(b)
+        return real(seed, b)
+
+    monkeypatch.setattr(pricing, "substream", substream)
+    monkeypatch.setenv("MVMIX_WORKERS", str(workers))
+    before, raised = threading.active_count(), []
+
+    def price():
+        with pytest.raises(_DrawFailed) as info:
+            pricing._tuple_mc_prices(wide, tuple_set, specs, 2 * BLOCK_SIZE, 21)
+        raised.append(info.value)
+
+    caller = threading.Thread(target=price, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "a tile is still waiting on the failed draw"
+    assert len(raised) == 1 and raised[0].args == (1,)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize(

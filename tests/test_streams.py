@@ -95,6 +95,10 @@ def _samplers():
             out[f"price-mvmd-wide-{kind}-{paths}"] = lambda k=kind, p=paths: _estimate(
                 price_mvmd_mc(wide, _wide_spec(k), WIDE_KAPPA, paths=p, seed=21)
             )
+    # 16,384 paths are one block of four tiles, the n=6 basket's 18 columns making a tile 4,096 paths
+    out["price-mvmd-wide-arithmetic-16384"] = lambda: _estimate(
+        price_mvmd_mc(wide, _wide_spec("arithmetic"), WIDE_KAPPA, paths=BLOCK_SIZE, seed=21)
+    )
     return out
 
 
@@ -148,6 +152,8 @@ SAMPLERS = _samplers() | _greek_pins()
 # bumped models' log-means, which moves them at the rounding level.
 # The *-3blocks entries were computed while run_blocks' helpers lived in one
 # process-wide pool, before each call came to start and join its own.
+# price-mvmd-wide-arithmetic-16384 was computed while each path block was one
+# unit of work, before a block's tiles came to be handed out one by one.
 EXPECTED = {
     "greeks-geometric": "a2eb557d814d39ed96b3181b19e9118a265b05db4f4f9db36288e19a08daf5b6",
     "greeks-geometric-put-three": "6af031777b22a5f7eded454148b494aac8ff94739d11ae71e4e1a7eebe75ebfd",
@@ -169,6 +175,7 @@ EXPECTED = {
     "mvmd-spread": "a8e3dcda4a0bfda17e0c9e28aa2ded4f87d38334d75702a7f34bedf61f7c29ac",
     "mvmd-three": "99a45fe79d07f88670551b538ef62daeec6147dc90856e4774bf0f2e5dea39f7",
     "mvmd-wide": "c525365d39bd30cb9e23249cbf5f1e61e0f224e58d8e6ac0918fb023c3c1b28d",
+    "price-mvmd-wide-arithmetic-16384": "de4d1ebc9822eaf5ae8b10c26c11ba9a8e86e7222fa81beeda60af5c1ec06043",
     "price-mvmd-wide-arithmetic-16385": "82dd0cc0477766d2e87b0821bb8c557c63141b93957e1cca3b98a1e205c12324",
     "price-mvmd-wide-arithmetic-20000": "33108a87b02e62601eec245e7f7f3e21195772790c63e7b0d5e887e60d29688b",
     "price-mvmd-wide-geometric-16385": "eda72f2bf39d0a2819ba38e1adf2dddfca1771a594e14493ab35f15bca85aeab",

@@ -226,6 +226,31 @@ def test_zero_weight_component_is_inert_at_an_infinite_price():
         assert local_vol(asset, 0.5, np.inf) == 0.3
 
 
+@pytest.mark.parametrize(
+    "asset, t, x, nu",
+    [
+        # equal vols: the second slot has the reference's variance, so g = b = 0 and g y read 0 * inf
+        (AssetMixture.from_arrays(1.0, 0.0, [0.5, 0.5], [0.3, 0.3]), 0.5, np.inf, 0.3),
+        # crossing piecewise vols whose integrated variances meet at t = 1
+        (
+            AssetMixture.from_arrays(
+                1.0, 0.0, [0.5, 0.5], [VolCurve((0.0, 0.5), (0.2, 0.4)), VolCurve((0.0, 0.5), (0.4, 0.2))]
+            ),
+            1.0,
+            np.inf,
+            np.sqrt(0.1),
+        ),
+        # x / spot underflows to 0, whose log used to raise divide-by-zero
+        (AssetMixture.from_arrays(2.0, 0.01, [1.0], [0.3]), 0.5, 5e-324, 0.3),
+    ],
+    ids=["equal-vols", "crossing-vols", "underflow"],
+)
+def test_local_vol_at_an_extreme_price_is_its_limit(asset, t, x, nu):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert local_vol(asset, t, x) == nu == local_vol(asset, t, 1e300 if x > 1 else 1e-300)
+
+
 LOCAL_VOL_TIMES = (1.0 / 360.0, 0.5, 3.0)
 
 
